@@ -149,7 +149,7 @@ def _cmd_enumerate(args) -> int:
         group = catalog_group(source)
     maps = enumerate_ebr(group, require_proper=args.proper,
                          require_distinct=args.distinct, chi_max=args.chi_max,
-                         max_candidates=args.max_candidates, threads=args.threads)
+                         max_candidates=args.max_candidates)
     _emit(classify_report(maps).to_json())
     return 0
 
@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep maps with chi at most this value")
     p.add_argument("--max-candidates", type=int, default=10**7)
     p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("construct", help="apply a construction to a catalog map")

@@ -2,19 +2,23 @@
 
 Candidates are ordered pairs of commuting involutions for (r0, r2) and
 (rho0, rho2) joined into quadruples; the generation check runs last since it
-is the most expensive filter.  Deduplication keeps, per automorphism class,
-the lexicographically least quadruple under the group's fixed element order,
-found by attempting generator-map extensions towards smaller candidates
-rather than by computing the automorphism group wholesale.
+is the most expensive filter.  Two quadruples describe isomorphic maps when an
+automorphism of the group carries one onto the other, so deduplication keeps
+the lexicographically least quadruple of each Aut(H)-orbit.  Aut(H) is listed
+once as element-index maps, by extending one generating quadruple onto every
+quadruple of involutions with the same orders of pairwise products; a
+lexicographic sweep then takes each unmarked candidate as a representative
+and marks its orbit (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  The classification report keys each map by the least
+image of its quadruple under Aut(H) and the twin and dual slot permutations.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ebr_core import EdgeBiregularMap, are_isomorphic, make_ebr
+from .ebr_core import EdgeBiregularMap, make_ebr
 from .perm_group import FiniteGroup, Permutation, closure, extend_generator_map, is_dihedral
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
@@ -66,10 +70,29 @@ class _JoinCache:
         return hit
 
 
+def _automorphisms(group: FiniteGroup, source: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Aut(H) as element-index maps.  ``source`` is a tuple of involutions
+    generating the group, so an automorphism is determined by its image of
+    ``source``: a tuple of involutions whose pairwise products have the same
+    orders as those of ``source`` (so equal and commuting slots stay so)."""
+    invs = group.involution_indices()
+    orders = [[group.element_order(group.mul(a, b)) for b in source] for a in source]
+    images: list[tuple[int, ...]] = [()]
+    for k in range(len(source)):
+        images = [image + (x,) for image in images for x in invs
+                  if all(group.element_order(group.mul(y, x)) == orders[j][k]
+                         for j, y in enumerate(image))]
+    auts = []
+    for image in images:
+        aut = extend_generator_map(group, list(source), list(image))
+        if aut is not None:
+            auts.append(aut.images)
+    return auts
+
+
 def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
                   require_distinct: bool = False, chi_max: Optional[int] = None,
-                  max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
-                  threads: int = 1) -> list[EdgeBiregularMap]:
+                  max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[EdgeBiregularMap]:
     """All edge-biregular structures on ``group`` up to automorphism.
 
     Returns validated maps for the lexicographically least quadruple of each
@@ -80,68 +103,25 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     if len(pairs) ** 2 > max_candidates:
         raise CandidateBudgetExceeded(
             f"{len(pairs) ** 2} candidate quadruples exceed the budget {max_candidates}")
-
     cache = _JoinCache(group)
-
-    def survey(chunk: Sequence[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
-        found = []
-        for r_pair in chunk:
-            for p_pair in pairs:
-                quad = r_pair + p_pair
-                if require_distinct and len(set(quad)) < 4:
-                    continue
-                if not cache.generates(r_pair, p_pair):
-                    continue
-                found.append(quad)
-        return found
-
-    if threads > 1 and len(pairs) > 1:
-        step = (len(pairs) + threads - 1) // threads
-        chunks = [pairs[i:i + step] for i in range(0, len(pairs), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(survey, chunks))
-        quads = sorted(q for part in parts for q in part)
-    else:
-        quads = sorted(survey(pairs))
-
-    maps = {}
+    quads = sorted(r_pair + p_pair for r_pair in pairs for p_pair in pairs
+                   if not (require_distinct and len(set(r_pair + p_pair)) < 4)
+                   and cache.generates(r_pair, p_pair))
+    if not quads:
+        return []
+    auts = _automorphisms(group, quads[0])
+    maps = []
+    marked: set[tuple[int, ...]] = set()
     for quad in quads:
-        m = make_ebr(group, *(group.element(i) for i in quad))
-        if chi_max is not None and m.chi() > chi_max:
+        if quad in marked:
             continue
-        maps[quad] = m
-
-    reps = _deduplicate(group, sorted(maps))
-    return [maps[quad] for quad in reps]
-
-
-def _signature(group: FiniteGroup, quad: tuple[int, int, int, int]) -> tuple:
-    """Automorphism-invariant fingerprint used to bucket candidates."""
-    eq_pattern = tuple(quad.index(q) for q in quad)
-    orders = tuple(group.element_order(group.mul(quad[i], quad[j]))
-                   for i in range(4) for j in range(i + 1, 4))
-    return eq_pattern + orders
-
-
-def _deduplicate(group: FiniteGroup,
-                 quads: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
-    buckets: dict[tuple, list[tuple[int, int, int, int]]] = {}
-    for quad in quads:
-        buckets.setdefault(_signature(group, quad), []).append(quad)
-
-    reps = []
-    for bucket in buckets.values():
-        claimed = set()
-        for i, quad in enumerate(bucket):
-            if quad in claimed:
-                continue
-            reps.append(quad)
-            for other in bucket[i + 1:]:
-                if other in claimed:
-                    continue
-                if extend_generator_map(group, list(quad), list(other)) is not None:
-                    claimed.add(other)
-    return sorted(reps)
+        # The first unmarked quad is the least of its orbit; chi is constant
+        # on the orbit, so the filter applies to representatives only.
+        marked.update(tuple(aut[i] for i in quad) for aut in auts)
+        m = make_ebr(group, *(group.element(i) for i in quad))
+        if chi_max is None or m.chi() <= chi_max:
+            maps.append(m)
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +213,30 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
     for m in maps:
         if m.group is not group and m.group.elements != group.elements:
             raise ValueError("maps must share one group")
+        m._require_closed()
+
+    # Classes are orbits of Aut(H) x {identity, twin, dual, twin-of-dual}
+    # on quads; the key of each is its least quad.
+    auts = _automorphisms(group, maps[0].slot_indices)
+    members: dict[tuple[int, ...], list[EdgeBiregularMap]] = {}
+    for m in maps:
+        r0, r2, p0, p2 = m.slot_indices
+        key = min(tuple(aut[i] for i in quad) for aut in auts
+                  for quad in ((r0, r2, p0, p2), (p0, p2, r0, r2),
+                               (r2, r0, p2, p0), (p2, p0, r2, r0)))
+        members.setdefault(key, []).append(m)
 
     dihedral = is_dihedral(group)
-    unassigned = list(maps)
     classes = []
-    while unassigned:
-        rep = unassigned.pop(0)
-        orbit = [rep, rep.twin(), rep.dual(), rep.dual().twin()]
-        members = [rep]
-        remaining = []
-        for other in unassigned:
-            if any(are_isomorphic(other, image) for image in orbit):
-                members.append(other)
-            else:
-                remaining.append(other)
-        unassigned = remaining
-
+    for cls in members.values():
+        rep = cls[0]
         inv = rep.invariants()
         row = None
         if dihedral and inv.chi < 0:
             row = dihedral_table_row(inv.order, inv.k, inv.l, inv.V, inv.F,
                                      inv.chi, inv.fully_regular)
         classes.append(MapClass(
-            class_size=len(members), map_type=(inv.k, inv.l), chi=inv.chi,
+            class_size=len(cls), map_type=(inv.k, inv.l), chi=inv.chi,
             V=inv.V, F=inv.F, orientable=inv.orientable,
             fully_regular=inv.fully_regular, table_row=row))
     return ClassReport(tuple(classes), group_is_dihedral=dihedral)

@@ -132,6 +132,7 @@ class FiniteGroup:
             raise ValueError("duplicate elements")
         self._mul_table: Optional[list[list[int]]] = None
         self._inv_table: Optional[list[int]] = None
+        self._orders: list[Optional[int]] = [None] * len(self.elements)
 
     @property
     def order(self) -> int:
@@ -180,7 +181,10 @@ class FiniteGroup:
         return self._inv_table[i]
 
     def element_order(self, i: int) -> int:
-        return self.elements[i].order()
+        order = self._orders[i]
+        if order is None:
+            order = self._orders[i] = self.elements[i].order()
+        return order
 
     def involution_indices(self) -> list[int]:
         return [i for i in range(1, self.order) if self.element_order(i) == 2]

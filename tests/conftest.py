@@ -132,9 +132,10 @@ def orientable_by_even_subgroup(m) -> bool:
     return 2 * group.subgroup_order(products) == group.order
 
 
-def pairwise_class_count(group, quads):
+def pairwise_representatives(group, quads):
     """Quadratic deduplication oracle: compare every quadruple against the
-    representatives found so far by attempting a generator-map extension."""
+    representatives found so far by attempting a generator-map extension.
+    Returns the first quadruple of each class, in input order."""
     from ebrmaps import extend_generator_map
 
     reps = []
@@ -144,7 +145,30 @@ def pairwise_class_count(group, quads):
                 break
         else:
             reps.append(quad)
-    return len(reps)
+    return reps
+
+
+def pairwise_class_count(group, quads):
+    return len(pairwise_representatives(group, quads))
+
+
+def pairwise_class_sizes(maps):
+    """Quadratic classification oracle: sort the maps by slot indices, then
+    repeatedly take the first unassigned map and collect every map isomorphic
+    to it, its twin, its dual or the twin of its dual.  Returns the class
+    sizes in order of each class's first map."""
+    from ebrmaps import are_isomorphic
+
+    unassigned = sorted(maps, key=lambda m: m.slot_indices)
+    sizes = []
+    while unassigned:
+        rep = unassigned.pop(0)
+        images = [rep, rep.twin(), rep.dual(), rep.dual().twin()]
+        remaining = [m for m in unassigned
+                     if not any(are_isomorphic(m, image) for image in images)]
+        sizes.append(1 + len(unassigned) - len(remaining))
+        unassigned = remaining
+    return sizes
 
 
 def all_valid_quadruples(group, require_proper=False, require_distinct=False):

@@ -95,13 +95,6 @@ def test_enumerate_dih8(capsys):
                           "fully_regular", "table_row"} for c in payload)
 
 
-def test_enumerate_threads_flag_is_result_invariant(capsys):
-    _, serial, _ = run(capsys, "enumerate", "--group", "dih:12", "--proper")
-    _, threaded, _ = run(capsys, "enumerate", "--group", "dih:12", "--proper",
-                         "--threads", "3")
-    assert serial == threaded
-
-
 def test_enumerate_from_presentation_file(capsys, tmp_path):
     path = tmp_path / "d12.txt"
     path.write_text("< a, b | a^2, b^2, (a b)^6 >")

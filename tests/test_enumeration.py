@@ -1,16 +1,19 @@
 import pytest
 
 from ebrmaps import (
+    BoundaryMapError,
     CandidateBudgetExceeded,
     catalog_group,
     catalog_names,
     classify_report,
+    construction1,
     dihedral_map,
     dihedral_table_row,
     enumerate_ebr,
     is_dihedral,
+    regular_catalog,
 )
-from conftest import all_valid_quadruples, pairwise_class_count
+from conftest import all_valid_quadruples, pairwise_class_sizes, pairwise_representatives
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -56,9 +59,8 @@ def test_enumeration_returns_lex_least_representatives():
                                   "dih:20", "dih:24", "dihxc2:10"])
 def test_deduplication_matches_pairwise_oracle(name):
     g = catalog_group(name)
-    fast = enumerate_ebr(g)
-    slow = pairwise_class_count(g, all_valid_quadruples(g))
-    assert len(fast) == slow
+    fast = [m.slot_indices for m in enumerate_ebr(g)]
+    assert fast == pairwise_representatives(g, all_valid_quadruples(g))
 
 
 def test_enumerated_quadruples_are_valid():
@@ -84,12 +86,11 @@ def test_filters():
     assert all(m.chi() <= 0 for m in capped)
 
 
-def test_enumeration_is_deterministic_and_thread_invariant():
+def test_enumeration_is_deterministic():
     g = catalog_group("dih:12")
     once = [m.slot_indices for m in enumerate_ebr(g)]
     again = [m.slot_indices for m in enumerate_ebr(g)]
-    threaded = [m.slot_indices for m in enumerate_ebr(g, threads=3)]
-    assert once == again == threaded
+    assert once == again
 
 
 def test_candidate_budget():
@@ -145,6 +146,24 @@ def test_report_handles_semi_edge_maps():
     assert sum(c.class_size for c in report.classes) == len(enumerate_ebr(g))
 
 
+@pytest.mark.parametrize("name", ["dih:12", "dih:24", "dihxc2:12", "c2^3"])
+@pytest.mark.parametrize("flags", [
+    {"require_proper": True},
+    {"require_proper": True, "require_distinct": True, "chi_max": -1},
+    {},
+])
+def test_classification_matches_pairwise_oracle(name, flags):
+    maps = enumerate_ebr(catalog_group(name), **flags)
+    sizes = [c.class_size for c in classify_report(maps).classes]
+    assert sizes == pairwise_class_sizes(maps)
+
+
+def test_classification_of_non_representatives_matches_pairwise_oracle():
+    m = dihedral_map(4, 3)
+    sizes = [c.class_size for c in classify_report([m, m.twin()]).classes]
+    assert sizes == pairwise_class_sizes([m, m.twin()]) == [2]
+
+
 def test_twin_pair_forms_one_class():
     m = dihedral_map(4, 3)
     assert not m.is_fully_regular()
@@ -156,6 +175,11 @@ def test_twin_pair_forms_one_class():
 def test_report_rejects_mixed_groups():
     with pytest.raises(ValueError, match="one group"):
         classify_report([dihedral_map(4, 1), dihedral_map(6, 1)])
+
+
+def test_report_rejects_boundary_maps():
+    with pytest.raises(BoundaryMapError):
+        classify_report([construction1(regular_catalog("tetrahedron"))])
 
 
 def test_report_json_shape():
