@@ -24,7 +24,6 @@ from .ebr_core import (
     InvalidMapError,
     MapInvariants,
     are_isomorphic,
-    make_ebr,
 )
 from .enumeration import (
     CandidateBudgetExceeded,
@@ -55,7 +54,6 @@ from .flag_maps import (
 )
 from .perm_group import (
     FiniteGroup,
-    GroupMap,
     GroupTooLargeError,
     Permutation,
     closure,

@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import constructions, families
-from .ebr_core import SLOT_NAMES, EdgeBiregularMap, make_ebr
+from .ebr_core import SLOT_NAMES, EdgeBiregularMap
 from .enumeration import (
     CandidateBudgetExceeded,
     catalog_group,
@@ -109,8 +109,8 @@ def _build_from_presentation(source: str, slots: Optional[str],
         names = [s.strip() for s in slots.split(",")]
         if len(names) != 4:
             raise ValueError("--slots must list four entries (use '-' for absent)")
-    elements = [None if n == "-" else group.generator(n) for n in names]
-    return make_ebr(group, *elements)
+    return EdgeBiregularMap(
+        group, *(None if n == "-" else group.generator_index(n) for n in names))
 
 
 def _map_from_args(args) -> EdgeBiregularMap:
@@ -193,8 +193,7 @@ def corners_dot(m: EdgeBiregularMap) -> str:
         if idx is None:
             continue
         colour = _DOT_COLOURS[name]
-        for e in range(group.order):
-            f = group.mul(e, idx)
+        for e, f in enumerate(group.right_translation(idx)):
             if e < f:
                 lines.append(f"  {e} -- {f} [color={colour}];")
     lines.append("}")

@@ -16,22 +16,20 @@ surgery:
 
 from __future__ import annotations
 
-from .ebr_core import EdgeBiregularMap, make_ebr
-from .perm_group import FiniteGroup, Permutation, groups_isomorphic_on
+from .ebr_core import EdgeBiregularMap
+from .perm_group import ElementLike, FiniteGroup, groups_isomorphic_on
 
 
 class RegularMap:
-    """A fully regular map ``(G; r0, r2, r1)``."""
+    """A fully regular map ``(G; r0, r2, r1)``, each reflection given as an
+    element index or a permutation of ``G``; the map keeps the indices."""
 
-    def __init__(self, group: FiniteGroup, r0: Permutation, r2: Permutation,
-                 r1: Permutation, name: str = ""):
+    def __init__(self, group: FiniteGroup, r0: ElementLike, r2: ElementLike,
+                 r1: ElementLike, name: str = ""):
         self.group = group
         self.name = name
-        self.r0 = r0
-        self.r2 = r2
-        self.r1 = r1
         idx = [group.index(p) for p in (r0, r2, r1)]
-        self._indices = tuple(idx)
+        self.indices = tuple(idx)
         for label, i in zip(("r0", "r2", "r1"), idx):
             if group.element_order(i) != 2:
                 raise ValueError(f"{label} is not an involution")
@@ -41,15 +39,21 @@ class RegularMap:
         if group.subgroup_order(idx) != group.order:
             raise ValueError("r0, r2, r1 do not generate the group")
 
+    r0 = property(lambda self: self.group.element(self.indices[0]))
+    r2 = property(lambda self: self.group.element(self.indices[1]))
+    r1 = property(lambda self: self.group.element(self.indices[2]))
+
     @property
     def k(self) -> int:
         """Vertex valency: the order of r1*r2."""
-        return (self.r1 * self.r2).order()
+        r0, r2, r1 = self.indices
+        return self.group.element_order(self.group.mul(r1, r2))
 
     @property
     def l(self) -> int:
         """Face length: the order of r0*r1."""
-        return (self.r0 * self.r1).order()
+        r0, r2, r1 = self.indices
+        return self.group.element_order(self.group.mul(r0, r1))
 
     def map_type(self) -> tuple[int, int]:
         return (self.k, self.l)
@@ -78,26 +82,26 @@ class RegularMap:
 
 def are_regular_isomorphic(a: RegularMap, b: RegularMap) -> bool:
     """Whether (r0, r2, r1) -> (r0', r2', r1') extends to a group isomorphism."""
-    return groups_isomorphic_on(a.group, [a.r0, a.r2, a.r1],
-                                b.group, [b.r0, b.r2, b.r1])
+    return groups_isomorphic_on(a.group, a.indices, b.group, b.indices)
 
 
 def construction1(r: RegularMap) -> EdgeBiregularMap:
     """Cut a disc neighbourhood out around every vertex and run unshaded
     edges along the new boundary: (H; r0, r2, rho0, -) with rho0 = r1."""
-    return make_ebr(r.group, r.r0, r.r2, r.r1, None)
+    return EdgeBiregularMap(r.group, *r.indices, None)
 
 
 def construction2(r: RegularMap) -> EdgeBiregularMap:
     """Cut a disc out of every face interior and run unshaded semi-edges to
     the boundary: (H; r0, r2, -, rho2) with rho2 = r1."""
-    return make_ebr(r.group, r.r0, r.r2, None, r.r1)
+    r0, r2, r1 = r.indices
+    return EdgeBiregularMap(r.group, r0, r2, None, r1)
 
 
 def construction3(r: RegularMap) -> EdgeBiregularMap:
     """Attach an unshaded semi-edge in every corner: (H; r0, r2, rho, rho)
     with rho = r1.  Type doubles in both entries; chi is unchanged."""
-    return make_ebr(r.group, r.r0, r.r2, r.r1, r.r1)
+    return EdgeBiregularMap(r.group, *r.indices, r.indices[2])
 
 
 def construction4(r: RegularMap) -> EdgeBiregularMap:
@@ -105,7 +109,8 @@ def construction4(r: RegularMap) -> EdgeBiregularMap:
     (H; rho, r2, rho, rho2) with rho = r0 and rho2 = r1."""
     if r.l != 2:
         raise ValueError("input faces are not digonal")
-    return make_ebr(r.group, r.r0, r.r2, r.r0, r.r1)
+    r0, r2, r1 = r.indices
+    return EdgeBiregularMap(r.group, r0, r2, r0, r1)
 
 
 def underlying_regular(m: EdgeBiregularMap) -> RegularMap:
@@ -122,12 +127,9 @@ def underlying_regular(m: EdgeBiregularMap) -> RegularMap:
         if r0 is None or r2 is None or len(absent) > 1:
             raise ValueError("map is not in a recognized construction shape")
         middle = rho0 if rho2 is None else rho2
-        return RegularMap(group, group.element(r0), group.element(r2),
-                          group.element(middle))
+        return RegularMap(group, r0, r2, middle)
     if rho0 == rho2 and r0 != r2:
-        return RegularMap(group, group.element(r0), group.element(r2),
-                          group.element(rho0))
+        return RegularMap(group, r0, r2, rho0)
     if r0 == rho0 and r2 != rho2:
-        return RegularMap(group, group.element(r0), group.element(r2),
-                          group.element(rho2))
+        return RegularMap(group, r0, r2, rho2)
     raise ValueError("map is not in a recognized construction shape")

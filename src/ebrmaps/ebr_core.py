@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .perm_group import (
+    ElementLike,
     FiniteGroup,
     Permutation,
     extend_generator_map,
@@ -88,15 +89,15 @@ class MapInvariants:
 
 
 class EdgeBiregularMap:
-    """Validated map ``(H; r0, r2, rho0, rho2)`` with optional slots."""
+    """Validated map ``(H; r0, r2, rho0, rho2)``: each slot is an element
+    index or a permutation of ``H``, or None when absent."""
 
     def __init__(self, group: FiniteGroup,
-                 r0: Optional[Permutation], r2: Optional[Permutation],
-                 rho0: Optional[Permutation], rho2: Optional[Permutation]):
+                 r0: Optional[ElementLike], r2: Optional[ElementLike],
+                 rho0: Optional[ElementLike], rho2: Optional[ElementLike]):
         self.group = group
-        self.slots: tuple[Optional[Permutation], ...] = (r0, r2, rho0, rho2)
         self.slot_indices: tuple[Optional[int], ...] = tuple(
-            None if s is None else self._checked_index(s) for s in self.slots)
+            None if s is None else self._checked_index(s) for s in (r0, r2, rho0, rho2))
 
         present = [i for i in self.slot_indices if i is not None]
         if len(present) < 2:
@@ -127,7 +128,7 @@ class EdgeBiregularMap:
             else:
                 self.degeneracy_class = "proper"
 
-    def _checked_index(self, p: Permutation) -> int:
+    def _checked_index(self, p: ElementLike) -> int:
         try:
             return self.group.index(p)
         except ValueError as exc:
@@ -142,6 +143,12 @@ class EdgeBiregularMap:
                 f"slots {SLOT_NAMES[i]} and {SLOT_NAMES[j]} do not commute")
 
     # -- basic structure ---------------------------------------------------
+
+    @property
+    def slots(self) -> tuple[Optional[Permutation], ...]:
+        """The slot elements as permutations (None for an absent slot)."""
+        return tuple(None if i is None else self.group.element(i)
+                     for i in self.slot_indices)
 
     @property
     def r0(self) -> Optional[Permutation]:
@@ -226,7 +233,7 @@ class EdgeBiregularMap:
         bipartite, i.e. no odd word in the slot elements is the identity."""
         self._require_closed()
         group = self.group
-        gens = sorted(set(self.slot_indices))
+        rights = [group.right_translation(g) for g in sorted(set(self.slot_indices))]
         colour: list[Optional[int]] = [None] * group.order
         colour[0] = 0
         queue = [0]
@@ -234,8 +241,8 @@ class EdgeBiregularMap:
         while pos < len(queue):
             e = queue[pos]
             pos += 1
-            for g in gens:
-                f = group.mul(e, g)
+            for right in rights:
+                f = right[e]
                 if colour[f] is None:
                     colour[f] = 1 - colour[e]
                     queue.append(f)
@@ -302,12 +309,12 @@ class EdgeBiregularMap:
 
     def twin(self) -> "EdgeBiregularMap":
         """The same map with the two edge colours exchanged."""
-        r0, r2, rho0, rho2 = self.slots
+        r0, r2, rho0, rho2 = self.slot_indices
         return EdgeBiregularMap(self.group, rho0, rho2, r0, r2)
 
     def dual(self) -> "EdgeBiregularMap":
         """Vertex and face roles exchanged; the type (k, l) becomes (l, k)."""
-        r0, r2, rho0, rho2 = self.slots
+        r0, r2, rho0, rho2 = self.slot_indices
         return EdgeBiregularMap(self.group, r2, r0, rho2, rho0)
 
     # -- actions on the corner set --------------------------------------------
@@ -319,11 +326,8 @@ class EdgeBiregularMap:
         order |H| acting regularly, and commute with every left action.
         """
         self._require_closed()
-        group = self.group
-        n = group.order
-        return tuple(
-            Permutation(group.mul(e, s) for e in range(n))
-            for s in self.slot_indices)
+        return tuple(Permutation(self.group.right_translation(s))
+                     for s in self.slot_indices)
 
     def left_action(self) -> tuple[Permutation, Permutation, Permutation, Permutation]:
         """Left-regular actions of the four slot elements on the corners."""
@@ -333,13 +337,6 @@ class EdgeBiregularMap:
         return tuple(
             Permutation(group.mul(s, e) for e in range(n))
             for s in self.slot_indices)
-
-
-def make_ebr(group: FiniteGroup,
-             r0: Optional[Permutation], r2: Optional[Permutation],
-             rho0: Optional[Permutation], rho2: Optional[Permutation]) -> EdgeBiregularMap:
-    """Validate and build a map; absent slots are passed as None."""
-    return EdgeBiregularMap(group, r0, r2, rho0, rho2)
 
 
 def are_isomorphic(m1: EdgeBiregularMap, m2: EdgeBiregularMap) -> bool:

@@ -15,10 +15,11 @@ image of its quadruple under Aut(H) and the twin and dual slot permutations.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ebr_core import EdgeBiregularMap, make_ebr
+from .ebr_core import EdgeBiregularMap
 from .perm_group import FiniteGroup, Permutation, closure, extend_generator_map, is_dihedral
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
@@ -70,11 +71,19 @@ class _JoinCache:
         return hit
 
 
-def _automorphisms(group: FiniteGroup, source: tuple[int, ...]) -> list[tuple[int, ...]]:
+# Aut(H) per group, listed once and dropped with the group.
+_AUTOMORPHISMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _automorphisms(group: FiniteGroup, source: tuple[int, ...]) -> list[list[int]]:
     """Aut(H) as element-index maps.  ``source`` is a tuple of involutions
     generating the group, so an automorphism is determined by its image of
     ``source``: a tuple of involutions whose pairwise products have the same
-    orders as those of ``source`` (so equal and commuting slots stay so)."""
+    orders as those of ``source`` (so equal and commuting slots stay so).
+    Any such ``source`` yields all of Aut(H): the list is cached per group."""
+    auts = _AUTOMORPHISMS.get(group)
+    if auts is not None:
+        return auts
     invs = group.involution_indices()
     orders = [[group.element_order(group.mul(a, b)) for b in source] for a in source]
     images: list[tuple[int, ...]] = [()]
@@ -82,11 +91,8 @@ def _automorphisms(group: FiniteGroup, source: tuple[int, ...]) -> list[tuple[in
         images = [image + (x,) for image in images for x in invs
                   if all(group.element_order(group.mul(y, x)) == orders[j][k]
                          for j, y in enumerate(image))]
-    auts = []
-    for image in images:
-        aut = extend_generator_map(group, list(source), list(image))
-        if aut is not None:
-            auts.append(aut.images)
+    extensions = (extend_generator_map(group, list(source), list(image)) for image in images)
+    auts = _AUTOMORPHISMS[group] = [aut for aut in extensions if aut is not None]
     return auts
 
 
@@ -118,7 +124,7 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
         # The first unmarked quad is the least of its orbit; chi is constant
         # on the orbit, so the filter applies to representatives only.
         marked.update(tuple(aut[i] for i in quad) for aut in auts)
-        m = make_ebr(group, *(group.element(i) for i in quad))
+        m = EdgeBiregularMap(group, *quad)
         if chi_max is None or m.chi() <= chi_max:
             maps.append(m)
     return maps

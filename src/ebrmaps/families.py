@@ -11,13 +11,13 @@ from __future__ import annotations
 from math import gcd
 
 from .constructions import RegularMap
-from .ebr_core import EdgeBiregularMap, make_ebr
+from .ebr_core import EdgeBiregularMap
 from .perm_group import FiniteGroup, Permutation, closure
 from .presentation import (
     GroupPresentation,
     Word,
     coset_enumerate,
-    square_grid_group,
+    ebr_type_presentation,
     triangle_group,
 )
 
@@ -26,7 +26,7 @@ _R0, _R2, _RHO0, _RHO2 = range(4)
 
 
 def _grid_quotient(extra: list[Word], expected_order: int) -> FiniteGroup:
-    base = square_grid_group()
+    base = ebr_type_presentation(4, 4)
     pres = GroupPresentation(base.generator_names,
                              base.relators + tuple(tuple(w) for w in extra))
     group = coset_enumerate(pres, max_cosets=16 * expected_order)
@@ -36,8 +36,8 @@ def _grid_quotient(extra: list[Word], expected_order: int) -> FiniteGroup:
     return group
 
 
-def _slots(group: FiniteGroup) -> tuple[Permutation, ...]:
-    return tuple(group.generator(name) for name in _SLOT_NAMES)
+def _slot_map(group: FiniteGroup) -> EdgeBiregularMap:
+    return EdgeBiregularMap(group, *(group.generator_index(name) for name in _SLOT_NAMES))
 
 
 def torus_rect(a: int, c: int) -> EdgeBiregularMap:
@@ -48,8 +48,7 @@ def torus_rect(a: int, c: int) -> EdgeBiregularMap:
         raise ValueError("torus_rect parameters must be positive")
     extra = [tuple([(_R0, 1), (_RHO2, 1)] * a),
              tuple([(_R2, 1), (_RHO0, 1)] * c)]
-    group = _grid_quotient(extra, 4 * a * c)
-    return make_ebr(group, *_slots(group))
+    return _slot_map(_grid_quotient(extra, 4 * a * c))
 
 
 def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
@@ -59,8 +58,7 @@ def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
         raise ValueError("torus_rhombic parameters must be positive")
     extra = [tuple([(_R0, 1), (_RHO2, 1)] * (2 * b)),
              tuple([(_R0, 1), (_RHO2, 1)] * b + [(_R2, 1), (_RHO0, 1)] * c)]
-    group = _grid_quotient(extra, 8 * b * c)
-    return make_ebr(group, *_slots(group))
+    return _slot_map(_grid_quotient(extra, 8 * b * c))
 
 
 def klein(a: int, b: int) -> EdgeBiregularMap:
@@ -73,8 +71,7 @@ def klein(a: int, b: int) -> EdgeBiregularMap:
         raise ValueError("klein parameter b must be 1 or 2")
     extra = [tuple([(_R2, 1), (_RHO0, 1)] * a + [(_R0, 1)]),
              tuple([(_R0, 1), (_RHO2, 1)] * b)]
-    group = _grid_quotient(extra, 4 * a * b)
-    return make_ebr(group, *_slots(group))
+    return _slot_map(_grid_quotient(extra, 4 * a * b))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +136,7 @@ def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
     group = closure([r0, r2, rho0, rho2], names=_SLOT_NAMES)
     if group.order != 2 * m:
         raise RuntimeError(f"internal error: expected order {2 * m}, got {group.order}")
-    return make_ebr(group, r0, r2, rho0, rho2)
+    return _slot_map(group)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +209,7 @@ def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
     group = closure(list(slots), names=_SLOT_NAMES)
     if group.order != expected:
         raise RuntimeError(f"internal error: expected order {expected}, got {group.order}")
-    return make_ebr(group, *slots)
+    return _slot_map(group)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +266,8 @@ def regular_catalog(name: str) -> RegularMap:
     group = coset_enumerate(pres, max_cosets=16 * expected)
     if group.order != expected:
         raise RuntimeError(f"internal error: expected order {expected}, got {group.order}")
-    return RegularMap(group, group.generator("R0"), group.generator("R2"),
-                      group.generator("R1"), name=name)
+    return RegularMap(group, group.generator_index("R0"), group.generator_index("R2"),
+                      group.generator_index("R1"), name=name)
 
 
 def _positive_int(text: str, name: str) -> int:

@@ -115,24 +115,23 @@ def is_alternate_edge_colourable(m: FlagMap) -> Optional[dict[int, int]]:
     vertex and the common face.
     """
     orbit_of = [0] * m.flag_count
-    reps = []
+    flags_of: dict[int, list[int]] = {}
     for orbit in m.edge_orbits():
         rep = min(orbit)
         for f in orbit:
             orbit_of[f] = rep
-        reps.append(rep)
+        flags_of[rep] = sorted(orbit)
 
-    colour: dict[int, int] = {reps[0]: 0}
-    queue = [reps[0]]
+    colour: dict[int, int] = {0: 0}  # flag 0 keys its own edge
+    queue = [0]
+    s1 = m.s1.images
     pos = 0
     while pos < len(queue):
         e = queue[pos]
         pos += 1
         # Neighbours of edge e: edges one corner transition away.
-        for f in range(m.flag_count):
-            if orbit_of[f] != e:
-                continue
-            g = orbit_of[m.s1(f)]
+        for f in flags_of[e]:
+            g = orbit_of[s1[f]]
             if g == e:
                 return None
             if g not in colour:
@@ -155,28 +154,20 @@ def ebr_to_flagmap(m) -> FlagMap:
     group = m.group
     n = group.order
     r0, r2, p0, p2 = m.slot_indices
-
-    def along(c: int, colourbit: int) -> int:
-        return 2 * group.mul(c, r0 if colourbit == 0 else p0) + colourbit
-
-    def across(c: int, colourbit: int) -> int:
-        return 2 * group.mul(c, r2 if colourbit == 0 else p2) + colourbit
-
-    s0 = Permutation(along(f // 2, f % 2) for f in range(2 * n))
+    # Indexed by the colour bit: right multiplication by r0 or rho0 (along)
+    # and by r2 or rho2 (across).
+    along = (group.right_translation(r0), group.right_translation(p0))
+    across = (group.right_translation(r2), group.right_translation(p2))
+    s0 = Permutation(2 * along[f % 2][f // 2] + f % 2 for f in range(2 * n))
     s1 = Permutation(f ^ 1 for f in range(2 * n))
-    s2 = Permutation(across(f // 2, f % 2) for f in range(2 * n))
+    s2 = Permutation(2 * across[f % 2][f // 2] + f % 2 for f in range(2 * n))
     return FlagMap(s0, s1, s2)
 
 
 def regular_to_flagmap(r) -> FlagMap:
     """Flags of a fully regular map are its group elements; the three flag
     involutions are right multiplication by the distinguished reflections."""
-    group = r.group
-    n = group.order
-    i0, i2, i1 = group.index(r.r0), group.index(r.r2), group.index(r.r1)
-    s0 = Permutation(group.mul(e, i0) for e in range(n))
-    s1 = Permutation(group.mul(e, i1) for e in range(n))
-    s2 = Permutation(group.mul(e, i2) for e in range(n))
+    s0, s2, s1 = (Permutation(r.group.right_translation(i)) for i in r.indices)
     return FlagMap(s0, s1, s2)
 
 

@@ -1,10 +1,11 @@
-"""Finite permutation groups with deterministic element enumeration.
+"""Permutations and finite groups held as their right Cayley graphs.
 
-Elements are permutations of the point set ``{0, ..., degree-1}``.  Products
-are composed left-to-right: ``(p * q)(i) == q(p(i))``, so a word evaluates by
-applying its letters in reading order.  Groups enumerate their elements by
-breadth-first closure from the identity, expanding generators in declared
-order; every downstream "first representative" tie-break inherits this order.
+Permutations act on the point set ``{0, ..., degree-1}`` and compose left to
+right: ``(p * q)(i) == q(p(i))``, so a word evaluates by applying its letters
+in reading order; they are the input and output form of group elements.
+Inside a ``FiniteGroup`` an element is an index, numbered by breadth-first
+closure from the identity over the generators in declared order; every
+downstream "first representative" tie-break inherits this order.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 DEFAULT_MAX_ORDER = 10**6
-
-# Dense Cayley tables are only built below this order; larger groups fall
-# back to composing permutations and looking the product up.
-_TABLE_LIMIT = 2048
 
 
 class GroupTooLargeError(RuntimeError):
@@ -112,78 +109,117 @@ ElementLike = Union[Permutation, int]
 
 
 class FiniteGroup:
-    """A finite group realized as permutations of an indexed point set.
+    """A finite group as its right Cayley graph on element indices.
 
-    ``elements`` lists every group element exactly once, identity first, in
-    breadth-first discovery order over the declared generators.  The order is
-    reproducible across runs, which keeps reports and canonical forms stable.
+    ``columns[g][i]`` is the index of element ``i`` times generator ``g``.
+    Elements are numbered 0 (the identity) upward in breadth-first order over
+    the declared generators, which keeps reports and canonical forms stable;
+    the constructor renumbers columns (and ``elements``) given in any order
+    with the identity at 0.  Permutations other than ``generators`` are
+    derived along the breadth-first tree, on request only.
     """
 
     def __init__(self, degree: int, generator_names: Sequence[str],
-                 generators: Sequence[Permutation], elements: Sequence[Permutation]):
+                 generators: Sequence[Permutation], columns: Sequence[Sequence[int]],
+                 elements: Optional[Sequence[Permutation]] = None):
         self.degree = degree
         self.generator_names = tuple(generator_names)
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        if not self.elements or not self.elements[0].is_identity():
-            raise ValueError("element list must start with the identity")
-        self._index = {p: i for i, p in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        self._mul_table: Optional[list[list[int]]] = None
-        self._inv_table: Optional[list[int]] = None
-        self._orders: list[Optional[int]] = [None] * len(self.elements)
+        # Breadth-first tree: f was first reached as parent[f] * via[f], and
+        # found[f] is its index in the input.
+        found, number = [0], {0: 0}
+        self._parent, self._via = [0], [0]
+        for e, x in enumerate(found):
+            for g, col in enumerate(columns):
+                if col[x] not in number:
+                    number[col[x]] = len(found)
+                    found.append(col[x])
+                    self._parent.append(e)
+                    self._via.append(g)
+        n = len(columns[0])
+        if len(found) != n:
+            raise ValueError("the generators do not reach every element")
+        self.columns = tuple([number[col[x]] for x in found] for col in columns)
+        self._right: list[Optional[list[int]]] = [list(range(n))] + [None] * (n - 1)
+        self._orders: list[Optional[int]] = [None] * n
+        self._elements = None if elements is None else tuple(elements[x] for x in found)
+        self._index: Optional[dict[Permutation, int]] = None
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._parent)
 
     def generator(self, name: str) -> Permutation:
+        return self.element(self.generator_index(name))
+
+    def generator_index(self, name: str) -> int:
         try:
-            return self.generators[self.generator_names.index(name)]
+            return self.columns[self.generator_names.index(name)][0]
         except ValueError:
             raise KeyError(f"no generator named {name!r}") from None
 
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element as a permutation, in element order."""
+        if self._elements is None:
+            els = [Permutation.identity(self.degree)]
+            for f in range(1, self.order):
+                els.append(els[self._parent[f]] * self.generators[self._via[f]])
+            self._elements = tuple(els)
+        return self._elements
+
     def element(self, i: int) -> Permutation:
-        return self.elements[i]
+        if self._elements is not None:
+            return self._elements[i]
+        p = Permutation.identity(self.degree)
+        while i:  # prepend generators along the tree path back to 0
+            p = self.generators[self._via[i]] * p
+            i = self._parent[i]
+        return p
 
     def index(self, p: ElementLike) -> int:
         if isinstance(p, int):
-            if not 0 <= p < len(self.elements):
+            if not 0 <= p < self.order:
                 raise ValueError(f"element index {p} out of range")
             return p
-        try:
-            return self._index[p]
-        except KeyError:
-            raise ValueError("permutation is not an element of this group") from None
+        if p not in self:
+            raise ValueError("permutation is not an element of this group")
+        return self._index[p]  # type: ignore[index]
 
     def __contains__(self, p: object) -> bool:
+        if self._index is None:
+            self._index = {q: i for i, q in enumerate(self.elements)}
         return p in self._index
 
-    def _table(self) -> Optional[list[list[int]]]:
-        if self._mul_table is None and self.order <= _TABLE_LIMIT:
-            idx = self._index
-            els = self.elements
-            self._mul_table = [
-                [idx[p * q] for q in els] for p in els
-            ]
-        return self._mul_table
+    def right_translation(self, j: int) -> list[int]:
+        """The array ``x -> x*j`` (do not modify): the tree parent's array
+        read through one generator column, memoised along the path."""
+        path = []
+        while self._right[j] is None:
+            path.append(j)
+            j = self._parent[j]
+        right = self._right[j]
+        for f in reversed(path):
+            col = self.columns[self._via[f]]
+            right = [col[x] for x in right]
+            self._right[f] = right
+        return right  # type: ignore[return-value]
 
     def mul(self, i: int, j: int) -> int:
-        table = self._table()
-        if table is not None:
-            return table[i][j]
-        return self._index[self.elements[i] * self.elements[j]]
+        return (self._right[j] or self.right_translation(j))[i]
 
     def inv(self, i: int) -> int:
-        if self._inv_table is None:
-            self._inv_table = [self._index[p.inverse()] for p in self.elements]
-        return self._inv_table[i]
+        return self.right_translation(i).index(0)
 
     def element_order(self, i: int) -> int:
         order = self._orders[i]
         if order is None:
-            order = self._orders[i] = self.elements[i].order()
+            right = self.right_translation(i)
+            x, order = i, 1
+            while x:
+                x = right[x]
+                order += 1
+            self._orders[i] = order
         return order
 
     def involution_indices(self) -> list[int]:
@@ -195,15 +231,15 @@ class FiniteGroup:
 
     def subgroup_indices(self, gens: Sequence[ElementLike]) -> list[int]:
         """Elements of the generated subgroup, in BFS discovery order."""
-        gen_idx = [self.index(g) for g in gens]
+        rights = [self.right_translation(self.index(g)) for g in gens]
         seen = {0}
         out = [0]
         pos = 0
         while pos < len(out):
             e = out[pos]
             pos += 1
-            for g in gen_idx:
-                f = self.mul(e, g)
+            for right in rights:
+                f = right[e]
                 if f not in seen:
                     seen.add(f)
                     out.append(f)
@@ -236,108 +272,75 @@ def closure(generators: Sequence[Permutation], names: Optional[Sequence[str]] = 
         raise ValueError("one name per generator required")
 
     ident = Permutation.identity(degree)
-    seen = {ident}
+    index = {ident: 0}
     elements = [ident]
+    columns: list[list[int]] = [[] for _ in gens]
     pos = 0
     while pos < len(elements):
         e = elements[pos]
         pos += 1
-        for g in gens:
+        for g, col in zip(gens, columns):
             f = e * g
-            if f not in seen:
+            j = index.get(f)
+            if j is None:
                 if len(elements) >= max_order:
                     raise GroupTooLargeError(
                         f"group too large: closure exceeded {max_order} elements")
-                seen.add(f)
+                j = index[f] = len(elements)
                 elements.append(f)
-    return FiniteGroup(degree, names, gens, elements)
+            col.append(j)
+    return FiniteGroup(degree, names, gens, columns, elements)
 
 
-class GroupMap:
-    """A bijective homomorphism recorded as an index map on ``group.elements``."""
-
-    def __init__(self, group: FiniteGroup, images: Sequence[int]):
-        self.group = group
-        self.images = tuple(images)
-
-    def __call__(self, p: ElementLike) -> Permutation:
-        return self.group.elements[self.images[self.group.index(p)]]
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
-    def inverse(self) -> "GroupMap":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return GroupMap(self.group, inv)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GroupMap) and other.group is self.group
-                and other.images == self.images)
-
-    def __repr__(self) -> str:
-        return f"GroupMap(order={len(self.images)}, identity={self.is_identity()})"
-
-
-def _translate(src_group: FiniteGroup, src: Sequence[int],
-               dst_group: FiniteGroup, dst: Sequence[int]) -> Optional[list[int]]:
+def _translate(src_group: FiniteGroup, src: Sequence[ElementLike],
+               dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> Optional[list[int]]:
     """Word-translation fill-in of ``src[i] -> dst[i]`` over the Cayley graph.
 
-    Returns the full element-index map, or None on a conflicting assignment.
-    Raises ValueError when ``src`` does not generate ``src_group``.
+    Returns the full element-index map, or None on a conflicting assignment
+    or a map that is not onto.  Raises ValueError when ``src`` does not
+    generate ``src_group``.
     """
-    n = src_group.order
-    images: list[Optional[int]] = [None] * n
-    images[0] = 0
+    if len(src) != len(dst):
+        raise ValueError("src and dst must have equal length")
+    edges = [(src_group.right_translation(src_group.index(s)),
+              dst_group.right_translation(dst_group.index(d))) for s, d in zip(src, dst)]
+    images: list[Optional[int]] = [0] + [None] * (src_group.order - 1)
     queue = [0]
     pos = 0
     while pos < len(queue):
         a = queue[pos]
         pos += 1
         fa = images[a]
-        for s, d in zip(src, dst):
-            b = src_group.mul(a, s)
-            fb = dst_group.mul(fa, d)
+        for src_right, dst_right in edges:
+            b = src_right[a]
+            fb = dst_right[fa]
             if images[b] is None:
                 images[b] = fb
                 queue.append(b)
             elif images[b] != fb:
                 return None
-    if any(v is None for v in images):
+    if len(queue) != len(images):
         raise ValueError("src does not generate the group")
-    return images  # type: ignore[return-value]
+    return images if len(set(images)) == dst_group.order else None  # type: ignore[return-value]
 
 
 def extend_generator_map(group: FiniteGroup, src: Sequence[ElementLike],
-                         dst: Sequence[ElementLike]) -> Optional[GroupMap]:
+                         dst: Sequence[ElementLike]) -> Optional[list[int]]:
     """Extend ``src[i] -> dst[i]`` to an automorphism of ``group``, if one exists.
 
+    Returns the automorphism as its image list on element indices, or None.
     The extension is built by breadth-first traversal of the Cayley graph on
     ``src``, assigning images by word translation; any conflicting assignment
     or failure of bijectivity yields None.
     """
-    if len(src) != len(dst):
-        raise ValueError("src and dst must have equal length")
-    src_idx = [group.index(x) for x in src]
-    dst_idx = [group.index(x) for x in dst]
-    images = _translate(group, src_idx, group, dst_idx)
-    if images is None or len(set(images)) != group.order:
-        return None
-    return GroupMap(group, images)
+    return _translate(group, src, group, dst)
 
 
 def groups_isomorphic_on(src_group: FiniteGroup, src: Sequence[ElementLike],
                          dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> bool:
     """Whether ``src[i] -> dst[i]`` extends to an isomorphism between the groups."""
-    if len(src) != len(dst):
-        raise ValueError("src and dst must have equal length")
-    if src_group.order != dst_group.order:
-        return False
-    src_idx = [src_group.index(x) for x in src]
-    dst_idx = [dst_group.index(x) for x in dst]
-    images = _translate(src_group, src_idx, dst_group, dst_idx)
-    return images is not None and len(set(images)) == dst_group.order
+    return (src_group.order == dst_group.order
+            and _translate(src_group, src, dst_group, dst) is not None)
 
 
 def is_dihedral(group: FiniteGroup) -> bool:

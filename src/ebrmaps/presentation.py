@@ -9,12 +9,13 @@ The textual grammar (ASCII, whitespace insignificant)::
     factor       := ident ("^" int)? | "(" word ")" ("^" int)?
     ident        := [A-Za-z][A-Za-z0-9]*
 
-Coset enumeration runs over the trivial subgroup, so a successful run yields
-the regular permutation representation of the presented group on its own
-elements.  The strategy is definition-driven with immediate deductions
-(Felsch style): always fill the lowest empty slot of the lowest live coset,
-and close relator cycles as soon as their last edge appears.  Coincidences
-are processed through a union-find with path compression.
+Coset enumeration runs over the trivial subgroup, so a completed table is
+the right Cayley graph of the presented group, and its generator columns
+become the ``FiniteGroup`` directly.  The strategy is definition-driven with
+immediate deductions (Felsch style): always fill the lowest empty slot of the
+lowest live coset, and close relator cycles as soon as their last edge
+appears.  Coincidences are processed through a union-find with path
+compression.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .perm_group import FiniteGroup, Permutation, closure
+from .perm_group import FiniteGroup, Permutation
 
 DEFAULT_MAX_COSETS = 10**6
+
+# Parentheses nest at most this deep; the parser recurses once per level.
+MAX_NESTING = 100
 
 Word = tuple[tuple[int, int], ...]
 
@@ -198,7 +202,7 @@ class _Parser:
             raise PresentationSyntaxError("zero exponent", tok.line, tok.column)
         return value
 
-    def word(self, index: dict[str, int]) -> Word:
+    def word(self, index: dict[str, int], depth: int = 0) -> Word:
         terms: list[tuple[int, int]] = []
         first = True
         while True:
@@ -214,8 +218,12 @@ class _Parser:
                     exp = self.exponent()
                 terms.append((index[tok.text], exp))
             elif tok.kind == "punct" and tok.text == "(":
+                if depth >= MAX_NESTING:
+                    raise PresentationSyntaxError(
+                        f"parentheses nested deeper than {MAX_NESTING}",
+                        tok.line, tok.column)
                 self.take()
-                inner = self.word(index)
+                inner = self.word(index, depth + 1)
                 self.expect(")")
                 exp = 1
                 if self.peek().kind == "punct" and self.peek().text == "^":
@@ -480,9 +488,10 @@ def coset_enumerate(pres: GroupPresentation,
                     max_cosets: int = DEFAULT_MAX_COSETS) -> FiniteGroup:
     """Enumerate the presented group over the trivial subgroup.
 
-    Returns the regular permutation representation with generator
-    permutations named as in the presentation.  Raises CosetLimitExceeded
-    when more than ``max_cosets`` live cosets would be needed.
+    Returns the group with generator permutations on the live cosets, named
+    as in the presentation, and its elements numbered breadth-first from the
+    identity coset.  Raises CosetLimitExceeded when more than ``max_cosets``
+    live cosets would be needed.
     """
     ngens = len(pres.generator_names)
     if ngens == 0:
@@ -533,17 +542,13 @@ def coset_enumerate(pres: GroupPresentation,
             break
         ct.define(*slot)
 
+    # The generators permute the live cosets regularly, so their image
+    # arrays are the columns of the Cayley graph.
     live = [c for c in range(len(ct.table)) if ct.alive[c]]
     renumber = {c: i for i, c in enumerate(live)}
-    perms = []
-    for i in range(ngens):
-        col = col_of[(i, 1)]
-        perms.append(Permutation(renumber[ct.table[c][col]] for c in live))
-
-    group = closure(perms, names=pres.generator_names, max_order=len(live))
-    if group.order != len(live):
-        raise AssertionError("coset table does not define a regular action")
-    return group
+    perms = [Permutation(renumber[ct.table[c][col_of[(i, 1)]]] for c in live)
+             for i in range(ngens)]
+    return FiniteGroup(len(live), pres.generator_names, perms, [p.images for p in perms])
 
 
 def _flatten(word: Word) -> list[tuple[int, int]]:

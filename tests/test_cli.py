@@ -179,3 +179,13 @@ def test_export_underlying_semistar_free_ends(capsys, tmp_path):
 
 def test_missing_subcommand_is_input_error(capsys):
     assert main([]) == 1
+
+
+def test_deeply_nested_presentation_is_input_error(capsys):
+    text = "< a | " + "(" * 5000 + "a" + ")" * 5000 + " >"
+    code, out, err = run(capsys, "analyze", "--presentation", text,
+                         "--slots", "a,a,a,a")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "nested deeper than" in err and "Traceback" not in err

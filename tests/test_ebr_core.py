@@ -4,6 +4,7 @@ import pytest
 
 from ebrmaps import (
     BoundaryMapError,
+    EdgeBiregularMap,
     InvalidMapError,
     Permutation,
     are_isomorphic,
@@ -12,7 +13,6 @@ from ebrmaps import (
     construction3,
     dihedral_map,
     klein,
-    make_ebr,
     regular_catalog,
     sphere_family,
     torus_rect,
@@ -55,7 +55,7 @@ def sample_maps():
 
 def test_klein_four_digonal_map():
     g, x, y = klein_four()
-    m = make_ebr(g, x, y, x, y)
+    m = EdgeBiregularMap(g, x, y, x, y)
     # r0 = rho0 forces digonal faces; here the vertex stabiliser collapses too
     assert m.face_length() == 2
     assert m.vertex_valency() == 2
@@ -74,43 +74,47 @@ def test_non_involution_slot_rejected():
     g, s, t = dihedral_eight()
     rot = s * t  # order 4
     with pytest.raises(InvalidMapError, match="involution"):
-        make_ebr(g, rot, t, s, t)
+        EdgeBiregularMap(g, rot, t, s, t)
 
 
 def test_identity_slot_rejected():
     g, s, t = dihedral_eight()
     with pytest.raises(InvalidMapError, match="involution"):
-        make_ebr(g, Permutation.identity(4), t, s, t)
+        EdgeBiregularMap(g, Permutation.identity(4), t, s, t)
 
 
 def test_non_commuting_pair_rejected():
     g, s, t = dihedral_eight()
     with pytest.raises(InvalidMapError, match="commute"):
-        make_ebr(g, s, t, s, t)  # (s t)^2 != 1
+        EdgeBiregularMap(g, s, t, s, t)  # (s t)^2 != 1
 
 
 def test_non_generating_slots_rejected():
     g, s, t = dihedral_eight()
     z = (s * t) * (s * t)
     with pytest.raises(InvalidMapError, match="generate"):
-        make_ebr(g, s, s * z, s, s * z)
+        EdgeBiregularMap(g, s, s * z, s, s * z)
 
 
 def test_fewer_than_two_slots_rejected():
     g, x, y = klein_four()
     with pytest.raises(InvalidMapError, match="fewer than two"):
-        make_ebr(g, x, None, None, None)
+        EdgeBiregularMap(g, x, None, None, None)
 
 
 def test_foreign_element_rejected():
     g, x, y = klein_four()
     with pytest.raises(InvalidMapError):
-        make_ebr(g, Permutation((2, 3, 0, 1)), x, y, x)
+        EdgeBiregularMap(g, Permutation((2, 3, 0, 1)), x, y, x)
+    with pytest.raises(InvalidMapError):
+        EdgeBiregularMap(g, g.order, x, y, x)  # index out of range
 
 
 def test_degeneracy_classification():
     g, x, y = klein_four()
-    assert make_ebr(g, x, y, x, y).degeneracy_class == "proper"
+    assert EdgeBiregularMap(g, x, y, x, y).degeneracy_class == "proper"
+    by_index = EdgeBiregularMap(g, g.index(x), g.index(y), g.index(x), g.index(y))
+    assert by_index == EdgeBiregularMap(g, x, y, x, y) and by_index.slots == (x, y, x, y)
     assert sphere_family("semistar", 3).degeneracy_class == "semistar"
     c3 = construction3(regular_catalog("tetrahedron"))
     assert c3.degeneracy_class == "unshaded_semi"
@@ -242,7 +246,7 @@ def test_conjugate_maps_are_isomorphic():
         for by in (1, g.order // 2, g.order - 1):
             conj = [g.element(g.mul(g.mul(g.inv(by), s), by))
                     for s in m.slot_indices]
-            assert are_isomorphic(m, make_ebr(g, *conj))
+            assert are_isomorphic(m, EdgeBiregularMap(g, *conj))
 
 
 def test_mismatched_slot_patterns_rejected():

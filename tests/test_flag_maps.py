@@ -195,3 +195,39 @@ def test_load_rejects_malformed_files(tmp_path):
         "s2": [1, 0, 3, 2]}))
     with pytest.raises(ValueError, match="flag_count"):
         load_flagmap(str(path))
+
+
+def colouring_by_flag_scan(m):
+    """Oracle: the medial-graph 2-colouring that rescans every flag for each
+    dequeued edge, O(edges x flags)."""
+    orbit_of = [0] * m.flag_count
+    for orbit in m.edge_orbits():
+        for f in orbit:
+            orbit_of[f] = min(orbit)
+    colour = {0: 0}
+    queue = [0]
+    for e in queue:
+        for f in range(m.flag_count):
+            if orbit_of[f] != e:
+                continue
+            g = orbit_of[m.s1(f)]
+            if g == e or colour.get(g) == colour[e]:
+                return None
+            if g not in colour:
+                colour[g] = 1 - colour[e]
+                queue.append(g)
+    return colour
+
+
+def test_colouring_matches_flag_scan_oracle(torus_flagmap, sphere_flagmap, cube_flagmap):
+    maps = [torus_flagmap, sphere_flagmap, cube_flagmap,
+            ebr_to_flagmap(torus_rect(3, 2)), ebr_to_flagmap(klein(3, 1)),
+            ebr_to_flagmap(dihedral_map(6, 2)),
+            regular_to_flagmap(regular_catalog("cube")),
+            regular_to_flagmap(regular_catalog("torus44:2:2-rect"))]
+    for m in maps:
+        fast = is_alternate_edge_colourable(m)
+        slow = colouring_by_flag_scan(m)
+        assert fast == slow
+        assert fast is None or list(fast.items()) == list(slow.items())
+    assert any(is_alternate_edge_colourable(m) is None for m in maps)

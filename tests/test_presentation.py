@@ -211,3 +211,14 @@ def test_presentation_validates_indices_and_exponents():
         GroupPresentation(("a",), (((1, 2),),))
     with pytest.raises(ValueError):
         GroupPresentation(("a",), (((0, 0),),))
+
+
+def test_nesting_depth_is_bounded_at_the_offending_parenthesis():
+    from ebrmaps.presentation import MAX_NESTING
+
+    ok = "< a | " + "(" * MAX_NESTING + "a" + ")" * MAX_NESTING + " >"
+    assert parse_presentation(ok).relators == (((0, 1),),)
+    deep = "< a | " + "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1) + " >"
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_presentation(deep)
+    assert (info.value.line, info.value.column) == (1, 7 + MAX_NESTING)
