@@ -143,7 +143,7 @@ class FiniteGroup:
         self._right: list[Optional[list[int]]] = [list(range(n))] + [None] * (n - 1)
         self._orders: list[Optional[int]] = [None] * n
         self._elements = None if elements is None else tuple(elements[x] for x in found)
-        self._index: Optional[dict[Permutation, int]] = None
+        self._index: Union[None, list[int], dict[Permutation, int]] = None
 
     @property
     def order(self) -> int:
@@ -182,14 +182,37 @@ class FiniteGroup:
             if not 0 <= p < self.order:
                 raise ValueError(f"element index {p} out of range")
             return p
-        if p not in self:
+        i = self._lookup(p)
+        if i is None:
             raise ValueError("permutation is not an element of this group")
-        return self._index[p]  # type: ignore[index]
+        return i
 
     def __contains__(self, p: object) -> bool:
+        return self._lookup(p) is not None
+
+    def _lookup(self, p: object) -> Optional[int]:
+        """The index of permutation ``p``, or None when it is not an element."""
+        if not isinstance(p, Permutation) or p.degree != self.degree:
+            return None
         if self._index is None:
-            self._index = {q: i for i, q in enumerate(self.elements)}
-        return p in self._index
+            self._index = self._point_index()
+        if isinstance(self._index, dict):
+            return self._index.get(p)
+        i = self._index[p(0)]  # the one element taking point 0 to p(0)
+        return i if self.element(i) == p else None
+
+    def _point_index(self) -> Union[list[int], dict[Permutation, int]]:
+        """For a group that does not hold its elements and acts regularly on
+        its points (as every coset-enumerated group does), the element taking
+        point 0 to each point, read along the breadth-first tree.  Otherwise
+        a dict from each element to its index."""
+        if self._elements is None and self.degree == self.order:
+            points = [0] * self.order
+            for f in range(1, self.order):
+                points[f] = self.generators[self._via[f]].images[points[self._parent[f]]]
+            if len(set(points)) == self.order:  # regular: invert the bijection
+                return sorted(range(self.order), key=points.__getitem__)
+        return {q: i for i, q in enumerate(self.elements)}
 
     def right_translation(self, j: int) -> list[int]:
         """The array ``x -> x*j`` (do not modify): the tree parent's array
@@ -292,36 +315,39 @@ def closure(generators: Sequence[Permutation], names: Optional[Sequence[str]] = 
     return FiniteGroup(degree, names, gens, columns, elements)
 
 
-def _translate(src_group: FiniteGroup, src: Sequence[ElementLike],
-               dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> Optional[list[int]]:
-    """Word-translation fill-in of ``src[i] -> dst[i]`` over the Cayley graph.
+def cayley_form(group: FiniteGroup, gens: Sequence[ElementLike]) -> tuple[list[int], tuple]:
+    """The Cayley graph of ``<gens>`` numbered breadth-first from the identity.
 
-    Returns the full element-index map, or None on a conflicting assignment
-    or a map that is not onto.  Raises ValueError when ``src`` does not
-    generate ``src_group``.
+    Returns the visiting order of ``subgroup_indices(gens)`` and, per
+    generator, its right translation renumbered in that order.  The form
+    depends only on the abstract group and the ordered tuple: two tuples have
+    equal forms exactly when ``gens[i] -> gens'[i]`` extends to an
+    isomorphism of the generated subgroups, and pairing off the two visiting
+    orders gives that isomorphism (Sims' standardised coset table).
     """
+    order = group.subgroup_indices(gens)
+    position = [0] * group.order
+    for k, x in enumerate(order):
+        position[x] = k
+    rights = [group.right_translation(group.index(g)) for g in gens]
+    return order, tuple(tuple([position[right[x]] for x in order]) for right in rights)
+
+
+def _isomorphism(src_group: FiniteGroup, src: Sequence[ElementLike],
+                 dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> Optional[list[int]]:
+    """The element-index map extending ``src[i] -> dst[i]`` when the two
+    tuples have equal Cayley forms, pairing off their visiting orders; else
+    None.  Raises ValueError when ``src`` does not generate ``src_group``."""
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
-    edges = [(src_group.right_translation(src_group.index(s)),
-              dst_group.right_translation(dst_group.index(d))) for s, d in zip(src, dst)]
-    images: list[Optional[int]] = [0] + [None] * (src_group.order - 1)
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        a = queue[pos]
-        pos += 1
-        fa = images[a]
-        for src_right, dst_right in edges:
-            b = src_right[a]
-            fb = dst_right[fa]
-            if images[b] is None:
-                images[b] = fb
-                queue.append(b)
-            elif images[b] != fb:
-                return None
-    if len(queue) != len(images):
+    src_order, src_form = cayley_form(src_group, src)
+    if len(src_order) != src_group.order:
         raise ValueError("src does not generate the group")
-    return images if len(set(images)) == dst_group.order else None  # type: ignore[return-value]
+    dst_order, dst_form = cayley_form(dst_group, dst)
+    if dst_form != src_form:
+        return None
+    rank = sorted(range(len(src_order)), key=src_order.__getitem__)
+    return [dst_order[r] for r in rank]
 
 
 def extend_generator_map(group: FiniteGroup, src: Sequence[ElementLike],
@@ -329,18 +355,17 @@ def extend_generator_map(group: FiniteGroup, src: Sequence[ElementLike],
     """Extend ``src[i] -> dst[i]`` to an automorphism of ``group``, if one exists.
 
     Returns the automorphism as its image list on element indices, or None.
-    The extension is built by breadth-first traversal of the Cayley graph on
-    ``src``, assigning images by word translation; any conflicting assignment
-    or failure of bijectivity yields None.
+    It exists exactly when the two tuples have equal Cayley forms (see
+    ``cayley_form``).
     """
-    return _translate(group, src, group, dst)
+    return _isomorphism(group, src, group, dst)
 
 
 def groups_isomorphic_on(src_group: FiniteGroup, src: Sequence[ElementLike],
                          dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> bool:
     """Whether ``src[i] -> dst[i]`` extends to an isomorphism between the groups."""
     return (src_group.order == dst_group.order
-            and _translate(src_group, src, dst_group, dst) is not None)
+            and _isomorphism(src_group, src, dst_group, dst) is not None)
 
 
 def is_dihedral(group: FiniteGroup) -> bool:

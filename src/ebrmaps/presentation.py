@@ -30,6 +30,10 @@ DEFAULT_MAX_COSETS = 10**6
 # Parentheses nest at most this deep; the parser recurses once per level.
 MAX_NESTING = 100
 
+# A relator expands to at most this many letters.  Exponents are checked
+# before expansion, so a short input cannot ask for an unbounded word.
+MAX_RELATOR_LENGTH = 10**4
+
 Word = tuple[tuple[int, int], ...]
 
 
@@ -197,13 +201,33 @@ class _Parser:
                 f"expected integer exponent, found {tok.text or 'end of input'!r}",
                 tok.line, tok.column)
         self.take()
-        value = int(tok.text)
+        try:
+            value = int(tok.text)
+        except ValueError:  # too many digits to convert, so far over budget
+            raise PresentationSyntaxError(
+                f"relator longer than {MAX_RELATOR_LENGTH} letters", tok.line, tok.column) from None
         if value == 0:
             raise PresentationSyntaxError("zero exponent", tok.line, tok.column)
         return value
 
+    def power(self, tok: _Token, length: int, base: int) -> int:
+        """The exponent after ``tok`` (1 if none), once a word of ``length``
+        letters followed by ``base`` letters to that power stays within
+        budget; the error points at the exponent, or else at ``tok``."""
+        if self.peek().kind == "punct" and self.peek().text == "^":
+            self.take()
+            tok = self.peek()
+            exp = self.exponent()
+        else:
+            exp = 1
+        if length + base * abs(exp) > MAX_RELATOR_LENGTH:
+            raise PresentationSyntaxError(
+                f"relator longer than {MAX_RELATOR_LENGTH} letters", tok.line, tok.column)
+        return exp
+
     def word(self, index: dict[str, int], depth: int = 0) -> Word:
         terms: list[tuple[int, int]] = []
+        length = 0  # letters once expanded
         first = True
         while True:
             tok = self.peek()
@@ -212,11 +236,9 @@ class _Parser:
                 if tok.text not in index:
                     raise PresentationSyntaxError(
                         f"unknown generator name {tok.text!r}", tok.line, tok.column)
-                exp = 1
-                if self.peek().kind == "punct" and self.peek().text == "^":
-                    self.take()
-                    exp = self.exponent()
+                exp = self.power(tok, length, 1)
                 terms.append((index[tok.text], exp))
+                length += abs(exp)
             elif tok.kind == "punct" and tok.text == "(":
                 if depth >= MAX_NESTING:
                     raise PresentationSyntaxError(
@@ -225,11 +247,10 @@ class _Parser:
                 self.take()
                 inner = self.word(index, depth + 1)
                 self.expect(")")
-                exp = 1
-                if self.peek().kind == "punct" and self.peek().text == "^":
-                    self.take()
-                    exp = self.exponent()
+                base = _length(inner)
+                exp = self.power(tok, length, base)
                 terms.extend(_power(inner, exp))
+                length += base * abs(exp)
             else:
                 if first:
                     raise PresentationSyntaxError(
@@ -237,6 +258,11 @@ class _Parser:
                         tok.line, tok.column)
                 return tuple(terms)
             first = False
+
+
+def _length(word: Sequence[tuple[int, int]]) -> int:
+    """The number of letters ``word`` expands to."""
+    return sum(abs(exp) for _, exp in word)
 
 
 def _invert(word: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -499,6 +525,8 @@ def coset_enumerate(pres: GroupPresentation,
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
 
+    if any(_length(word) > MAX_RELATOR_LENGTH for word in pres.relators):
+        raise ValueError(f"relator longer than {MAX_RELATOR_LENGTH} letters")
     letters = [_flatten(word) for word in pres.relators]
 
     involutory = set()
@@ -529,7 +557,7 @@ def coset_enumerate(pres: GroupPresentation,
             continue  # involution squares are built into the column structure
         inverse = tuple(inv_col[x] for x in reversed(cols))
         for base in (cols, inverse):
-            for shift in range(len(base)):
+            for shift in range(_cyclic_period(base)):
                 rot = base[shift:] + base[:shift]
                 if rot not in seen_words:
                     seen_words.add(rot)
@@ -549,6 +577,14 @@ def coset_enumerate(pres: GroupPresentation,
     perms = [Permutation(renumber[ct.table[c][col_of[(i, 1)]]] for c in live)
              for i in range(ngens)]
     return FiniteGroup(len(live), pres.generator_names, perms, [p.images for p in perms])
+
+
+def _cyclic_period(word: tuple[int, ...]) -> int:
+    """The least shift that rotates ``word`` onto itself; the rotations by
+    larger shifts repeat the earlier ones.  That shift divides the length,
+    so only divisors are tried."""
+    n = len(word)
+    return next(d for d in range(1, n + 1) if n % d == 0 and word[d:] + word[:d] == word)
 
 
 def _flatten(word: Word) -> list[tuple[int, int]]:

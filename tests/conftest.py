@@ -123,6 +123,38 @@ def automorphism_by_full_table(group, src, dst):
     return images
 
 
+def translate_reference(src_group, src, dst_group, dst):
+    """Oracle for isomorphism extension: the word-translation fill-in of
+    ``src[i] -> dst[i]`` over the Cayley graph, independent of Cayley forms.
+
+    Returns the full element-index map, or None on a conflicting assignment
+    or a map that is not onto.  Raises ValueError when ``src`` does not
+    generate ``src_group``.
+    """
+    if len(src) != len(dst):
+        raise ValueError("src and dst must have equal length")
+    edges = [(src_group.right_translation(src_group.index(s)),
+              dst_group.right_translation(dst_group.index(d))) for s, d in zip(src, dst)]
+    images = [0] + [None] * (src_group.order - 1)
+    queue = [0]
+    pos = 0
+    while pos < len(queue):
+        a = queue[pos]
+        pos += 1
+        fa = images[a]
+        for src_right, dst_right in edges:
+            b = src_right[a]
+            fb = dst_right[fa]
+            if images[b] is None:
+                images[b] = fb
+                queue.append(b)
+            elif images[b] != fb:
+                return None
+    if len(queue) != len(images):
+        raise ValueError("src does not generate the group")
+    return images if len(set(images)) == dst_group.order else None
+
+
 def orientable_by_even_subgroup(m) -> bool:
     """Oracle: the map is orientable iff the products of slot-element pairs
     generate a subgroup of index exactly 2."""
@@ -136,12 +168,10 @@ def pairwise_representatives(group, quads):
     """Quadratic deduplication oracle: compare every quadruple against the
     representatives found so far by attempting a generator-map extension.
     Returns the first quadruple of each class, in input order."""
-    from ebrmaps import extend_generator_map
-
     reps = []
     for quad in quads:
         for rep in reps:
-            if extend_generator_map(group, list(quad), list(rep)) is not None:
+            if translate_reference(group, quad, group, rep) is not None:
                 break
         else:
             reps.append(quad)
@@ -157,7 +187,9 @@ def pairwise_class_sizes(maps):
     repeatedly take the first unassigned map and collect every map isomorphic
     to it, its twin, its dual or the twin of its dual.  Returns the class
     sizes in order of each class's first map."""
-    from ebrmaps import are_isomorphic
+    def isomorphic(a, b):
+        return (a.group.order == b.group.order and translate_reference(
+            a.group, a.slot_indices, b.group, b.slot_indices) is not None)
 
     unassigned = sorted(maps, key=lambda m: m.slot_indices)
     sizes = []
@@ -165,7 +197,7 @@ def pairwise_class_sizes(maps):
         rep = unassigned.pop(0)
         images = [rep, rep.twin(), rep.dual(), rep.dual().twin()]
         remaining = [m for m in unassigned
-                     if not any(are_isomorphic(m, image) for image in images)]
+                     if not any(isomorphic(m, image) for image in images)]
         sizes.append(1 + len(unassigned) - len(remaining))
         unassigned = remaining
     return sizes

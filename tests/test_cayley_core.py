@@ -1,12 +1,15 @@
 """Oracle cross-checks for the index core of FiniteGroup: every product,
 order and inverse read off the generator columns must agree with composing
-the elements as permutations, and coset enumeration must hand over exactly
-the group that closure of its generator permutations builds."""
+the elements as permutations, coset enumeration must hand over exactly the
+group that closure of its generator permutations builds, and Cayley forms
+must agree with the word-translation reference for isomorphism."""
 
 import gc
+import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebrmaps import (
     GroupPresentation,
@@ -19,6 +22,8 @@ from ebrmaps import (
     dihedral_presentation,
     ebr_type_presentation,
     enumerate_ebr,
+    extend_generator_map,
+    groups_isomorphic_on,
     klein,
     sphere_family,
     torus_rect,
@@ -26,6 +31,8 @@ from ebrmaps import (
     triangle_group,
 )
 from ebrmaps import enumeration
+from ebrmaps.perm_group import cayley_form
+from conftest import all_valid_quadruples, pairwise_class_sizes, translate_reference
 
 
 def assert_matches_permutations(group):
@@ -97,27 +104,101 @@ def test_coset_enumeration_hands_over_the_closure_group(name):
     assert_matches_permutations(g)
 
 
-def test_automorphisms_are_listed_once_per_group(monkeypatch):
-    calls = []
-    original = enumeration.extend_generator_map
+CLASSIFIED = {
+    "dihxc2:12 sweep": lambda: enumerate_ebr(catalog_group("dihxc2:12"), require_proper=True),
+    "dihedral_map(100,1)": lambda: [dihedral_map(100, 1)],
+    "torus_rect(6,6)": lambda: [torus_rect(6, 6)],
+}
 
-    def counting(group, src, dst):
-        calls.append(len(src))
-        return original(group, src, dst)
 
-    monkeypatch.setattr(enumeration, "extend_generator_map", counting)
-    group = catalog_group("dihxc2:12")
-    maps = enumerate_ebr(group, require_proper=True)
-    listed = len(calls)
-    assert listed > 0
-    classify_report(maps)
-    assert len(calls) == listed
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_classification_lists_no_automorphisms(monkeypatch, name):
+    maps = CLASSIFIED[name]()
 
-    # The cache holds its groups weakly: a dropped group is collected.
-    ref = weakref.ref(group)
-    del group, maps
+    def listing(group, source):
+        raise AssertionError("classify_report listed Aut(H)")
+
+    monkeypatch.setattr(enumeration, "_automorphisms", listing)
+    report = classify_report(maps)
+    assert [c.class_size for c in report.classes] == pairwise_class_sizes(maps)
+
+    # Nothing holds on to the group once the caller drops it.
+    ref = weakref.ref(maps[0].group)
+    del maps, report
     gc.collect()
     assert ref() is None
+
+
+def quads_against_representatives(group):
+    """Every valid quadruple paired, in both directions, with the least
+    quadruple of each automorphism class."""
+    quads = all_valid_quadruples(group)
+    reps = [m.slot_indices for m in enumerate_ebr(group)]
+    return [(a, b) for rep in reps for q in quads for a, b in ((rep, q), (q, rep))]
+
+
+@pytest.mark.parametrize("name", ["c2^3", "dih:12", "dihxc2:6"])
+def test_extension_matches_word_translation_reference(name):
+    group = catalog_group(name)
+    outcomes = set()
+    for src, dst in quads_against_representatives(group):
+        images = extend_generator_map(group, src, dst)
+        assert images == translate_reference(group, src, group, dst)
+        outcomes.add(images is None)
+    assert outcomes == {True, False}
+
+
+def test_extension_matches_reference_on_sampled_torus_quads():
+    m = torus_rect(4, 4)
+    group = m.group
+    rng = random.Random(4)
+    invs = group.involution_indices()
+    quads = [m.slot_indices]
+    while len(quads) < 40:
+        r0, r2, p0, p2 = (rng.choice(invs) for _ in range(4))
+        if (group.mul(r0, r2) == group.mul(r2, r0) and group.mul(p0, p2) == group.mul(p2, p0)
+                and group.subgroup_order([r0, r2, p0, p2]) == group.order):
+            quads.append((r0, r2, p0, p2))
+    outcomes = set()
+    for src in quads:
+        x = rng.randrange(group.order)
+        conjugate = tuple(group.mul(group.mul(group.inv(x), s), x) for s in src)
+        for dst in [conjugate] + rng.sample(quads, 10):
+            images = extend_generator_map(group, src, dst)
+            assert images == translate_reference(group, src, group, dst)
+            outcomes.add(images is None)
+    assert outcomes == {True, False}
+
+
+# Dihedral of order 12 three ways: D12 by closure, D6 x C2 by closure, and
+# coset-enumerated; and a non-isomorphic group of order 8.
+FORM_GROUPS = {
+    "dih:12": catalog_group("dih:12"),
+    "dihxc2:6": catalog_group("dihxc2:6"),
+    "presented": coset_enumerate(dihedral_presentation(6)),
+    "c2^3": catalog_group("c2^3"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_equal_cayley_forms_iff_the_reference_finds_an_isomorphism(data):
+    names = sorted(FORM_GROUPS)
+    src_group = FORM_GROUPS[data.draw(st.sampled_from(names))]
+    dst_group = FORM_GROUPS[data.draw(st.sampled_from(names))]
+    elements = st.integers(0, src_group.order - 1)
+    gens = [col[0] for col in src_group.columns]
+    src = data.draw(st.permutations(gens + data.draw(st.lists(elements, max_size=2))))
+    if dst_group is src_group and data.draw(st.booleans()):
+        x = data.draw(elements)  # conjugation: an automorphism
+        dst = [src_group.mul(src_group.mul(src_group.inv(x), s), x) for s in src]
+    else:
+        dst = data.draw(st.lists(st.integers(0, dst_group.order - 1),
+                                 min_size=len(src), max_size=len(src)))
+    reference = (src_group.order == dst_group.order
+                 and translate_reference(src_group, src, dst_group, dst) is not None)
+    assert (cayley_form(src_group, src)[1] == cayley_form(dst_group, dst)[1]) == reference
+    assert groups_isomorphic_on(src_group, src, dst_group, dst) == reference
 
 
 def test_order_ten_thousand_torus_is_analysed_from_the_columns():

@@ -189,3 +189,10 @@ def test_deeply_nested_presentation_is_input_error(capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "nested deeper than" in err and "Traceback" not in err
+
+
+def test_over_budget_relator_exits_1_with_one_line(capsys):
+    code, out, err = run(capsys, "analyze", "--presentation",
+                         "< a, b | a^2, b^2, (a b)^1000000000000 >", "--slots", "a,b,a,b")
+    assert code == 1 and out == ""
+    assert err.startswith("error: relator longer than") and err.count("\n") == 1

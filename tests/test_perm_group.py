@@ -166,3 +166,42 @@ def test_is_dihedral():
                        Permutation.from_cycles(6, [(2, 3)]),
                        Permutation.from_cycles(6, [(4, 5)])])
     assert not is_dihedral(c2cubed)
+
+
+def membership_groups():
+    """Catalog groups (closure-built), coset-enumerated groups (regular on
+    their points), and a group of order 6 on 6 points that is not regular,
+    held without its element list."""
+    from ebrmaps import FiniteGroup, catalog_group, coset_enumerate, dihedral_presentation
+    from ebrmaps import triangle_group
+
+    s3 = closure([Permutation.from_cycles(6, [(0, 1, 2), (3, 4, 5)]),
+                  Permutation.from_cycles(6, [(0, 1), (3, 4)])])
+    assert s3.order == s3.degree == 6
+    return [catalog_group("dih:12"), catalog_group("c2^3"),
+            coset_enumerate(dihedral_presentation(5)), coset_enumerate(triangle_group(3, 4)),
+            FiniteGroup(s3.degree, s3.generator_names, s3.generators, s3.columns)]
+
+
+def test_membership_agrees_with_the_element_list():
+    import random
+
+    rng = random.Random(7)
+    for g in membership_groups():
+        # The element list comes from a separate closure, so that ``g`` is
+        # asked about membership before it lists its own elements.
+        listed = closure(list(g.generators)).elements
+        strangers = [Permutation(rng.sample(range(g.degree), g.degree)) for _ in range(50)]
+        strangers.append(Permutation.from_cycles(g.degree, [(0, 1)]))
+        for p in list(listed) + strangers:
+            assert (p in g) == (p in listed)
+            if p in listed:
+                assert g.index(p) == listed.index(p)
+            else:
+                with pytest.raises(ValueError):
+                    g.index(p)
+        for p in (Permutation.identity(g.degree + 1), Permutation(()), listed[-1].images):
+            assert p not in g
+        with pytest.raises(ValueError):
+            g.index(Permutation.identity(g.degree + 1))
+        assert [g.index(p) for p in g.elements] == list(range(g.order))

@@ -222,3 +222,43 @@ def test_nesting_depth_is_bounded_at_the_offending_parenthesis():
     with pytest.raises(PresentationSyntaxError) as info:
         parse_presentation(deep)
     assert (info.value.line, info.value.column) == (1, 7 + MAX_NESTING)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("< a | a^1000000000000 >", 9),
+    ("< a, b | a^2, (a b)^1000000000000 >", 21),
+    ("< a, b | (a (a b)^1000000)^1000000 >", 19),
+    ("< a, b | a^9999 b a >", 19),
+    ("< a, b | a^9999 (a b) >", 17),
+    ("< a | a^" + "9" * 5000 + " >", 9),
+])
+def test_relator_length_is_budgeted_before_expansion(text, column):
+    from ebrmaps.presentation import MAX_RELATOR_LENGTH
+
+    with pytest.raises(PresentationSyntaxError, match=f"longer than {MAX_RELATOR_LENGTH}") as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+def test_relator_length_budget_admits_its_limit():
+    from ebrmaps.presentation import MAX_RELATOR_LENGTH
+
+    pres = parse_presentation(f"< a, b | a^2, b^2, (a b)^{MAX_RELATOR_LENGTH // 2} >")
+    assert sum(abs(exp) for _, exp in pres.relators[2]) == MAX_RELATOR_LENGTH
+
+
+def test_coset_enumeration_rejects_an_over_budget_relator():
+    pres = GroupPresentation(("a", "b"), (((0, 2),), ((1, 2),), ((0, 1), (1, 10**12))))
+    with pytest.raises(ValueError, match="longer than"):
+        coset_enumerate(pres)
+
+
+def test_cyclic_period_counts_the_distinct_rotations():
+    from itertools import product
+
+    from ebrmaps.presentation import _cyclic_period
+
+    for n in range(1, 9):
+        for word in product(range(3), repeat=n):
+            rotations = {word[s:] + word[:s] for s in range(n)}
+            assert _cyclic_period(word) == len(rotations)
