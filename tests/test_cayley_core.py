@@ -104,6 +104,28 @@ def test_coset_enumeration_hands_over_the_closure_group(name):
     assert_matches_permutations(g)
 
 
+def test_automorphisms_are_listed_once_per_group(monkeypatch):
+    calls = []
+    original = enumeration._automorphisms
+
+    def counting(group, source):
+        calls.append(group)
+        return original(group, source)
+
+    monkeypatch.setattr(enumeration, "_automorphisms", counting)
+    group = catalog_group("dihxc2:12")
+    maps = enumerate_ebr(group, require_proper=True)
+    assert calls == [group]
+    classify_report(maps)
+    assert calls == [group]
+
+    # Nothing holds on to the group once the caller drops it.
+    ref = weakref.ref(group)
+    del group, maps, calls
+    gc.collect()
+    assert ref() is None
+
+
 CLASSIFIED = {
     "dihxc2:12 sweep": lambda: enumerate_ebr(catalog_group("dihxc2:12"), require_proper=True),
     "dihedral_map(100,1)": lambda: [dihedral_map(100, 1)],
