@@ -5,13 +5,13 @@ Candidates are ordered pairs of commuting involutions for (r0, r2) and
 is the most expensive filter.  Two quadruples describe isomorphic maps when an
 automorphism of the group carries one onto the other, so deduplication keeps
 the lexicographically least quadruple of each Aut(H)-orbit.  Aut(H) is listed
-once as element-index maps: the quadruples of involutions with the same
-orders of pairwise products as one generating quadruple and the same Cayley
-form (``perm_group.cayley_form``); a lexicographic sweep then takes each
-unmarked candidate as a representative and marks its orbit (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998).  The
-classification report lists no automorphisms: it keys each map by the least
-Cayley form of its quadruple under the twin and dual slot permutations.
+once as element-index maps, by extending one generating quadruple onto every
+quadruple of involutions with the same orders of pairwise products; a
+lexicographic sweep then takes each unmarked candidate as a representative
+and marks its orbit (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  The classification report keys each map by the least
+Cayley form (``perm_group.cayley_form``) of its quadruple under the twin and
+dual slot permutations, and lists no automorphisms.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap
-from .perm_group import FiniteGroup, Permutation, cayley_form, closure, is_dihedral
+from .perm_group import (FiniteGroup, Permutation, cayley_form, closure, extend_generator_map,
+                         is_dihedral)
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
@@ -75,8 +76,7 @@ def _automorphisms(group: FiniteGroup, source: tuple[int, ...]) -> list[list[int
     """Aut(H) as element-index maps.  ``source`` is a tuple of involutions
     generating the group, so an automorphism is determined by its image of
     ``source``: a tuple of involutions whose pairwise products have the same
-    orders as those of ``source`` (so equal and commuting slots stay so), and
-    whose Cayley form equals that of ``source``."""
+    orders as those of ``source`` (so equal and commuting slots stay so)."""
     invs = group.involution_indices()
     orders = [[group.element_order(group.mul(a, b)) for b in source] for a in source]
     images: list[tuple[int, ...]] = [()]
@@ -84,10 +84,8 @@ def _automorphisms(group: FiniteGroup, source: tuple[int, ...]) -> list[list[int
         images = [image + (x,) for image in images for x in invs
                   if all(group.element_order(group.mul(y, x)) == orders[j][k]
                          for j, y in enumerate(image))]
-    source_order, source_form = cayley_form(group, source)
-    rank = sorted(range(group.order), key=source_order.__getitem__)
-    forms = (cayley_form(group, image) for image in images)
-    return [[order[r] for r in rank] for order, form in forms if form == source_form]
+    extensions = (extend_generator_map(group, list(source), list(image)) for image in images)
+    return [aut for aut in extensions if aut is not None]
 
 
 def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
@@ -211,14 +209,12 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
         return ClassReport(())
     group = maps[0].group
     for m in maps:
-        if m.group is not group and (m.group.order != group.order or not all(
-                g in group for g in m.group.generators)):
+        if m.group is not group and m.group.elements != group.elements:
             raise ValueError("maps must share one group")
         m._require_closed()
 
-    # Classes are orbits of Aut(H) x {identity, twin, dual, twin-of-dual}
-    # on quads.  The Cayley form is constant on Aut(H)-orbits and tells them
-    # apart, so the least form over the four slot orders keys each class.
+    # Classes are orbits of Aut(H) x {identity, twin, dual, twin-of-dual} on
+    # quads; the form tells Aut(H)-orbits apart, so the least form keys each.
     members: dict[tuple, list[EdgeBiregularMap]] = {}
     for m in maps:
         r0, r2, p0, p2 = m.slot_indices

@@ -11,6 +11,7 @@ downstream "first representative" tie-break inherits this order.
 from __future__ import annotations
 
 from math import lcm
+from operator import eq
 from typing import Iterable, Optional, Sequence, Union
 
 DEFAULT_MAX_ORDER = 10**6
@@ -143,7 +144,7 @@ class FiniteGroup:
         self._right: list[Optional[list[int]]] = [list(range(n))] + [None] * (n - 1)
         self._orders: list[Optional[int]] = [None] * n
         self._elements = None if elements is None else tuple(elements[x] for x in found)
-        self._index: Union[None, list[int], dict[Permutation, int]] = None
+        self._index: Optional[dict[Permutation, int]] = None
 
     @property
     def order(self) -> int:
@@ -182,37 +183,14 @@ class FiniteGroup:
             if not 0 <= p < self.order:
                 raise ValueError(f"element index {p} out of range")
             return p
-        i = self._lookup(p)
-        if i is None:
+        if p not in self:
             raise ValueError("permutation is not an element of this group")
-        return i
+        return self._index[p]  # type: ignore[index]
 
     def __contains__(self, p: object) -> bool:
-        return self._lookup(p) is not None
-
-    def _lookup(self, p: object) -> Optional[int]:
-        """The index of permutation ``p``, or None when it is not an element."""
-        if not isinstance(p, Permutation) or p.degree != self.degree:
-            return None
         if self._index is None:
-            self._index = self._point_index()
-        if isinstance(self._index, dict):
-            return self._index.get(p)
-        i = self._index[p(0)]  # the one element taking point 0 to p(0)
-        return i if self.element(i) == p else None
-
-    def _point_index(self) -> Union[list[int], dict[Permutation, int]]:
-        """For a group that does not hold its elements and acts regularly on
-        its points (as every coset-enumerated group does), the element taking
-        point 0 to each point, read along the breadth-first tree.  Otherwise
-        a dict from each element to its index."""
-        if self._elements is None and self.degree == self.order:
-            points = [0] * self.order
-            for f in range(1, self.order):
-                points[f] = self.generators[self._via[f]].images[points[self._parent[f]]]
-            if len(set(points)) == self.order:  # regular: invert the bijection
-                return sorted(range(self.order), key=points.__getitem__)
-        return {q: i for i, q in enumerate(self.elements)}
+            self._index = {q: i for i, q in enumerate(self.elements)}
+        return p in self._index
 
     def right_translation(self, j: int) -> list[int]:
         """The array ``x -> x*j`` (do not modify): the tree parent's array
@@ -315,39 +293,45 @@ def closure(generators: Sequence[Permutation], names: Optional[Sequence[str]] = 
     return FiniteGroup(degree, names, gens, columns, elements)
 
 
-def cayley_form(group: FiniteGroup, gens: Sequence[ElementLike]) -> tuple[list[int], tuple]:
-    """The Cayley graph of ``<gens>`` numbered breadth-first from the identity.
-
-    Returns the visiting order of ``subgroup_indices(gens)`` and, per
-    generator, its right translation renumbered in that order.  The form
-    depends only on the abstract group and the ordered tuple: two tuples have
-    equal forms exactly when ``gens[i] -> gens'[i]`` extends to an
-    isomorphism of the generated subgroups, and pairing off the two visiting
-    orders gives that isomorphism (Sims' standardised coset table).
-    """
-    order = group.subgroup_indices(gens)
-    position = [0] * group.order
-    for k, x in enumerate(order):
-        position[x] = k
+def _walk(group: FiniteGroup, gens: Sequence[ElementLike], order: list[int]) -> Iterable[int]:
+    """Yield the Cayley form of ``gens`` entry by entry, extending ``order == [0]``."""
     rights = [group.right_translation(group.index(g)) for g in gens]
-    return order, tuple(tuple([position[right[x]] for x in order]) for right in rights)
+    position = [-1] * group.order
+    position[0] = 0
+    for x in order:
+        for right in rights:
+            y = right[x]
+            p = position[y]
+            if p < 0:
+                p = position[y] = len(order)
+                order.append(y)
+            yield p
+
+
+def cayley_form(group: FiniteGroup, gens: Sequence[ElementLike]) -> tuple[list[int], tuple]:
+    """The visiting order of ``<gens>`` breadth-first from the identity, and the
+    position of ``order[k] * gens[j]`` at entry ``k * len(gens) + j`` (Sims'
+    standardised coset table).  Equal forms mean ``gens[i] -> gens'[i]``
+    extends to an isomorphism, which pairs off the visiting orders."""
+    order = [0]
+    return order, tuple(_walk(group, gens, order))
 
 
 def _isomorphism(src_group: FiniteGroup, src: Sequence[ElementLike],
                  dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> Optional[list[int]]:
-    """The element-index map extending ``src[i] -> dst[i]`` when the two
-    tuples have equal Cayley forms, pairing off their visiting orders; else
-    None.  Raises ValueError when ``src`` does not generate ``src_group``."""
+    """Pair off the visiting orders of ``src`` and ``dst`` if their Cayley forms,
+    walked in step up to the first difference, are equal; else None."""
     if len(src) != len(dst):
         raise ValueError("src and dst must have equal length")
-    src_order, src_form = cayley_form(src_group, src)
+    src_order, dst_order = [0], [0]
+    if not all(map(eq, _walk(src_group, src, src_order), _walk(dst_group, dst, dst_order))):
+        return None
     if len(src_order) != src_group.order:
         raise ValueError("src does not generate the group")
-    dst_order, dst_form = cayley_form(dst_group, dst)
-    if dst_form != src_form:
-        return None
-    rank = sorted(range(len(src_order)), key=src_order.__getitem__)
-    return [dst_order[r] for r in rank]
+    images = [0] * len(src_order)
+    for x, y in zip(src_order, dst_order):
+        images[x] = y
+    return images
 
 
 def extend_generator_map(group: FiniteGroup, src: Sequence[ElementLike],
@@ -355,8 +339,6 @@ def extend_generator_map(group: FiniteGroup, src: Sequence[ElementLike],
     """Extend ``src[i] -> dst[i]`` to an automorphism of ``group``, if one exists.
 
     Returns the automorphism as its image list on element indices, or None.
-    It exists exactly when the two tuples have equal Cayley forms (see
-    ``cayley_form``).
     """
     return _isomorphism(group, src, group, dst)
 

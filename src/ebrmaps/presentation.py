@@ -30,9 +30,14 @@ DEFAULT_MAX_COSETS = 10**6
 # Parentheses nest at most this deep; the parser recurses once per level.
 MAX_NESTING = 100
 
-# A relator expands to at most this many letters.  Exponents are checked
-# before expansion, so a short input cannot ask for an unbounded word.
-MAX_RELATOR_LENGTH = 10**4
+# Coset enumeration stores each distinct rotation of every relator and of
+# its inverse, so this many letters at most; the parser holds each relator
+# to it before expansion, so a short input cannot ask for an unbounded word.
+# A dihedral relator (a b)^m stores 4m letters, so the budget admits every
+# dihedral group that DEFAULT_MAX_COSETS admits.  A relator that is not a
+# proper power stores up to twice its length squared, so it is held to
+# 1,000-1,400 letters, where enumeration already takes minutes.
+MAX_ROTATION_LETTERS = 2 * DEFAULT_MAX_COSETS
 
 Word = tuple[tuple[int, int], ...]
 
@@ -204,8 +209,7 @@ class _Parser:
         try:
             value = int(tok.text)
         except ValueError:  # too many digits to convert, so far over budget
-            raise PresentationSyntaxError(
-                f"relator longer than {MAX_RELATOR_LENGTH} letters", tok.line, tok.column) from None
+            value = MAX_ROTATION_LETTERS + 1
         if value == 0:
             raise PresentationSyntaxError("zero exponent", tok.line, tok.column)
         return value
@@ -220,9 +224,9 @@ class _Parser:
             exp = self.exponent()
         else:
             exp = 1
-        if length + base * abs(exp) > MAX_RELATOR_LENGTH:
+        if length + base * abs(exp) > MAX_ROTATION_LETTERS:
             raise PresentationSyntaxError(
-                f"relator longer than {MAX_RELATOR_LENGTH} letters", tok.line, tok.column)
+                f"relator longer than {MAX_ROTATION_LETTERS} letters", tok.line, tok.column)
         return exp
 
     def word(self, index: dict[str, int], depth: int = 0) -> Word:
@@ -517,7 +521,8 @@ def coset_enumerate(pres: GroupPresentation,
     Returns the group with generator permutations on the live cosets, named
     as in the presentation, and its elements numbered breadth-first from the
     identity coset.  Raises CosetLimitExceeded when more than ``max_cosets``
-    live cosets would be needed.
+    live cosets would be needed, and ValueError when the relator rotations
+    would take more than ``MAX_ROTATION_LETTERS`` letters.
     """
     ngens = len(pres.generator_names)
     if ngens == 0:
@@ -525,8 +530,9 @@ def coset_enumerate(pres: GroupPresentation,
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
 
-    if any(_length(word) > MAX_RELATOR_LENGTH for word in pres.relators):
-        raise ValueError(f"relator longer than {MAX_RELATOR_LENGTH} letters")
+    too_many = f"relator rotations take more than {MAX_ROTATION_LETTERS} letters"
+    if any(_length(word) > MAX_ROTATION_LETTERS for word in pres.relators):
+        raise ValueError(too_many)  # before expanding, as one rotation is the word
     letters = [_flatten(word) for word in pres.relators]
 
     involutory = set()
@@ -551,6 +557,7 @@ def coset_enumerate(pres: GroupPresentation,
     ct = _CosetTable(len(inv_col), inv_col, max_cosets)
 
     seen_words = set()
+    stored = 0
     for word in letters:
         cols = tuple(col_of[letter] for letter in word)
         if len(cols) == 2 and cols[0] == cols[1]:
@@ -560,6 +567,9 @@ def coset_enumerate(pres: GroupPresentation,
             for shift in range(_cyclic_period(base)):
                 rot = base[shift:] + base[:shift]
                 if rot not in seen_words:
+                    stored += len(rot)
+                    if stored > MAX_ROTATION_LETTERS:
+                        raise ValueError(too_many)
                     seen_words.add(rot)
                     ct.rotations[rot[0]].append(rot)
 
@@ -582,9 +592,9 @@ def coset_enumerate(pres: GroupPresentation,
 def _cyclic_period(word: tuple[int, ...]) -> int:
     """The least shift that rotates ``word`` onto itself; the rotations by
     larger shifts repeat the earlier ones.  That shift divides the length,
-    so only divisors are tried."""
+    so only divisors are tried; the empty word has period 0."""
     n = len(word)
-    return next(d for d in range(1, n + 1) if n % d == 0 and word[d:] + word[:d] == word)
+    return next((d for d in range(1, n + 1) if n % d == 0 and word[d:] + word[:d] == word), 0)
 
 
 def _flatten(word: Word) -> list[tuple[int, int]]:

@@ -227,30 +227,68 @@ def test_nesting_depth_is_bounded_at_the_offending_parenthesis():
 @pytest.mark.parametrize("text, column", [
     ("< a | a^1000000000000 >", 9),
     ("< a, b | a^2, (a b)^1000000000000 >", 21),
+    ("< a, b | (a (a b)^100000)^1000000 >", 27),
     ("< a, b | (a (a b)^1000000)^1000000 >", 19),
-    ("< a, b | a^9999 b a >", 19),
-    ("< a, b | a^9999 (a b) >", 17),
     ("< a | a^" + "9" * 5000 + " >", 9),
 ])
 def test_relator_length_is_budgeted_before_expansion(text, column):
-    from ebrmaps.presentation import MAX_RELATOR_LENGTH
+    from ebrmaps.presentation import MAX_ROTATION_LETTERS
 
-    with pytest.raises(PresentationSyntaxError, match=f"longer than {MAX_RELATOR_LENGTH}") as info:
+    with pytest.raises(PresentationSyntaxError, match=f"longer than {MAX_ROTATION_LETTERS}") as info:
         parse_presentation(text)
     assert (info.value.line, info.value.column) == (1, column)
 
 
-def test_relator_length_budget_admits_its_limit():
-    from ebrmaps.presentation import MAX_RELATOR_LENGTH
+@pytest.mark.parametrize("text, column", [
+    ("< a, b | a^99 b a >", 17),
+    ("< a, b | a^99 (a b) >", 15),
+    ("< a, b | (a (a b)^50)^2 >", 19),
+    ("< a, b | (a (a b)^49)^2 >", 23),
+])
+def test_relator_length_error_points_at_the_token_over_budget(monkeypatch, text, column):
+    import ebrmaps.presentation as presentation
 
-    pres = parse_presentation(f"< a, b | a^2, b^2, (a b)^{MAX_RELATOR_LENGTH // 2} >")
-    assert sum(abs(exp) for _, exp in pres.relators[2]) == MAX_RELATOR_LENGTH
+    monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 100)
+    with pytest.raises(PresentationSyntaxError, match="longer than 100 letters") as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    pres = parse_presentation("< a, b | a^2, b^2, (a b)^50 >")
+    assert sum(abs(exp) for _, exp in pres.relators[2]) == 100
+
+
+def test_coset_enumeration_budgets_the_rotation_letters(monkeypatch):
+    import ebrmaps.presentation as presentation
+
+    # (a b)^m stores its two rotations, and its inverse (b a)^m is one of
+    # them: 4m letters.
+    monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 4 * 50)
+    assert coset_enumerate(dihedral_presentation(50)).order == 100
+    with pytest.raises(ValueError, match="more than 200 letters"):
+        coset_enumerate(dihedral_presentation(51))
+    # (a b)^7 a is no proper power and is its own inverse: 15 rotations of
+    # 15 letters.
+    pres = parse_presentation("< a, b | a^2, b^2, (a b)^7 a >")
+    monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 15 * 15)
+    assert coset_enumerate(pres).order == 2
+    monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 15 * 15 - 1)
+    with pytest.raises(ValueError, match="more than 224 letters"):
+        coset_enumerate(pres)
 
 
 def test_coset_enumeration_rejects_an_over_budget_relator():
     pres = GroupPresentation(("a", "b"), (((0, 2),), ((1, 2),), ((0, 1), (1, 10**12))))
-    with pytest.raises(ValueError, match="longer than"):
+    with pytest.raises(ValueError, match="more than"):
         coset_enumerate(pres)
+
+
+def test_dihedral_relators_up_to_the_coset_limit_stay_within_budget():
+    from ebrmaps.presentation import DEFAULT_MAX_COSETS, MAX_ROTATION_LETTERS
+
+    # The largest dihedral group the default coset limit admits, of order
+    # 2m, stores 4m letters of rotations.
+    assert 4 * (DEFAULT_MAX_COSETS // 2) <= MAX_ROTATION_LETTERS
+    pres = parse_presentation(f"< a, b | a^2, b^2, (a b)^{DEFAULT_MAX_COSETS // 2} >")
+    assert pres.relators[2] == dihedral_presentation(DEFAULT_MAX_COSETS // 2).relators[2]
 
 
 def test_cyclic_period_counts_the_distinct_rotations():
@@ -258,7 +296,12 @@ def test_cyclic_period_counts_the_distinct_rotations():
 
     from ebrmaps.presentation import _cyclic_period
 
+    assert _cyclic_period(()) == 0
     for n in range(1, 9):
         for word in product(range(3), repeat=n):
             rotations = {word[s:] + word[:s] for s in range(n)}
             assert _cyclic_period(word) == len(rotations)
+
+
+def test_empty_relator_is_trivial():
+    assert coset_enumerate(GroupPresentation(("a",), ((), ((0, 3),)))).order == 3
