@@ -252,7 +252,7 @@ def _add_map_source(parser: argparse.ArgumentParser) -> None:
                         help="comma list naming the r0,r2,rho0,rho2 generators "
                              "('-' marks an absent slot)")
     parser.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
-                        help="coset enumeration budget")
+                        help="coset enumeration budget for --presentation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-max", type=int, default=None,
                    help="keep maps with chi at most this value")
     p.add_argument("--max-candidates", type=int, default=10**7)
-    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+                   help="coset enumeration budget for --group FILE")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("construct", help="apply a construction to a catalog map")

@@ -14,6 +14,8 @@ from .constructions import RegularMap
 from .ebr_core import EdgeBiregularMap
 from .perm_group import FiniteGroup, Permutation, closure
 from .presentation import (
+    DEFAULT_MAX_COSETS,
+    CosetLimitExceeded,
     GroupPresentation,
     Word,
     coset_enumerate,
@@ -25,15 +27,28 @@ _SLOT_NAMES = ("r0", "r2", "rho0", "rho2")
 _R0, _R2, _RHO0, _RHO2 = range(4)
 
 
-def _grid_quotient(extra: list[Word], expected_order: int) -> FiniteGroup:
-    base = ebr_type_presentation(4, 4)
-    pres = GroupPresentation(base.generator_names,
-                             base.relators + tuple(tuple(w) for w in extra))
+def _within_budget(order: int) -> int:
+    """``order``, once a group of that order fits the default coset budget.
+    Constructors check it before they build a relator, whose length grows
+    with the order."""
+    if order > DEFAULT_MAX_COSETS:
+        raise CosetLimitExceeded(
+            f"order {order} is above max_cosets={DEFAULT_MAX_COSETS}")
+    return order
+
+
+def _enumerate(pres: GroupPresentation, expected_order: int) -> FiniteGroup:
     group = coset_enumerate(pres, max_cosets=16 * expected_order)
     if group.order != expected_order:
         raise RuntimeError(
             f"internal error: expected order {expected_order}, got {group.order}")
     return group
+
+
+def _grid_quotient(extra: list[Word], expected_order: int) -> FiniteGroup:
+    base = ebr_type_presentation(4, 4)
+    return _enumerate(GroupPresentation(base.generator_names, base.relators + tuple(extra)),
+                      expected_order)
 
 
 def _slot_map(group: FiniteGroup) -> EdgeBiregularMap:
@@ -46,9 +61,10 @@ def torus_rect(a: int, c: int) -> EdgeBiregularMap:
     regular exactly when the lattice is square (a == c)."""
     if a < 1 or c < 1:
         raise ValueError("torus_rect parameters must be positive")
+    order = _within_budget(4 * a * c)
     extra = [tuple([(_R0, 1), (_RHO2, 1)] * a),
              tuple([(_R2, 1), (_RHO0, 1)] * c)]
-    return _slot_map(_grid_quotient(extra, 4 * a * c))
+    return _slot_map(_grid_quotient(extra, order))
 
 
 def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
@@ -56,9 +72,10 @@ def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
     and (r0 rho2)^b (r2 rho0)^c.  Order 8bc; fully regular when b == c."""
     if b < 1 or c < 1:
         raise ValueError("torus_rhombic parameters must be positive")
+    order = _within_budget(8 * b * c)
     extra = [tuple([(_R0, 1), (_RHO2, 1)] * (2 * b)),
              tuple([(_R0, 1), (_RHO2, 1)] * b + [(_R2, 1), (_RHO0, 1)] * c)]
-    return _slot_map(_grid_quotient(extra, 8 * b * c))
+    return _slot_map(_grid_quotient(extra, order))
 
 
 def klein(a: int, b: int) -> EdgeBiregularMap:
@@ -69,9 +86,10 @@ def klein(a: int, b: int) -> EdgeBiregularMap:
         raise ValueError("klein parameter a must be positive")
     if b not in (1, 2):
         raise ValueError("klein parameter b must be 1 or 2")
+    order = _within_budget(4 * a * b)
     extra = [tuple([(_R2, 1), (_RHO0, 1)] * a + [(_R0, 1)]),
              tuple([(_R0, 1), (_RHO2, 1)] * b)]
-    return _slot_map(_grid_quotient(extra, 4 * a * b))
+    return _slot_map(_grid_quotient(extra, order))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +264,7 @@ def regular_catalog(name: str) -> RegularMap:
     elif name.startswith("hosohedron:") or name.startswith("dihedron:"):
         base, _, arg = name.partition(":")
         m = _positive_int(arg, name)
-        expected = 4 * m
+        expected = _within_budget(4 * m)
         pres = triangle_group(m, 2) if base == "hosohedron" else triangle_group(2, m)
     elif name.startswith("torus44:"):
         parts = name.split(":")
@@ -255,7 +273,7 @@ def regular_catalog(name: str) -> RegularMap:
         a = _positive_int(parts[1], name)
         b = _positive_int(parts[2][: -len("-rect")], name)
         g = gcd(a, b)
-        expected = 8 * g * g
+        expected = _within_budget(8 * g * g)
         base = triangle_group(4, 4)
         pres = GroupPresentation(
             base.generator_names,
@@ -263,9 +281,7 @@ def regular_catalog(name: str) -> RegularMap:
     else:
         raise ValueError(f"unknown catalog name {name!r}")
 
-    group = coset_enumerate(pres, max_cosets=16 * expected)
-    if group.order != expected:
-        raise RuntimeError(f"internal error: expected order {expected}, got {group.order}")
+    group = _enumerate(pres, expected)
     return RegularMap(group, group.generator_index("R0"), group.generator_index("R2"),
                       group.generator_index("R1"), name=name)
 

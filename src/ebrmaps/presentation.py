@@ -14,8 +14,9 @@ the right Cayley graph of the presented group, and its generator columns
 become the ``FiniteGroup`` directly.  The strategy is definition-driven with
 immediate deductions (Felsch style): always fill the lowest empty slot of the
 lowest live coset, and close relator cycles as soon as their last edge
-appears.  Coincidences are processed through a union-find with path
-compression.
+appears.  Each new entry is queued once, not with its mirror: the cycles
+through an edge are the same read from either end.  Coincidences are
+processed through a union-find with path compression.
 """
 
 from __future__ import annotations
@@ -375,6 +376,10 @@ def corner_monodromy_presentation() -> GroupPresentation:
 # ---------------------------------------------------------------------------
 
 class _CosetTable:
+    # An entry c --x--> d is queued as (c, x) alone, though its mirror
+    # d --inv_col[x]--> c is written with it.  The rotations that start with
+    # inv_col[x], scanned at d, are those that start with x, scanned at c,
+    # read backwards, so queueing the mirror would scan every cycle twice.
     def __init__(self, n_cols: int, inv_col: list[int], max_cosets: int):
         self.n_cols = n_cols
         self.inv_col = inv_col
@@ -384,8 +389,10 @@ class _CosetTable:
         self.alive = [True]
         self.live_count = 1
         self.deductions: list[tuple[int, int]] = []
-        # Rotations of relators (and their inverses) indexed by first letter.
-        self.rotations: list[list[tuple[int, ...]]] = [[] for _ in range(n_cols)]
+        # Rotations of relators (and their inverses) indexed by first letter,
+        # each paired with its inverse word, which is also a stored rotation.
+        self.rotations: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [
+            [] for _ in range(n_cols)]
         self.cursor = 0  # lowest row that might have an empty slot
 
     def find(self, c: int) -> int:
@@ -401,28 +408,14 @@ class _CosetTable:
             raise CosetLimitExceeded(
                 f"enumeration exceeded max_cosets={self.max_cosets}")
         d = len(self.table)
-        self.table.append([None] * self.n_cols)
+        row: list[Optional[int]] = [None] * self.n_cols
+        row[self.inv_col[x]] = c
+        self.table.append(row)
+        self.table[c][x] = d
         self.parent.append(d)
         self.alive.append(True)
         self.live_count += 1
-        self.set_entry(c, x, d)
-
-    def set_entry(self, c: int, x: int, d: int) -> None:
-        # Anchor at live representatives so no edge is recorded on a dead row.
-        c, d = self.find(c), self.find(d)
-        row = self.table[c]
-        if row[x] is not None:
-            if self.find(row[x]) != d:
-                self.coincidence(row[x], d)
-            return
-        mirror = self.table[d][self.inv_col[x]]
-        if mirror is not None and self.find(mirror) != c:
-            self.coincidence(mirror, c)
-            return
-        row[x] = d
-        self.table[d][self.inv_col[x]] = c
         self.deductions.append((c, x))
-        self.deductions.append((d, self.inv_col[x]))
 
     def coincidence(self, a: int, b: int) -> None:
         queue: list[int] = []
@@ -461,54 +454,56 @@ class _CosetTable:
                     self.table[u][x] = v
                     self.table[v][self.inv_col[x]] = u
                     self.deductions.append((u, x))
-                    self.deductions.append((v, self.inv_col[x]))
-
-    def scan(self, word: tuple[int, ...], alpha: int) -> None:
-        table = self.table
-        f, i = alpha, 0
-        while i < len(word):
-            nxt = table[f][word[i]]
-            if nxt is None:
-                break
-            f = nxt
-            i += 1
-        if i == len(word):
-            if f != alpha:
-                self.coincidence(f, alpha)
-            return
-        b, j = alpha, len(word)
-        while j > i:
-            prv = table[b][self.inv_col[word[j - 1]]]
-            if prv is None:
-                break
-            b = prv
-            j -= 1
-        if j == i:
-            if f != b:
-                self.coincidence(f, b)
-        elif j == i + 1:
-            self.set_entry(f, word[i], b)
 
     def process_deductions(self) -> None:
-        while self.deductions:
-            c, x = self.deductions.pop()
-            c = self.find(c)
-            if not self.alive[c] or self.table[c][x] is None:
+        """Scan every relator cycle through each queued entry at its live
+        end: forward to the first gap, then backward along the inverse word.
+        A closed cycle whose ends differ is a coincidence; a gap of one
+        letter is filled, and the new entry is queued."""
+        table, parent, alive = self.table, self.parent, self.alive
+        deductions, rotations = self.deductions, self.rotations
+        while deductions:
+            c, x = deductions.pop()
+            if parent[c] != c:
+                c = self.find(c)
+            if table[c][x] is None:
                 continue
-            for word in self.rotations[x]:
-                self.scan(word, c)
-                if not self.alive[c]:
-                    break
+            for word, back in rotations[x]:
+                f, i = c, 0
+                for y in word:
+                    nxt = table[f][y]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                gap = len(word) - i
+                b, k = c, 0
+                for y in back:
+                    if k == gap:
+                        break
+                    prv = table[b][y]
+                    if prv is None:
+                        break
+                    b = prv
+                    k += 1
+                if k == gap:
+                    if f != b:
+                        self.coincidence(f, b)
+                        if not alive[c]:
+                            break
+                elif k == gap - 1:
+                    # Both slots are empty: the scans stopped at them.
+                    table[f][word[i]] = b
+                    table[b][back[k]] = f
+                    deductions.append((f, word[i]))
 
     def next_empty(self) -> Optional[tuple[int, int]]:
+        table, alive = self.table, self.alive
         c = self.cursor
-        while c < len(self.table):
-            if self.alive[c]:
-                row = self.table[c]
-                for x in range(self.n_cols):
-                    if row[x] is None:
-                        self.cursor = c
-                        return c, x
+        while c < len(table):
+            if alive[c] and None in table[c]:
+                self.cursor = c
+                return c, table[c].index(None)
             c += 1
         self.cursor = c
         return None
@@ -533,45 +528,37 @@ def coset_enumerate(pres: GroupPresentation,
     too_many = f"relator rotations take more than {MAX_ROTATION_LETTERS} letters"
     if any(_length(word) > MAX_ROTATION_LETTERS for word in pres.relators):
         raise ValueError(too_many)  # before expanding, as one rotation is the word
-    letters = [_flatten(word) for word in pres.relators]
+    involutory = {word[0][0] for word in pres.relators
+                  if _length(word) == 2 and len({(idx, exp > 0) for idx, exp in word}) == 1}
 
-    involutory = set()
-    for word in letters:
-        if len(word) == 2 and word[0] == word[1]:
-            involutory.add(word[0][0])
-
-    col_of: dict[tuple[int, int], int] = {}
+    col_of: list[int] = []  # each generator's column; inv_col gives its inverse's
     inv_col: list[int] = []
     for i in range(ngens):
-        if i in involutory:
-            col = len(inv_col)
-            col_of[(i, 1)] = col
-            col_of[(i, -1)] = col
-            inv_col.append(col)
-        else:
-            col = len(inv_col)
-            col_of[(i, 1)] = col
-            col_of[(i, -1)] = col + 1
-            inv_col.extend([col + 1, col])
+        col_of.append(len(inv_col))
+        inv_col.extend([col_of[i]] if i in involutory else [col_of[i] + 1, col_of[i]])
 
     ct = _CosetTable(len(inv_col), inv_col, max_cosets)
 
-    seen_words = set()
-    stored = 0
-    for word in letters:
-        cols = tuple(col_of[letter] for letter in word)
+    stored: dict[tuple[int, ...], tuple[int, ...]] = {}  # each rotation, held once
+    letters = 0
+    for word in pres.relators:
+        expanded: list[int] = []
+        for idx, exp in word:
+            expanded += [col_of[idx] if exp > 0 else inv_col[col_of[idx]]] * abs(exp)
+        cols = tuple(expanded)
         if len(cols) == 2 and cols[0] == cols[1]:
             continue  # involution squares are built into the column structure
         inverse = tuple(inv_col[x] for x in reversed(cols))
         for base in (cols, inverse):
             for shift in range(_cyclic_period(base)):
-                rot = base[shift:] + base[:shift]
-                if rot not in seen_words:
-                    stored += len(rot)
-                    if stored > MAX_ROTATION_LETTERS:
+                rot = base[shift:] + base[:shift] if shift else base
+                if rot not in stored:
+                    letters += len(rot)
+                    if letters > MAX_ROTATION_LETTERS:
                         raise ValueError(too_many)
-                    seen_words.add(rot)
-                    ct.rotations[rot[0]].append(rot)
+                    stored[rot] = rot
+    for rot in stored:
+        ct.rotations[rot[0]].append((rot, stored[tuple(inv_col[x] for x in reversed(rot))]))
 
     while True:
         ct.process_deductions()
@@ -584,7 +571,7 @@ def coset_enumerate(pres: GroupPresentation,
     # arrays are the columns of the Cayley graph.
     live = [c for c in range(len(ct.table)) if ct.alive[c]]
     renumber = {c: i for i, c in enumerate(live)}
-    perms = [Permutation(renumber[ct.table[c][col_of[(i, 1)]]] for c in live)
+    perms = [Permutation(renumber[ct.table[c][col_of[i]]] for c in live)
              for i in range(ngens)]
     return FiniteGroup(len(live), pres.generator_names, perms, [p.images for p in perms])
 
@@ -595,11 +582,3 @@ def _cyclic_period(word: tuple[int, ...]) -> int:
     so only divisors are tried; the empty word has period 0."""
     n = len(word)
     return next((d for d in range(1, n + 1) if n % d == 0 and word[d:] + word[:d] == word), 0)
-
-
-def _flatten(word: Word) -> list[tuple[int, int]]:
-    out = []
-    for idx, exp in word:
-        sign = 1 if exp > 0 else -1
-        out.extend([(idx, sign)] * abs(exp))
-    return out

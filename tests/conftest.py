@@ -7,8 +7,13 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
-from ebrmaps import rotation_system_to_flagmap
+from ebrmaps import CosetLimitExceeded, rotation_system_to_flagmap
+
+# Derandomized, so that a property failure reproduces from the test log.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -227,3 +232,142 @@ def all_valid_quadruples(group, require_proper=False, require_distinct=False):
                         continue
                     quads.append(quad)
     return quads
+
+
+def felsch_reference(pres, max_cosets):
+    """The Felsch enumeration that queues both ends of every new table entry
+    and scans one rotation at a time.  Returns the (coset, column) sequence
+    of definitions, the one refused at the coset limit included, and either
+    the generator image lists on the live cosets or ``CosetLimitExceeded``."""
+    letters = []
+    for word in pres.relators:
+        letters.append([(idx, 1 if exp > 0 else -1) for idx, exp in word
+                        for _ in range(abs(exp))])
+    involutory = {w[0][0] for w in letters if len(w) == 2 and w[0] == w[1]}
+    col_of, inv_col = {}, []
+    for i in range(len(pres.generator_names)):
+        col = len(inv_col)
+        if i in involutory:
+            col_of[(i, 1)] = col_of[(i, -1)] = col
+            inv_col.append(col)
+        else:
+            col_of[(i, 1)], col_of[(i, -1)] = col, col + 1
+            inv_col.extend([col + 1, col])
+    n_cols = len(inv_col)
+    rotations = [[] for _ in range(n_cols)]
+    seen = set()
+    for word in letters:
+        cols = tuple(col_of[letter] for letter in word)
+        if len(cols) == 2 and cols[0] == cols[1]:
+            continue
+        inverse = tuple(inv_col[x] for x in reversed(cols))
+        for base in (cols, inverse):
+            for shift in range(len(base)):
+                rot = base[shift:] + base[:shift]
+                if rot not in seen:
+                    seen.add(rot)
+                    rotations[rot[0]].append(rot)
+
+    table, parent, alive = [[None] * n_cols], [0], [True]
+    deductions, definitions = [], []
+    state = {"live": 1, "cursor": 0}
+
+    def find(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def coincidence(a, b):
+        queue = []
+
+        def merge(u, v):
+            u, v = find(u), find(v)
+            if u != v:
+                u, v = min(u, v), max(u, v)
+                parent[v] = u
+                alive[v] = False
+                state["live"] -= 1
+                queue.append(v)
+
+        merge(a, b)
+        for dead in queue:  # grows while it is walked
+            for x in range(n_cols):
+                d = table[dead][x]
+                if d is None:
+                    continue
+                table[d][inv_col[x]] = None
+                if alive[d] and d < state["cursor"]:
+                    state["cursor"] = d
+                u, v = find(dead), find(d)
+                if table[u][x] is not None:
+                    merge(v, table[u][x])
+                elif table[v][inv_col[x]] is not None:
+                    merge(u, table[v][inv_col[x]])
+                else:
+                    table[u][x], table[v][inv_col[x]] = v, u
+                    deductions.extend([(u, x), (v, inv_col[x])])
+
+    def set_entry(c, x, d):
+        c, d = find(c), find(d)
+        if table[c][x] is not None:
+            if find(table[c][x]) != d:
+                coincidence(table[c][x], d)
+            return
+        mirror = table[d][inv_col[x]]
+        if mirror is not None and find(mirror) != c:
+            coincidence(mirror, c)
+            return
+        table[c][x], table[d][inv_col[x]] = d, c
+        deductions.extend([(c, x), (d, inv_col[x])])
+
+    def scan(word, alpha):
+        f, i = alpha, 0
+        while i < len(word) and table[f][word[i]] is not None:
+            f, i = table[f][word[i]], i + 1
+        if i == len(word):
+            if f != alpha:
+                coincidence(f, alpha)
+            return
+        b, j = alpha, len(word)
+        while j > i and table[b][inv_col[word[j - 1]]] is not None:
+            b, j = table[b][inv_col[word[j - 1]]], j - 1
+        if j == i:
+            if f != b:
+                coincidence(f, b)
+        elif j == i + 1:
+            set_entry(f, word[i], b)
+
+    while True:
+        while deductions:
+            c, x = deductions.pop()
+            c = find(c)
+            if not alive[c] or table[c][x] is None:
+                continue
+            for word in rotations[x]:
+                scan(word, c)
+                if not alive[c]:
+                    break
+        c = state["cursor"]
+        while c < len(table) and not (alive[c] and None in table[c]):
+            c += 1
+        state["cursor"] = c
+        if c == len(table):
+            break
+        x = table[c].index(None)
+        definitions.append((c, x))
+        if state["live"] >= max_cosets:
+            return definitions, CosetLimitExceeded
+        d = len(table)
+        table.append([None] * n_cols)
+        parent.append(d)
+        alive.append(True)
+        state["live"] += 1
+        set_entry(c, x, d)
+
+    live = [c for c in range(len(table)) if alive[c]]
+    renumber = {c: i for i, c in enumerate(live)}
+    return definitions, [[renumber[table[c][col_of[(i, 1)]]] for c in live]
+                         for i in range(len(pres.generator_names))]

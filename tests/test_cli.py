@@ -85,6 +85,13 @@ def test_analyze_budget_exit_code(capsys):
     assert "max_cosets" in err
 
 
+def test_family_above_the_coset_budget_exits_2_at_once(capsys):
+    code, out, err = run(capsys, "analyze", "--family", "torus-rect",
+                         "--params", "a=1000,c=1000")
+    assert code == 2 and out == ""
+    assert err == "error: order 4000000 is above max_cosets=1000000\n"
+
+
 def test_enumerate_dih8(capsys):
     code, out, _ = run(capsys, "enumerate", "--group", "dih:8", "--proper",
                        "--distinct", "--chi-max", "-1")

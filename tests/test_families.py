@@ -278,3 +278,24 @@ def test_unknown_catalog_name():
         regular_catalog("teapot")
     with pytest.raises(ValueError, match="unknown catalog"):
         regular_catalog("hosohedron:x")
+
+
+def test_constructors_refuse_orders_above_the_coset_budget(monkeypatch):
+    import ebrmaps.families as families
+    from ebrmaps import CosetLimitExceeded
+    from ebrmaps.presentation import DEFAULT_MAX_COSETS
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("coset_enumerate called")
+
+    monkeypatch.setattr(families, "coset_enumerate", unreachable)
+    over = [lambda: torus_rect(1000, 1000), lambda: torus_rhombic(500, 251),
+            lambda: klein(250001, 1), lambda: regular_catalog("hosohedron:250001"),
+            lambda: regular_catalog("dihedron:250001"),
+            lambda: regular_catalog("torus44:354:708-rect")]  # 8 * 354**2
+    for build in over:
+        with pytest.raises(CosetLimitExceeded, match=f"above max_cosets={DEFAULT_MAX_COSETS}"):
+            build()
+    # An order at the budget itself goes on to the enumeration.
+    with pytest.raises(AssertionError, match="coset_enumerate called"):
+        torus_rect(500, 500)

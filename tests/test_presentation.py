@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebrmaps import (
     CosetLimitExceeded,
@@ -8,12 +9,13 @@ from ebrmaps import (
     corner_monodromy_presentation,
     coset_enumerate,
     dihedral_presentation,
+    ebr_type_presentation,
     evaluate_word,
     parse_presentation,
     square_grid_group,
     triangle_group,
 )
-from conftest import cube_rotation_system
+from conftest import cube_rotation_system, felsch_reference
 from ebrmaps import rotation_system_to_flagmap
 
 
@@ -291,6 +293,21 @@ def test_dihedral_relators_up_to_the_coset_limit_stay_within_budget():
     assert pres.relators[2] == dihedral_presentation(DEFAULT_MAX_COSETS // 2).relators[2]
 
 
+def test_rotation_table_holds_relator_letters_once():
+    import tracemalloc
+
+    # (a b)^100000 stores two rotations of 200,000 letters, 3.2 MB of tuples.
+    pres = parse_presentation("< a, b | a^2, b^2, (a b)^100000 >")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CosetLimitExceeded):
+            coset_enumerate(pres, max_cosets=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_cyclic_period_counts_the_distinct_rotations():
     from itertools import product
 
@@ -305,3 +322,78 @@ def test_cyclic_period_counts_the_distinct_rotations():
 
 def test_empty_relator_is_trivial():
     assert coset_enumerate(GroupPresentation(("a",), ((), ((0, 3),)))).order == 3
+
+
+# ---------------------------------------------------------------------------
+# The Felsch loop against the reference that queues both ends of each entry
+# ---------------------------------------------------------------------------
+
+
+def _check_against_reference(pres, max_cosets):
+    import ebrmaps.presentation as presentation
+
+    definitions, define = [], presentation._CosetTable.define
+
+    def recording(table, c, x):
+        definitions.append((c, x))
+        define(table, c, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(presentation._CosetTable, "define", recording)
+        try:
+            group = coset_enumerate(pres, max_cosets=max_cosets)
+        except CosetLimitExceeded:
+            group = None
+    outcome = CosetLimitExceeded if group is None else [list(p.images) for p in group.generators]
+    assert (definitions, outcome) == felsch_reference(pres, max_cosets)
+    for word in pres.relators if group else ():
+        assert evaluate_word(word, list(group.generators)).is_identity()
+
+
+def _random_quotients(count):
+    import random
+
+    rng = random.Random(271828)
+    base = triangle_group(3, 4)
+    for _ in range(count):
+        extra = tuple(tuple((rng.randrange(3), rng.choice((1, -1, 2)))
+                            for _ in range(rng.randint(1, 6)))
+                      for _ in range(rng.randint(1, 2)))
+        yield GroupPresentation(base.generator_names, base.relators + extra)
+
+
+ORACLE_CASES = {
+    **{f"dihedral({m})": dihedral_presentation(m) for m in (1, 2, 3, 7, 40)},
+    **{f"triangle({k},{l})": triangle_group(k, l)
+       for k, l in ((2, 3), (3, 3), (3, 5), (3, 7), (4, 4))},
+    **{f"ebr_type({k},{l})": ebr_type_presentation(k, l) for k, l in ((2, 6), (4, 4), (4, 6))},
+    **{text: parse_presentation(text) for text in (
+        "< a, b | a^2, b^2, (a b)^5, (b a)^5, (a b)^10, a b a b a b a b a b >",
+        "< a, b | a^4, a^2 b^-2, b^-1 a b a >",
+        "< a, b | a^2, b^3, (a b)^4 >",
+        "< a, b | a^2, b^3, a b a^-1 b^-1 >",
+        "< a, b | a^3, b^3, (a b)^3, (a b^-1)^3 >",
+        "< a | a >",
+    )},
+    **{f"quotient{i}": pres for i, pres in enumerate(_random_quotients(12))},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_felsch_loop_defines_as_the_reference(name):
+    _check_against_reference(ORACLE_CASES[name], max_cosets=1500)
+
+
+_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(bool)),
+                  min_size=1, max_size=6)
+
+
+@settings(max_examples=150)
+@given(ngens=st.integers(1, 3), relators=st.lists(_words, min_size=1, max_size=4),
+       max_cosets=st.integers(1, 60))
+def test_felsch_loop_defines_as_the_reference_on_random_presentations(
+        ngens, relators, max_cosets):
+    pres = GroupPresentation(
+        tuple("abc"[:ngens]),
+        tuple(tuple((idx % ngens, exp) for idx, exp in word) for word in relators))
+    _check_against_reference(pres, max_cosets)
