@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 from . import constructions, families
 from .ebr_core import SLOT_NAMES, EdgeBiregularMap
 from .enumeration import (
+    CATALOG_PREFIXES,
+    DEFAULT_CANDIDATE_BUDGET,
     CandidateBudgetExceeded,
     catalog_group,
     classify_report,
@@ -142,7 +144,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     source = args.group
-    if os.path.exists(source):
+    # A name in the catalog grammar is never read as a file.
+    if not source.startswith(CATALOG_PREFIXES) and os.path.exists(source):
         pres = parse_presentation(_presentation_text(source))
         group = coset_enumerate(pres, max_cosets=args.max_cosets)
     else:
@@ -266,13 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="classify structures over a group")
     p.add_argument("--group", required=True,
-                   help="catalog name (dih:n, dihxc2:n, c2^k) or presentation file")
+                   help="catalog name (dih:n, dihxc2:n, c2^k; never read as a file) "
+                        "or presentation file")
     p.add_argument("--proper", action="store_true", help="exclude semi-edge maps")
     p.add_argument("--distinct", action="store_true",
                    help="require four distinct slot elements")
     p.add_argument("--chi-max", type=int, default=None,
                    help="keep maps with chi at most this value")
-    p.add_argument("--max-candidates", type=int, default=10**7)
+    p.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_BUDGET,
+                   help="most candidate quadruples to join: the (r0, r2) pairs least "
+                        "under conjugation times all (rho0, rho2) pairs")
     p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
                    help="coset enumeration budget for --group FILE")
     p.set_defaults(func=_cmd_enumerate)

@@ -1,17 +1,15 @@
 """Exhaustive enumeration of edge-biregular structures over a finite group.
 
 Candidates are ordered pairs of commuting involutions for (r0, r2) and
-(rho0, rho2) joined into quadruples; the generation check runs last since it
-is the most expensive filter.  Two quadruples describe isomorphic maps when an
-automorphism of the group carries one onto the other, so deduplication keeps
-the lexicographically least quadruple of each Aut(H)-orbit.  Aut(H) is listed
-once as element-index maps, by extending one generating quadruple onto every
-quadruple of involutions with the same orders of pairwise products; a
-lexicographic sweep then takes each unmarked candidate as a representative
-and marks its orbit (McKay, "Isomorph-free exhaustive generation",
+(rho0, rho2) joined into quadruples.  Two generating quadruples describe
+isomorphic maps exactly when they have the same Cayley form
+(``perm_group.cayley_form``), so the sweep keys candidates by their form and
+keeps the first quadruple of each key in lexicographic order; that is the
+least quadruple of its automorphism class.  Only first pairs that are least
+under conjugation by the group are joined, since the least quadruple of a
+class starts with one (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998).  The classification report keys each map by the least
-Cayley form (``perm_group.cayley_form``) of its quadruple under the twin and
-dual slot permutations, and lists no automorphisms.
+Cayley form of its quadruple under the twin and dual slot permutations.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap
-from .perm_group import (FiniteGroup, Permutation, cayley_form, closure, extend_generator_map,
-                         is_dihedral)
+from .perm_group import FiniteGroup, Permutation, cayley_form, closure, is_dihedral
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
@@ -72,20 +69,24 @@ class _JoinCache:
         return hit
 
 
-def _automorphisms(group: FiniteGroup, source: tuple[int, ...]) -> list[list[int]]:
-    """Aut(H) as element-index maps.  ``source`` is a tuple of involutions
-    generating the group, so an automorphism is determined by its image of
-    ``source``: a tuple of involutions whose pairwise products have the same
-    orders as those of ``source`` (so equal and commuting slots stay so)."""
-    invs = group.involution_indices()
-    orders = [[group.element_order(group.mul(a, b)) for b in source] for a in source]
-    images: list[tuple[int, ...]] = [()]
-    for k in range(len(source)):
-        images = [image + (x,) for image in images for x in invs
-                  if all(group.element_order(group.mul(y, x)) == orders[j][k]
-                         for j, y in enumerate(image))]
-    extensions = (extend_generator_map(group, list(source), list(image)) for image in images)
-    return [aut for aut in extensions if aut is not None]
+def _least_under_conjugation(group: FiniteGroup,
+                             pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs (sorted) that are least in their orbit under conjugation by
+    the group; each orbit is walked by conjugating with the generators."""
+    conjugators = [(group.inv(col[0]), col[0]) for col in group.columns]
+    kept, seen = [], set()
+    for pair in pairs:
+        if pair not in seen:
+            kept.append(pair)
+            seen.add(pair)
+            orbit = [pair]
+            for x, y in orbit:  # grows while it is walked
+                for g_inv, g in conjugators:
+                    image = (group.mul(group.mul(g_inv, x), g), group.mul(group.mul(g_inv, y), g))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+    return kept
 
 
 def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
@@ -95,30 +96,32 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
 
     Returns validated maps for the lexicographically least quadruple of each
     automorphism class, sorted by slot indices.  ``chi_max`` keeps only maps
-    with Euler characteristic at most that value.
+    with Euler characteristic at most that value.  ``max_candidates`` bounds
+    the quadruples joined: first pairs kept times all pairs.
     """
     pairs = _commuting_involution_pairs(group, require_proper)
-    if len(pairs) ** 2 > max_candidates:
+    # The least quadruple of a class is least under every inner automorphism.
+    firsts = _least_under_conjugation(group, pairs)
+    joined = len(firsts) * len(pairs)
+    if joined > max_candidates:
         raise CandidateBudgetExceeded(
-            f"{len(pairs) ** 2} candidate quadruples exceed the budget {max_candidates}")
+            f"{joined} candidate quadruples exceed the budget {max_candidates}")
     cache = _JoinCache(group)
-    quads = sorted(r_pair + p_pair for r_pair in pairs for p_pair in pairs
-                   if not (require_distinct and len(set(r_pair + p_pair)) < 4)
-                   and cache.generates(r_pair, p_pair))
-    if not quads:
-        return []
-    auts = _automorphisms(group, quads[0])
     maps = []
-    marked: set[tuple[int, ...]] = set()
-    for quad in quads:
-        if quad in marked:
-            continue
-        # The first unmarked quad is the least of its orbit; chi is constant
-        # on the orbit, so the filter applies to representatives only.
-        marked.update(tuple(aut[i] for i in quad) for aut in auts)
-        m = EdgeBiregularMap(group, *quad)
-        if chi_max is None or m.chi() <= chi_max:
-            maps.append(m)
+    keys: set[tuple] = set()
+    # Both lists are sorted, so quadruples come in lex order and the first of
+    # each Cayley form is the least of its class; chi is constant on a class.
+    for r_pair in firsts:
+        for p_pair in pairs:
+            quad = r_pair + p_pair
+            if require_distinct and len(set(quad)) < 4 or not cache.generates(r_pair, p_pair):
+                continue
+            key = cayley_form(group, quad)[1]
+            if key not in keys:
+                keys.add(key)
+                m = EdgeBiregularMap(group, *quad)
+                if chi_max is None or m.chi() <= chi_max:
+                    maps.append(m)
     return maps
 
 
@@ -274,6 +277,9 @@ def _dihedral_times_c2(n: int) -> FiniteGroup:
 def _elementary_abelian(k: int) -> FiniteGroup:
     gens = [Permutation.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)]
     return closure(gens, names=[f"t{i}" for i in range(k)], max_order=2 ** k)
+
+
+CATALOG_PREFIXES = ("dih:", "dihxc2:", "c2^")  # the names catalog_group reads
 
 
 def catalog_names() -> list[str]:

@@ -255,8 +255,9 @@ def regular_catalog(name: str) -> RegularMap:
 
     Names: the five platonic solids, ``hosohedron:m`` (type (m, 2)),
     ``dihedron:m`` (type (2, m)), and ``torus44:a:b-rect`` (the square-grid
-    torus map; the normal closure of the two translation relators collapses
-    the lattice to gcd(a, b), so the result has order 8*gcd(a, b)**2).
+    torus map; the 90-degree rotation conjugates the X translation to the Y
+    one, so the normal closure of X^a and Y^b is that of X^g and Y^g with
+    g = gcd(a, b), and the result has order 8*g**2).
     """
     if name in _PLATONIC:
         k, l, expected = _PLATONIC[name]
@@ -277,7 +278,7 @@ def regular_catalog(name: str) -> RegularMap:
         base = triangle_group(4, 4)
         pres = GroupPresentation(
             base.generator_names,
-            base.relators + (_T44_X * a, _T44_Y * b))
+            base.relators + (_T44_X * g, _T44_Y * g))
     else:
         raise ValueError(f"unknown catalog name {name!r}")
 

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from ebrmaps import CosetLimitExceeded, rotation_system_to_flagmap
+from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, extend_generator_map,
+                     rotation_system_to_flagmap)
+from ebrmaps.enumeration import _commuting_involution_pairs, _JoinCache
 
 # Derandomized, so that a property failure reproduces from the test log.
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -232,6 +234,47 @@ def all_valid_quadruples(group, require_proper=False, require_distinct=False):
                         continue
                     quads.append(quad)
     return quads
+
+
+def _automorphisms(group, source):
+    """Aut(H) as element-index maps.  ``source`` is a tuple of involutions
+    generating the group, so an automorphism is determined by its image of
+    ``source``: a tuple of involutions whose pairwise products have the same
+    orders as those of ``source`` (so equal and commuting slots stay so)."""
+    invs = group.involution_indices()
+    orders = [[group.element_order(group.mul(a, b)) for b in source] for a in source]
+    images = [()]
+    for k in range(len(source)):
+        images = [image + (x,) for image in images for x in invs
+                  if all(group.element_order(group.mul(y, x)) == orders[j][k]
+                         for j, y in enumerate(image))]
+    extensions = (extend_generator_map(group, list(source), list(image)) for image in images)
+    return [aut for aut in extensions if aut is not None]
+
+
+def aut_orbit_representatives(group, require_proper=False, require_distinct=False,
+                              chi_max=None):
+    """Reference sweep: list Aut(H), join every pair with every pair, and take
+    each quadruple not yet marked in lex order as the representative of its
+    Aut(H)-orbit, marking the whole orbit.  Returns the representatives'
+    quadruples (those with chi at most ``chi_max``)."""
+    pairs = _commuting_involution_pairs(group, require_proper)
+    cache = _JoinCache(group)
+    quads = sorted(r_pair + p_pair for r_pair in pairs for p_pair in pairs
+                   if not (require_distinct and len(set(r_pair + p_pair)) < 4)
+                   and cache.generates(r_pair, p_pair))
+    if not quads:
+        return []
+    auts = _automorphisms(group, quads[0])
+    reps = []
+    marked = set()
+    for quad in quads:
+        if quad in marked:
+            continue
+        marked.update(tuple(aut[i] for i in quad) for aut in auts)
+        if chi_max is None or EdgeBiregularMap(group, *quad).chi() <= chi_max:
+            reps.append(quad)
+    return reps
 
 
 def felsch_reference(pres, max_cosets):

@@ -239,3 +239,15 @@ def test_criterion_10_enumeration_matches_quadratic_oracle():
         slow = pairwise_representatives(group, all_valid_quadruples(group))
         assert fast == slow, name
     _report(10, f"representatives equal the pairwise oracle on {len(small)} groups")
+
+
+def test_criterion_11_dihedral_table_for_every_even_m_to_100():
+    for m in range(4, 101, 2):
+        group = catalog_group(f"dih:{2 * m}")
+        maps = enumerate_ebr(group, require_proper=True, require_distinct=True,
+                             chi_max=-1)
+        report = classify_report(maps)
+        assert not report.discrepancies, m
+        rows = {1, 2, 3, 4} if (m // 2) % 2 == 1 else {1, 3}
+        assert {c.table_row for c in report.classes} == rows, m
+    _report(11, "dihedral table rows found for every even m from 4 to 100")

@@ -111,6 +111,21 @@ def test_enumerate_from_presentation_file(capsys, tmp_path):
     assert sorted(c["table_row"] for c in json.loads(out)) == [1, 2, 3, 4]
 
 
+def test_catalog_name_is_not_shadowed_by_a_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dih:8").write_text("< a | a^3 >")
+    code, out, _ = run(capsys, "enumerate", "--group", "dih:8", "--proper",
+                       "--distinct", "--chi-max", "-1")
+    assert code == 0
+    assert sorted(c["table_row"] for c in json.loads(out)) == [1, 3]
+
+
+def test_enumerate_unknown_group_name(capsys):
+    code, out, err = run(capsys, "enumerate", "--group", "teapot")
+    assert code == 1 and out == ""
+    assert err == "error: unknown catalog group 'teapot'\n"
+
+
 def test_construct_cube_construction3(capsys):
     code, out, _ = run(capsys, "construct", "--catalog", "cube",
                        "--construction", "3")

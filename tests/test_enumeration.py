@@ -12,8 +12,10 @@ from ebrmaps import (
     enumerate_ebr,
     is_dihedral,
     regular_catalog,
+    torus_rect,
 )
-from conftest import all_valid_quadruples, pairwise_class_sizes, pairwise_representatives
+from conftest import (all_valid_quadruples, aut_orbit_representatives, pairwise_class_sizes,
+                      pairwise_representatives)
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -61,6 +63,26 @@ def test_deduplication_matches_pairwise_oracle(name):
     g = catalog_group(name)
     fast = [m.slot_indices for m in enumerate_ebr(g)]
     assert fast == pairwise_representatives(g, all_valid_quadruples(g))
+
+
+FLAG_SETS = {
+    "none": {},
+    "proper": {"require_proper": True},
+    "proper-distinct-chi-1": {"require_proper": True, "require_distinct": True, "chi_max": -1},
+}
+SWEEP_GROUPS = {name: (lambda name=name: catalog_group(name)) for name in catalog_names()}
+SWEEP_GROUPS["torus_rect(4,4)"] = lambda: torus_rect(4, 4).group
+SWEEP_CASES = [(name, flags) for name in SWEEP_GROUPS for flags in FLAG_SETS]
+# One flag set at order 144: the reference sweep takes about 5 s there.
+SWEEP_GROUPS["torus_rect(6,6)"] = lambda: torus_rect(6, 6).group
+SWEEP_CASES.append(("torus_rect(6,6)", "proper"))
+
+
+@pytest.mark.parametrize("name, flags", SWEEP_CASES)
+def test_sweep_matches_aut_orbit_reference(name, flags):
+    group = SWEEP_GROUPS[name]()
+    found = [m.slot_indices for m in enumerate_ebr(group, **FLAG_SETS[flags])]
+    assert found == aut_orbit_representatives(group, **FLAG_SETS[flags])
 
 
 def test_enumerated_quadruples_are_valid():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -271,6 +272,34 @@ def test_torus44_catalog():
     assert r.chi == 0
     # mismatched translation lengths collapse to the gcd lattice
     assert regular_catalog("torus44:4:2-rect").group.order == 32
+
+
+def _translation_power(group, letters, n):
+    """The element reached from the identity by the word ``letters`` (column
+    indices of the triangle-group generators R0, R2, R1) repeated n times."""
+    x = 0
+    for _ in range(n):
+        for col in letters:
+            x = group.columns[col][x]
+    return x
+
+
+def test_torus44_builds_on_the_gcd_lattice():
+    r0, r2, r1 = 0, 1, 2  # column order of triangle_group's generators
+    translation_x, translation_y = (r1, r2, r1, r0), (r2, r1, r0, r1)
+    for a in range(1, 13):
+        for b in range(1, 13):
+            g = gcd(a, b)
+            group = regular_catalog(f"torus44:{a}:{b}-rect").group
+            assert group.columns == regular_catalog(f"torus44:{g}:{g}-rect").group.columns
+            # The name's own relators hold, in a group of the order they define.
+            assert group.order == 8 * g * g
+            assert _translation_power(group, translation_x, a) == 0
+            assert _translation_power(group, translation_y, b) == 0
+
+
+def test_torus44_with_a_long_side_and_gcd_one_has_order_8():
+    assert regular_catalog("torus44:1000000:1-rect").group.order == 8
 
 
 def test_unknown_catalog_name():
