@@ -3,7 +3,8 @@
 A library for maps carrying an alternate-edge-colouring whose
 colour-preserving automorphism group acts regularly on corners.  Such a map
 is a finite group with four involutory generator slots; this package builds
-them from presentations (via coset enumeration) or explicit permutations,
+them from presentations (via coset enumeration) or permutations, writes the
+classified families down as Cayley graphs of quotients of affine groups,
 computes their topological invariants, and classifies them over small groups.
 """
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input or validation error, 2 resource bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,7 +259,9 @@ def _add_map_source(parser: argparse.ArgumentParser) -> None:
                         help="coset enumeration budget for --presentation")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(prog="ebrmaps",
                                      description="Edge-biregular map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

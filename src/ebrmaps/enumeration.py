@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap
-from .perm_group import FiniteGroup, Permutation, cayley_form, closure, is_dihedral
+from .families import affine_quotient
+from .perm_group import (DEFAULT_MAX_ORDER, FiniteGroup, GroupTooLargeError, Permutation,
+                         cayley_form, closure, is_dihedral)
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
@@ -246,32 +248,21 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
 # Built-in group catalog
 # ---------------------------------------------------------------------------
 
-def _dihedral_group(n: int) -> FiniteGroup:
-    """Dihedral group of order n (n even), on explicit permutations."""
+def _dihedral_group(n: int, times_c2: bool = False) -> FiniteGroup:
+    """Dihedral group of order n (n even) as Z/(n/2) ⋊ C2, with a: x -> -x and
+    b: x -> 1 - x; times C2 (z, a translation of a second coordinate mod 2)
+    when asked."""
     if n < 2 or n % 2 != 0:
         raise ValueError("dihedral order must be even and at least 2")
-    if n == 2:
-        a = b = Permutation((1, 0))
-    elif n == 4:
-        a = Permutation.from_cycles(4, [(0, 1)])
-        b = Permutation.from_cycles(4, [(2, 3)])
-    else:
-        half = n // 2
-        a = Permutation((-i) % half for i in range(half))
-        b = Permutation((1 - i) % half for i in range(half))
-    return closure([a, b], names=["a", "b"], max_order=n)
-
-
-def _dihedral_times_c2(n: int) -> FiniteGroup:
-    base = _dihedral_group(n)
-    d = base.degree
-
-    def lift(p: Permutation) -> Permutation:
-        return Permutation(list(p.images) + [d, d + 1])
-
-    z = Permutation(list(range(d)) + [d + 1, d])
-    gens = [lift(base.generator("a")), lift(base.generator("b")), z]
-    return closure(gens, names=["a", "b", "z"], max_order=2 * n)
+    order = 2 * n if times_c2 else n
+    if order > DEFAULT_MAX_ORDER:
+        raise GroupTooLargeError(f"group too large: order {order} is above "
+                                 f"max_order={DEFAULT_MAX_ORDER}")
+    flip = (-1, 0, 0, 1)
+    gens = [(flip, (0, 0)), (flip, (1, 0))]
+    if not times_c2:
+        return affine_quotient(("a", "b"), gens, (n // 2, 0, 1))
+    return affine_quotient(("a", "b", "z"), gens + [((1, 0, 0, 1), (0, 1))], (n // 2, 0, 2))
 
 
 def _elementary_abelian(k: int) -> FiniteGroup:
@@ -294,7 +285,7 @@ def catalog_group(name: str) -> FiniteGroup:
     if name.startswith("dih:"):
         return _dihedral_group(int(name.split(":")[1]))
     if name.startswith("dihxc2:"):
-        return _dihedral_times_c2(int(name.split(":")[1]))
+        return _dihedral_group(int(name.split(":")[1]), times_c2=True)
     if name.startswith("c2^"):
         k = int(name[3:])
         if not 1 <= k <= 3:

@@ -1,40 +1,110 @@
 """Constructors for every classified family of edge-biregular maps.
 
-Euclidean families (torus and Klein bottle) are built from presentations via
-coset enumeration; the dihedral families and the sphere families are built
-from explicit permutations, deliberately independent of the enumeration code
-path so that cross-checks between the two routes are meaningful.
+Each family group is written down as the right Cayley graph of a quotient
+(Z²/L) ⋊ P of affine maps, in O(order), by ``affine_quotient``.  For type
+(4,4) the four slot involutions generate D∞ × D∞ = Z² ⋊ C2², the
+reflections in the sides of a rectangle, so the torus and Klein-bottle maps
+are quotients (Z²/L) ⋊ C2² and the square-grid catalog map is
+(Z²/gZ²) ⋊ D4.  The dihedral and sphere families are quotients of
+Z ⋊ C2, some times C2.  The other catalog maps are built by coset
+enumeration of triangle-group quotients.  The tests check the columns
+against coset enumeration of the defining relators and against closure of
+explicit permutations.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from typing import Optional, Sequence
 
 from .constructions import RegularMap
 from .ebr_core import EdgeBiregularMap
-from .perm_group import FiniteGroup, Permutation, closure
+from .perm_group import FiniteGroup, Permutation
 from .presentation import (
     DEFAULT_MAX_COSETS,
     CosetLimitExceeded,
     GroupPresentation,
-    Word,
     coset_enumerate,
-    ebr_type_presentation,
     triangle_group,
 )
 
 _SLOT_NAMES = ("r0", "r2", "rho0", "rho2")
-_R0, _R2, _RHO0, _RHO2 = range(4)
+
+# An affine map (x, y) -> (a x + b y + s, c x + d y + t) of Z², held as
+# ((a, b, c, d), (s, t)).
+Affine = tuple[tuple[int, int, int, int], tuple[int, int]]
+_IDENTITY, _FLIP_X, _FLIP_Y, _SWAP = (1, 0, 0, 1), (-1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0)
+
+# r0, r2, rho0, rho2: the reflections in the sides x = 0, y = 0, y = 1/2 and
+# x = 1/2 of a rectangle, so r0 rho2 and r2 rho0 are the unit translations.
+_RECTANGLE = ((_FLIP_X, (0, 0)), (_FLIP_Y, (0, 0)), (_FLIP_Y, (0, 1)), (_FLIP_X, (1, 0)))
 
 
 def _within_budget(order: int) -> int:
     """``order``, once a group of that order fits the default coset budget.
-    Constructors check it before they build a relator, whose length grows
-    with the order."""
+    Constructors check it before they build anything whose size grows with
+    the order."""
     if order > DEFAULT_MAX_COSETS:
         raise CosetLimitExceeded(
             f"order {order} is above max_cosets={DEFAULT_MAX_COSETS}")
     return order
+
+
+def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, int, int, int]:
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def affine_quotient(names: Sequence[str], generators: Sequence[Affine],
+                    lattice: tuple[int, int, int],
+                    central: Optional[Affine] = None) -> FiniteGroup:
+    """The group generated by the affine maps ``generators`` of Z² modulo the
+    translations in a lattice L, as its right Cayley graph.
+
+    Each generator's matrix is a signed permutation matrix that preserves L.
+    ``lattice`` is L in Hermite normal form (p, q, r): the rows (p, 0) and
+    (q, r), with 0 <= q < p.  The element with the m-th linear part of the
+    point group P and translation (x, y) reduced mod L, 0 <= x < p and
+    0 <= y < r, is numbered m*p*r + y*p + x.  ``central``, an involution
+    central in the group with a linear part other than the identity, is
+    identified with the identity: of the pair h, hz the element kept is the
+    one whose linear part comes first in P, and m counts the kept ones.
+    """
+    p, q, r = lattice
+    size = p * r
+
+    def moved(mat: tuple[int, ...], vec: tuple[int, int]) -> list[int]:
+        """Each translation's number after the affine map (mat, vec)."""
+        a, b, c, d = mat
+        s, t = vec
+        return [((y2 := c * x + d * y + t) % r) * p + (a * x + b * y + s - y2 // r * q) % p
+                for y in range(r) for x in range(p)]
+
+    linear = [_IDENTITY]
+    for m in linear:  # grows while it is walked
+        for mat, _ in generators:
+            image = _matmul(mat, m)
+            if image not in linear:
+                linear.append(image)
+    kept = [_IDENTITY]  # P, or a transversal of P mod the central linear part
+    for m in linear[1:]:
+        if central is None or _matmul(central[0], m) not in kept:
+            kept.append(m)
+
+    through_central = None if central is None else moved(*central)
+    columns = []
+    for mat, vec in generators:
+        shift = moved(mat, vec)  # h*g = (mat M, mat v + vec) for h = (M, v)
+        column: list[int] = []
+        for m in kept:
+            image = _matmul(mat, m)
+            if image in kept:
+                column += [kept.index(image) * size + x for x in shift]
+            else:  # h*g*z is kept instead of h*g
+                base = kept.index(_matmul(central[0], image)) * size
+                column += [base + through_central[x] for x in shift]
+        columns.append(column)
+    return FiniteGroup(len(column), names, [Permutation(col) for col in columns], columns)
 
 
 def _enumerate(pres: GroupPresentation, expected_order: int) -> FiniteGroup:
@@ -45,75 +115,53 @@ def _enumerate(pres: GroupPresentation, expected_order: int) -> FiniteGroup:
     return group
 
 
-def _grid_quotient(extra: list[Word], expected_order: int) -> FiniteGroup:
-    base = ebr_type_presentation(4, 4)
-    return _enumerate(GroupPresentation(base.generator_names, base.relators + tuple(extra)),
-                      expected_order)
-
-
 def _slot_map(group: FiniteGroup) -> EdgeBiregularMap:
     return EdgeBiregularMap(group, *(group.generator_index(name) for name in _SLOT_NAMES))
 
 
 def torus_rect(a: int, c: int) -> EdgeBiregularMap:
-    """Toroidal map from the rectangular lattice: extra relators
-    (r0 rho2)^a and (r2 rho0)^c.  Type (4,4), chi 0, order 4ac; fully
-    regular exactly when the lattice is square (a == c)."""
+    """Toroidal map from the rectangular lattice, the quotient by the
+    relators (r0 rho2)^a and (r2 rho0)^c: L = <(a, 0), (0, c)>.  Type (4,4),
+    chi 0, order 4ac; fully regular exactly when the lattice is square
+    (a == c)."""
     if a < 1 or c < 1:
         raise ValueError("torus_rect parameters must be positive")
-    order = _within_budget(4 * a * c)
-    extra = [tuple([(_R0, 1), (_RHO2, 1)] * a),
-             tuple([(_R2, 1), (_RHO0, 1)] * c)]
-    return _slot_map(_grid_quotient(extra, order))
+    _within_budget(4 * a * c)
+    return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (a, 0, c)))
 
 
 def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
-    """Toroidal map from the rhombic lattice: extra relators (r0 rho2)^2b
-    and (r0 rho2)^b (r2 rho0)^c.  Order 8bc; fully regular when b == c."""
+    """Toroidal map from the rhombic lattice, the quotient by the relators
+    (r0 rho2)^2b and (r0 rho2)^b (r2 rho0)^c: L = <(2b, 0), (b, c)>.  Order
+    8bc; fully regular when b == c."""
     if b < 1 or c < 1:
         raise ValueError("torus_rhombic parameters must be positive")
-    order = _within_budget(8 * b * c)
-    extra = [tuple([(_R0, 1), (_RHO2, 1)] * (2 * b)),
-             tuple([(_R0, 1), (_RHO2, 1)] * b + [(_R2, 1), (_RHO0, 1)] * c)]
-    return _slot_map(_grid_quotient(extra, order))
+    _within_budget(8 * b * c)
+    return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (2 * b, b, c)))
 
 
 def klein(a: int, b: int) -> EdgeBiregularMap:
-    """Klein-bottle map: extra relators (r2 rho0)^a r0 (a glide reflection,
-    odd length, hence non-orientable) and (r0 rho2)^b with b in {1, 2}.
-    Order 4ab; never fully regular."""
+    """Klein-bottle map, the quotient by the relators (r2 rho0)^a r0 (a glide
+    reflection, odd length, hence non-orientable) and (r0 rho2)^b with b in
+    {1, 2}: L = <(b, 0), (0, 2a)>, and the glide (x, y) -> (-x, y + a),
+    central when b <= 2, identified with the identity.  Order 4ab; never
+    fully regular."""
     if a < 1:
         raise ValueError("klein parameter a must be positive")
     if b not in (1, 2):
         raise ValueError("klein parameter b must be 1 or 2")
-    order = _within_budget(4 * a * b)
-    extra = [tuple([(_R2, 1), (_RHO0, 1)] * a + [(_R0, 1)]),
-             tuple([(_R0, 1), (_RHO2, 1)] * b)]
-    return _slot_map(_grid_quotient(extra, order))
+    _within_budget(4 * a * b)
+    glide = (_FLIP_X, (0, a))
+    return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (b, 0, 2 * a), glide))
 
 
 # ---------------------------------------------------------------------------
-# Dihedral families (explicit permutations)
+# Dihedral and sphere families: reflections x -> -x and x -> 1 - x of Z/n,
+# with a second coordinate mod 2 for a layer or pole swap
 # ---------------------------------------------------------------------------
 
-def _reflection(n: int, t: int) -> Permutation:
-    return Permutation((t - i) % n for i in range(n))
-
-def _power(p: Permutation, n: int) -> Permutation:
-    out = Permutation.identity(p.degree)
-    for _ in range(n):
-        out = out * p
-    return out
-
-def _rotation(n: int, j: int) -> Permutation:
-    return Permutation((i + j) % n for i in range(n))
-
-def _layered_reflection(p: int, t: int) -> Permutation:
-    return Permutation(((t - i) % p) + layer * p
-                       for layer in (0, 1) for i in range(p))
-
-def _layer_swap(p: int) -> Permutation:
-    return Permutation((i + p) % (2 * p) for i in range(2 * p))
+_REFLECT_0, _REFLECT_1 = (_FLIP_X, (0, 0)), (_FLIP_X, (1, 0))
+_SWAP_LAYERS = (_IDENTITY, (0, 1))
 
 
 def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
@@ -131,46 +179,16 @@ def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
         raise ValueError("row must be 1..4")
     if row in (2, 4) and (m // 2) % 2 == 0:
         raise ValueError(f"row {row} requires m/2 odd")
-
-    if row == 1:
-        z = _rotation(m, m // 2)
-        r0, rho0 = _reflection(m, 0), _reflection(m, 1)
-        r2, rho2 = r0 * z, rho0 * z
-    elif row == 2:
-        p = m // 2
-        z = _layer_swap(p)
-        r0, rho0 = _layered_reflection(p, 0), _layered_reflection(p, 1)
-        r2, rho2 = r0 * z, rho0 * z
-    elif row == 3:
-        z = _rotation(m, m // 2)
-        r2, rho2 = _reflection(m, 0), _reflection(m, 1)
-        rho0, r0 = z, z * r2
+    _within_budget(2 * m)
+    # Rows 1 and 3 act on Z/m, with z the half turn x -> x + m/2; rows 2 and
+    # 4 on Z/(m/2) x Z/2, with z the layer swap.  z is central: r z = z r.
+    lattice, z = ((m, 0, 1), (m // 2, 0)) if row in (1, 3) else ((m // 2, 0, 2), (0, 1))
+    reflect_0z, reflect_1z = (_FLIP_X, z), (_FLIP_X, (1 + z[0], z[1]))
+    if row in (1, 2):
+        slots = (_REFLECT_0, reflect_0z, _REFLECT_1, reflect_1z)
     else:
-        p = m // 2
-        z = _layer_swap(p)
-        r2, rho2 = _layered_reflection(p, 0), _layered_reflection(p, 1)
-        rho0, r0 = z, z * r2
-
-    group = closure([r0, r2, rho0, rho2], names=_SLOT_NAMES)
-    if group.order != 2 * m:
-        raise RuntimeError(f"internal error: expected order {2 * m}, got {group.order}")
-    return _slot_map(group)
-
-
-# ---------------------------------------------------------------------------
-# Sphere and projective-plane families (explicit permutations)
-# ---------------------------------------------------------------------------
-
-def _equator_and_poles(n: int, axes: tuple[int, int]):
-    """Two reflections of an n-gon equator plus the pole swap, each acting on
-    n + 2 points and fixing what it does not move."""
-    def lift(p: Permutation) -> Permutation:
-        return Permutation(list(p.images) + [n, n + 1])
-
-    refl_a = lift(_reflection(n, axes[0]))
-    refl_b = lift(_reflection(n, axes[1]))
-    swap = Permutation(list(range(n)) + [n + 1, n])
-    return refl_a, refl_b, swap
+        slots = (reflect_0z, _REFLECT_0, (_IDENTITY, z), _REFLECT_1)
+    return _slot_map(affine_quotient(_SLOT_NAMES, slots, lattice))
 
 
 def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
@@ -183,51 +201,23 @@ def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
         raise ValueError("m must be positive")
     if rpp and kind != "dipole":
         raise ValueError("rpp variant exists only for the dipole family")
-
+    # The reflections act on Z/m, the swap of the two poles (the face centres
+    # of the cycle, the vertices of the dipole) on a second coordinate mod 2.
     if kind == "cycle":
-        r0, rho0, swap = _equator_and_poles(2 * m, (1, 3))
-        slots = (r0, swap, rho0, swap)
-        expected = 4 * m
+        slots, lattice = (_REFLECT_0, _SWAP_LAYERS, _REFLECT_1, _SWAP_LAYERS), (m, 0, 2)
+    elif kind == "dipole" and rpp:
+        if m % 2 != 0:
+            raise ValueError("projective-plane dipole requires 4 | 2m")
+        half_turn = (_IDENTITY, (m // 2, 0))  # (r2 rho2)^(m/2)
+        slots, lattice = (half_turn, _REFLECT_0, half_turn, _REFLECT_1), (m, 0, 1)
     elif kind == "dipole":
-        if rpp:
-            if m % 2 != 0:
-                raise ValueError("projective-plane dipole requires 4 | 2m")
-            if m == 2:
-                r2 = Permutation.from_cycles(4, [(0, 1)])
-                rho2 = Permutation.from_cycles(4, [(2, 3)])
-            else:
-                r2, rho2 = _reflection(m, 0), _reflection(m, 1)
-            z = _power(r2 * rho2, m // 2)
-            slots = (z, r2, z, rho2)
-            expected = 2 * m
-        elif m == 1:
-            # A shaded/unshaded digon between two vertices; the reflections
-            # across the two edges coincide and swap the two faces.
-            swap = Permutation.from_cycles(4, [(0, 1)])
-            face_swap = Permutation.from_cycles(4, [(2, 3)])
-            slots = (swap, face_swap, swap, face_swap)
-            expected = 4
-        else:
-            r2, rho2, swap = _equator_and_poles(2 * m, (0, 2))
-            slots = (swap, r2, swap, rho2)
-            expected = 4 * m
+        slots, lattice = (_SWAP_LAYERS, _REFLECT_0, _SWAP_LAYERS, _REFLECT_1), (m, 0, 2)
     elif kind == "semistar":
-        if m == 1:
-            r2 = rho2 = Permutation((1, 0))
-        elif m == 2:
-            r2 = Permutation.from_cycles(4, [(0, 1)])
-            rho2 = Permutation.from_cycles(4, [(2, 3)])
-        else:
-            r2, rho2 = _reflection(m, 0), _reflection(m, 1)
-        slots = (r2, r2, rho2, rho2)
-        expected = 2 * m
+        slots, lattice = (_REFLECT_0, _REFLECT_0, _REFLECT_1, _REFLECT_1), (m, 0, 1)
     else:
         raise ValueError(f"unknown sphere family kind {kind!r}")
-
-    group = closure(list(slots), names=_SLOT_NAMES)
-    if group.order != expected:
-        raise RuntimeError(f"internal error: expected order {expected}, got {group.order}")
-    return _slot_map(group)
+    _within_budget(2 * lattice[0] * lattice[2])
+    return _slot_map(affine_quotient(_SLOT_NAMES, slots, lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -242,47 +232,42 @@ _PLATONIC = {
     "icosahedron": (5, 3, 120),
 }
 
-_R0T, _R2T, _R1T = 0, 1, 2  # generator indices in triangle_group presentations
-
-# Unit translations of the square grid as words in the (4,4) reflections.
-_T44_X = ((_R1T, 1), (_R2T, 1), (_R1T, 1), (_R0T, 1))
-_T44_Y = ((_R2T, 1), (_R1T, 1), (_R0T, 1), (_R1T, 1))
+# R0, R2, R1: the reflections in the lines x = 1/2, y = 0 and y = x of the
+# square grid, so R1 R2 R1 R0 and R2 R1 R0 R1 are the unit translations.
+_SQUARE_GRID = ((_FLIP_X, (1, 0)), (_FLIP_Y, (0, 0)), (_SWAP, (0, 0)))
 
 
 def regular_catalog(name: str) -> RegularMap:
-    """Named fully regular maps built by coset enumeration of the full
-    triangle group plus defining extra relators.
+    """Named fully regular maps: quotients of the full triangle group by
+    defining extra relators.
 
-    Names: the five platonic solids, ``hosohedron:m`` (type (m, 2)),
-    ``dihedron:m`` (type (2, m)), and ``torus44:a:b-rect`` (the square-grid
-    torus map; the 90-degree rotation conjugates the X translation to the Y
-    one, so the normal closure of X^a and Y^b is that of X^g and Y^g with
-    g = gcd(a, b), and the result has order 8*g**2).
+    Names: the five platonic solids, ``hosohedron:m`` (type (m, 2)) and
+    ``dihedron:m`` (type (2, m)), built by coset enumeration; and
+    ``torus44:a:b-rect``, the square-grid torus map, written down as
+    (Z²/gZ²) ⋊ D4.  The 90-degree rotation conjugates the X translation to
+    the Y one, so the normal closure of X^a and Y^b is that of X^g and Y^g
+    with g = gcd(a, b), and the result has order 8*g**2.
     """
-    if name in _PLATONIC:
-        k, l, expected = _PLATONIC[name]
-        pres = triangle_group(k, l)
-    elif name.startswith("hosohedron:") or name.startswith("dihedron:"):
-        base, _, arg = name.partition(":")
-        m = _positive_int(arg, name)
-        expected = _within_budget(4 * m)
-        pres = triangle_group(m, 2) if base == "hosohedron" else triangle_group(2, m)
-    elif name.startswith("torus44:"):
+    if name.startswith("torus44:"):
         parts = name.split(":")
         if len(parts) != 3 or not parts[2].endswith("-rect"):
             raise ValueError(f"unknown catalog name {name!r}")
         a = _positive_int(parts[1], name)
         b = _positive_int(parts[2][: -len("-rect")], name)
         g = gcd(a, b)
-        expected = _within_budget(8 * g * g)
-        base = triangle_group(4, 4)
-        pres = GroupPresentation(
-            base.generator_names,
-            base.relators + (_T44_X * g, _T44_Y * g))
+        _within_budget(8 * g * g)
+        group = affine_quotient(("R0", "R2", "R1"), _SQUARE_GRID, (g, 0, g))
+    elif name in _PLATONIC:
+        k, l, expected = _PLATONIC[name]
+        group = _enumerate(triangle_group(k, l), expected)
+    elif name.startswith("hosohedron:") or name.startswith("dihedron:"):
+        base, _, arg = name.partition(":")
+        m = _positive_int(arg, name)
+        expected = _within_budget(4 * m)
+        pres = triangle_group(m, 2) if base == "hosohedron" else triangle_group(2, m)
+        group = _enumerate(pres, expected)
     else:
         raise ValueError(f"unknown catalog name {name!r}")
-
-    group = _enumerate(pres, expected)
     return RegularMap(group, group.generator_index("R0"), group.generator_index("R2"),
                       group.generator_index("R1"), name=name)
 

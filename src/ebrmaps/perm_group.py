@@ -128,16 +128,17 @@ class FiniteGroup:
         self.generators = tuple(generators)
         # Breadth-first tree: f was first reached as parent[f] * via[f], and
         # found[f] is its index in the input.
-        found, number = [0], {0: 0}
+        n = len(columns[0])
+        found, number = [0], [0] + [-1] * (n - 1)
         self._parent, self._via = [0], [0]
         for e, x in enumerate(found):
             for g, col in enumerate(columns):
-                if col[x] not in number:
-                    number[col[x]] = len(found)
-                    found.append(col[x])
+                y = col[x]
+                if number[y] < 0:
+                    number[y] = len(found)
+                    found.append(y)
                     self._parent.append(e)
                     self._via.append(g)
-        n = len(columns[0])
         if len(found) != n:
             raise ValueError("the generators do not reach every element")
         self.columns = tuple([number[col[x]] for x in found] for col in columns)

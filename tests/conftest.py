@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, extend_generator_map,
-                     rotation_system_to_flagmap)
+from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, GroupPresentation, Permutation,
+                     closure, ebr_type_presentation, extend_generator_map,
+                     rotation_system_to_flagmap, triangle_group)
 from ebrmaps.enumeration import _commuting_involution_pairs, _JoinCache
 
 # Derandomized, so that a property failure reproduces from the test log.
@@ -414,3 +415,107 @@ def felsch_reference(pres, max_cosets):
     renumber = {c: i for i, c in enumerate(live)}
     return definitions, [[renumber[table[c][col_of[(i, 1)]]] for c in live]
                          for i in range(len(pres.generator_names))]
+
+
+def family_presentation(family, x, y):
+    """The defining relators of a (4,4) family map, the type presentation
+    plus two long relators; its coset enumeration is the oracle for the
+    affine writer.  ``family`` is torus_rect (x, y = a, c), torus_rhombic
+    (b, c) or klein (a, b)."""
+    r0, r2, rho0, rho2 = 0, 1, 2, 3
+    along_x, along_y = [(r0, 1), (rho2, 1)], [(r2, 1), (rho0, 1)]
+    extra = {
+        "torus_rect": (along_x * x, along_y * y),
+        "torus_rhombic": (along_x * (2 * x), along_x * x + along_y * y),
+        "klein": (along_y * x + [(r0, 1)], along_x * y),
+    }[family]
+    base = ebr_type_presentation(4, 4)
+    return GroupPresentation(base.generator_names, base.relators + tuple(map(tuple, extra)))
+
+
+def torus44_presentation(g):
+    """The triangle group (4,4) with the unit translations X = R1 R2 R1 R0
+    and Y = R2 R1 R0 R1 of the square grid raised to the g-th power."""
+    r0, r2, r1 = 0, 1, 2
+    translation_x = ((r1, 1), (r2, 1), (r1, 1), (r0, 1))
+    translation_y = ((r2, 1), (r1, 1), (r0, 1), (r1, 1))
+    base = triangle_group(4, 4)
+    return GroupPresentation(base.generator_names,
+                             base.relators + (translation_x * g, translation_y * g))
+
+
+def _reflection(n, t):
+    return Permutation((t - i) % n for i in range(n))
+
+
+def _two_reflections(n):
+    """x -> -x and x -> 1 - x on Z/n; as two commuting transpositions for
+    n = 2 and one transposition twice for n = 1, where Z/n is too small."""
+    if n == 1:
+        return Permutation((1, 0)), Permutation((1, 0))
+    if n == 2:
+        return Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(2, 3)])
+    return _reflection(n, 0), _reflection(n, 1)
+
+
+def _with_swap(perms):
+    """``perms`` lifted to two more points, and the swap of those points."""
+    d = perms[0].degree
+    lifted = [Permutation(list(p.images) + [d, d + 1]) for p in perms]
+    return lifted + [Permutation(list(range(d)) + [d + 1, d])]
+
+
+def dihedral_by_closure(n, times_c2=False):
+    """The dihedral group of order n (times C2) by closure of permutations,
+    as the catalog built it before it wrote the columns down."""
+    gens = list(_two_reflections(n // 2))
+    if not times_c2:
+        return closure(gens, names=["a", "b"])
+    return closure(_with_swap(gens), names=["a", "b", "z"])
+
+
+def _layered_reflection(p, t):
+    return Permutation(((t - i) % p) + layer * p for layer in (0, 1) for i in range(p))
+
+
+def dihedral_map_by_closure(m, row):
+    """The group and slots of ``dihedral_map(m, row)`` by closure of explicit
+    permutations of Z/m (rows 1, 3) or of two layers of Z/(m/2) (rows 2, 4),
+    as the family was built before its columns were written down."""
+    p = m // 2
+    if row in (1, 3):
+        z = Permutation((i + p) % m for i in range(m))
+        refl_0, refl_1 = _reflection(m, 0), _reflection(m, 1)
+    else:
+        z = Permutation((i + p) % (2 * p) for i in range(2 * p))
+        refl_0, refl_1 = _layered_reflection(p, 0), _layered_reflection(p, 1)
+    if row in (1, 2):
+        slots = (refl_0, refl_0 * z, refl_1, refl_1 * z)
+    else:
+        slots = (z * refl_0, refl_0, z, refl_1)
+    return closure(list(slots), names=("r0", "r2", "rho0", "rho2"))
+
+
+def sphere_family_by_closure(kind, m, rpp=False):
+    """The group and slots of ``sphere_family(kind, m, rpp)`` by closure of
+    reflections of an n-gon equator, each fixing two poles, and the pole swap;
+    as the family was built before its columns were written down."""
+    if kind == "cycle":
+        r0, rho0, swap = _with_swap([_reflection(2 * m, 1), _reflection(2 * m, 3)])
+        slots = (r0, swap, rho0, swap)
+    elif kind == "dipole" and rpp:
+        r2, rho2 = _two_reflections(m)
+        z = Permutation.identity(r2.degree)
+        for _ in range(m // 2):
+            z = z * r2 * rho2
+        slots = (z, r2, z, rho2)
+    elif kind == "dipole" and m == 1:
+        swap, face_swap = _two_reflections(2)
+        slots = (swap, face_swap, swap, face_swap)
+    elif kind == "dipole":
+        r2, rho2, swap = _with_swap([_reflection(2 * m, 0), _reflection(2 * m, 2)])
+        slots = (swap, r2, swap, rho2)
+    else:
+        r2, rho2 = _two_reflections(m)
+        slots = (r2, r2, rho2, rho2)
+    return closure(list(slots), names=("r0", "r2", "rho0", "rho2"))

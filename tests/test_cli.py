@@ -1,7 +1,10 @@
 import json
 import os
+import time
 
-from ebrmaps.cli import main
+import pytest
+
+from ebrmaps.cli import build_parser, main
 from conftest import FIXTURE_DIR
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
@@ -126,6 +129,15 @@ def test_enumerate_unknown_group_name(capsys):
     assert err == "error: unknown catalog group 'teapot'\n"
 
 
+@pytest.mark.parametrize("name", ["dih:4000000", "dihxc2:600000"])
+def test_enumerate_refuses_a_dihedral_group_above_the_order_budget(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--group", name)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: group too large: order ") and "above max_order=" in err
+
+
 def test_construct_cube_construction3(capsys):
     code, out, _ = run(capsys, "construct", "--catalog", "cube",
                        "--construction", "3")
@@ -218,3 +230,35 @@ def test_over_budget_relator_exits_1_with_one_line(capsys):
                          "< a, b | a^2, b^2, (a b)^1000000000000 >", "--slots", "a,b,a,b")
     assert code == 1 and out == ""
     assert err.startswith("error: relator longer than") and err.count("\n") == 1
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    calls = [
+        ["analyze", "--family", "torus-rect", "--params", "a=3,c=2"],
+        ["enumerate", "--group", "dih:8", "--proper"],
+        ["analyze", "--family", "torus-rect", "--params", "a=3"],
+        ["construct", "--catalog", "cube", "--construction", "2"],
+        ["enumerate"],
+        ["export", "--family", "klein", "--params", "a=3,b=1", "--dot", "corners",
+         "--out", str(tmp_path / "k.dot")],
+        ["colourable", "--flagmap", SPHERE_FIXTURE],
+        ["analyze", "--family", "klein", "--params", "a=3,b=1"],
+        ["construct", "--catalog", "cube", "--construction", "5"],
+        ["enumerate", "--group", "dih:8", "--chi-max", "-1"],
+        [],
+    ]
+
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        return code, out, err.splitlines()[-1:]
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    build_parser.cache_clear()
+    parser = build_parser()
+    for _ in range(2):
+        assert [outcome(argv) for argv in calls] == fresh
+    assert build_parser() is parser
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1]

@@ -14,8 +14,8 @@ from ebrmaps import (
     regular_catalog,
     torus_rect,
 )
-from conftest import (all_valid_quadruples, aut_orbit_representatives, pairwise_class_sizes,
-                      pairwise_representatives)
+from conftest import (all_valid_quadruples, aut_orbit_representatives, dihedral_by_closure,
+                      pairwise_class_sizes, pairwise_representatives)
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -242,6 +242,15 @@ def test_catalog_names_cover_spec_families():
     assert "dih:48" in names and "dih:2" in names
     assert "dihxc2:24" in names
     assert "c2^3" in names
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if n.startswith("dih")])
+def test_dihedral_catalog_columns_match_closure(name):
+    kind, _, n = name.partition(":")
+    reference = dihedral_by_closure(int(n), times_c2=kind == "dihxc2")
+    group = catalog_group(name)
+    assert group.generator_names == reference.generator_names
+    assert group.columns == reference.columns
 
 
 def test_catalog_group_orders():

@@ -5,6 +5,7 @@ import pytest
 
 from ebrmaps import (
     are_isomorphic,
+    coset_enumerate,
     dihedral_map,
     is_dihedral,
     klein,
@@ -13,7 +14,8 @@ from ebrmaps import (
     torus_rect,
     torus_rhombic,
 )
-from conftest import euler_formula
+from conftest import (dihedral_map_by_closure, euler_formula, family_presentation,
+                      sphere_family_by_closure, torus44_presentation)
 
 
 # -- torus -----------------------------------------------------------------
@@ -62,8 +64,59 @@ def test_torus_rhombic_orders_and_regularity(b, c):
     assert inv.fully_regular == (b == c)
 
 
+@pytest.mark.parametrize("b", [63, 64, 500])
+def test_torus_rhombic_with_a_long_first_side(b):
+    # The relator (r0 rho2)^2b once needed more than 16 * order cosets.
+    inv = torus_rhombic(b, 1).invariants()
+    assert inv.order == 8 * b
+    assert inv.chi == 0 and inv.orientable
+    assert not inv.fully_regular
+
+
 def test_rect_iso_to_swapped_parameters_after_dual():
     assert are_isomorphic(torus_rect(4, 2), torus_rect(2, 4).dual())
+
+
+# -- the affine writer against coset enumeration of the family relators -------
+
+FAMILIES = {"torus_rect": (torus_rect, 4), "torus_rhombic": (torus_rhombic, 8),
+            "klein": (klein, 4)}
+
+
+def family_parameters(max_order):
+    """Every (family, x, y) whose map has order at most ``max_order``."""
+    cases = []
+    for family, (_, scale) in FAMILIES.items():
+        seconds = (1, 2) if family == "klein" else range(1, max_order // scale + 1)
+        cases += [(family, x, y) for y in seconds for x in range(1, max_order // (scale * y) + 1)]
+    return cases
+
+
+def assert_matches_enumeration(family, x, y):
+    group = FAMILIES[family][0](x, y).group
+    oracle = coset_enumerate(family_presentation(family, x, y), max_cosets=16 * group.order)
+    assert group.columns == oracle.columns, (family, x, y)
+
+
+def test_family_columns_match_coset_enumeration_to_order_160():
+    cases = family_parameters(160)
+    assert len(cases) == 284
+    for case in cases:
+        assert_matches_enumeration(*case)
+
+
+@pytest.mark.parametrize("family,x,y", [("torus_rect", 20, 25), ("torus_rhombic", 10, 25),
+                                        ("klein", 64, 2)])
+def test_large_family_columns_match_coset_enumeration(family, x, y):
+    assert_matches_enumeration(family, x, y)
+
+
+def test_torus44_columns_match_coset_enumeration():
+    oracle = {g: coset_enumerate(torus44_presentation(g), max_cosets=128 * g * g).columns
+              for g in range(1, 13)}
+    for a in range(1, 13):
+        for b in range(1, 13):
+            assert regular_catalog(f"torus44:{a}:{b}-rect").group.columns == oracle[gcd(a, b)]
 
 
 # -- Klein bottle -------------------------------------------------------------
@@ -198,6 +251,17 @@ def test_every_negative_chi_is_realized():
         assert (inv.k, inv.l) == (2 * (2 - chi), 2 * (2 - chi))
 
 
+def assert_same_slot_group(m, reference):
+    assert m.group.columns == reference.columns
+    assert m.slot_indices == tuple(reference.columns[i][0] for i in range(4))
+
+
+@pytest.mark.parametrize("m", range(4, 41, 2))
+def test_dihedral_columns_match_permutation_closure(m):
+    for row in ((1, 3) if (m // 2) % 2 == 0 else (1, 2, 3, 4)):
+        assert_same_slot_group(dihedral_map(m, row), dihedral_map_by_closure(m, row))
+
+
 # -- sphere families --------------------------------------------------------------
 
 def test_cycle_m2_is_the_square_on_the_sphere():
@@ -231,6 +295,14 @@ def test_projective_dipole_needs_4_divides_valency():
         sphere_family("dipole", 3, rpp=True)
     inv = sphere_family("dipole", 4, rpp=True).invariants()
     assert inv.chi == 1 and not inv.orientable and inv.genus == 1
+
+
+@pytest.mark.parametrize("kind,rpp", [("cycle", False), ("dipole", False), ("dipole", True),
+                                      ("semistar", False)])
+def test_sphere_columns_match_permutation_closure(kind, rpp):
+    for m in range(2 if rpp else 1, 25, 2 if rpp else 1):
+        assert_same_slot_group(sphere_family(kind, m, rpp=rpp),
+                               sphere_family_by_closure(kind, m, rpp=rpp))
 
 
 def test_sphere_family_validation():
@@ -315,8 +387,11 @@ def test_constructors_refuse_orders_above_the_coset_budget(monkeypatch):
     from ebrmaps.presentation import DEFAULT_MAX_COSETS
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("coset_enumerate called")
+        raise AssertionError("group construction called")
 
+    # The affine writer builds the (4,4) families and torus44; coset
+    # enumeration builds the other catalog maps.
+    monkeypatch.setattr(families, "affine_quotient", unreachable)
     monkeypatch.setattr(families, "coset_enumerate", unreachable)
     over = [lambda: torus_rect(1000, 1000), lambda: torus_rhombic(500, 251),
             lambda: klein(250001, 1), lambda: regular_catalog("hosohedron:250001"),
@@ -325,6 +400,6 @@ def test_constructors_refuse_orders_above_the_coset_budget(monkeypatch):
     for build in over:
         with pytest.raises(CosetLimitExceeded, match=f"above max_cosets={DEFAULT_MAX_COSETS}"):
             build()
-    # An order at the budget itself goes on to the enumeration.
-    with pytest.raises(AssertionError, match="coset_enumerate called"):
+    # An order at the budget itself goes on to build the group.
+    with pytest.raises(AssertionError, match="group construction called"):
         torus_rect(500, 500)

@@ -169,9 +169,9 @@ def test_is_dihedral():
 
 
 def membership_groups():
-    """Catalog groups (closure-built), coset-enumerated groups (regular on
-    their points), and a group of order 6 on 6 points that is not regular,
-    held without its element list."""
+    """Catalog groups (one written as an affine quotient, one closure-built),
+    coset-enumerated groups (regular on their points), and a group of order 6
+    on 6 points that is not regular, held without its element list."""
     from ebrmaps import FiniteGroup, catalog_group, coset_enumerate, dihedral_presentation
     from ebrmaps import triangle_group
 
