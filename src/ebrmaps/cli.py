@@ -316,7 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CosetLimitExceeded, GroupTooLargeError, CandidateBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

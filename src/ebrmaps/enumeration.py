@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap
 from .families import affine_quotient
-from .perm_group import (DEFAULT_MAX_ORDER, FiniteGroup, GroupTooLargeError, Permutation,
-                         cayley_form, closure, is_dihedral)
+from .perm_group import (FiniteGroup, Permutation, cayley_form, closure, is_dihedral,
+                         within_max_order)
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
@@ -254,10 +254,7 @@ def _dihedral_group(n: int, times_c2: bool = False) -> FiniteGroup:
     when asked."""
     if n < 2 or n % 2 != 0:
         raise ValueError("dihedral order must be even and at least 2")
-    order = 2 * n if times_c2 else n
-    if order > DEFAULT_MAX_ORDER:
-        raise GroupTooLargeError(f"group too large: order {order} is above "
-                                 f"max_order={DEFAULT_MAX_ORDER}")
+    within_max_order(2 * n if times_c2 else n)
     flip = (-1, 0, 0, 1)
     gens = [(flip, (0, 0)), (flip, (1, 0))]
     if not times_c2:

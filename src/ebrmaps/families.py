@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .constructions import RegularMap
 from .ebr_core import EdgeBiregularMap
-from .perm_group import FiniteGroup, Permutation
+from .perm_group import FiniteGroup, Permutation, within_max_order
 from .presentation import (
     DEFAULT_MAX_COSETS,
     CosetLimitExceeded,
@@ -38,16 +38,6 @@ _IDENTITY, _FLIP_X, _FLIP_Y, _SWAP = (1, 0, 0, 1), (-1, 0, 0, 1), (1, 0, 0, -1),
 # r0, r2, rho0, rho2: the reflections in the sides x = 0, y = 0, y = 1/2 and
 # x = 1/2 of a rectangle, so r0 rho2 and r2 rho0 are the unit translations.
 _RECTANGLE = ((_FLIP_X, (0, 0)), (_FLIP_Y, (0, 0)), (_FLIP_Y, (0, 1)), (_FLIP_X, (1, 0)))
-
-
-def _within_budget(order: int) -> int:
-    """``order``, once a group of that order fits the default coset budget.
-    Constructors check it before they build anything whose size grows with
-    the order."""
-    if order > DEFAULT_MAX_COSETS:
-        raise CosetLimitExceeded(
-            f"order {order} is above max_cosets={DEFAULT_MAX_COSETS}")
-    return order
 
 
 def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -126,7 +116,7 @@ def torus_rect(a: int, c: int) -> EdgeBiregularMap:
     (a == c)."""
     if a < 1 or c < 1:
         raise ValueError("torus_rect parameters must be positive")
-    _within_budget(4 * a * c)
+    within_max_order(4 * a * c)
     return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (a, 0, c)))
 
 
@@ -136,7 +126,7 @@ def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
     8bc; fully regular when b == c."""
     if b < 1 or c < 1:
         raise ValueError("torus_rhombic parameters must be positive")
-    _within_budget(8 * b * c)
+    within_max_order(8 * b * c)
     return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (2 * b, b, c)))
 
 
@@ -150,7 +140,7 @@ def klein(a: int, b: int) -> EdgeBiregularMap:
         raise ValueError("klein parameter a must be positive")
     if b not in (1, 2):
         raise ValueError("klein parameter b must be 1 or 2")
-    _within_budget(4 * a * b)
+    within_max_order(4 * a * b)
     glide = (_FLIP_X, (0, a))
     return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (b, 0, 2 * a), glide))
 
@@ -179,7 +169,7 @@ def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
         raise ValueError("row must be 1..4")
     if row in (2, 4) and (m // 2) % 2 == 0:
         raise ValueError(f"row {row} requires m/2 odd")
-    _within_budget(2 * m)
+    within_max_order(2 * m)
     # Rows 1 and 3 act on Z/m, with z the half turn x -> x + m/2; rows 2 and
     # 4 on Z/(m/2) x Z/2, with z the layer swap.  z is central: r z = z r.
     lattice, z = ((m, 0, 1), (m // 2, 0)) if row in (1, 3) else ((m // 2, 0, 2), (0, 1))
@@ -216,7 +206,7 @@ def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
         slots, lattice = (_REFLECT_0, _REFLECT_0, _REFLECT_1, _REFLECT_1), (m, 0, 1)
     else:
         raise ValueError(f"unknown sphere family kind {kind!r}")
-    _within_budget(2 * lattice[0] * lattice[2])
+    within_max_order(2 * lattice[0] * lattice[2])
     return _slot_map(affine_quotient(_SLOT_NAMES, slots, lattice))
 
 
@@ -255,7 +245,7 @@ def regular_catalog(name: str) -> RegularMap:
         a = _positive_int(parts[1], name)
         b = _positive_int(parts[2][: -len("-rect")], name)
         g = gcd(a, b)
-        _within_budget(8 * g * g)
+        within_max_order(8 * g * g)
         group = affine_quotient(("R0", "R2", "R1"), _SQUARE_GRID, (g, 0, g))
     elif name in _PLATONIC:
         k, l, expected = _PLATONIC[name]
@@ -263,7 +253,10 @@ def regular_catalog(name: str) -> RegularMap:
     elif name.startswith("hosohedron:") or name.startswith("dihedron:"):
         base, _, arg = name.partition(":")
         m = _positive_int(arg, name)
-        expected = _within_budget(4 * m)
+        expected = 4 * m
+        if expected > DEFAULT_MAX_COSETS:  # refused before any relator is built
+            raise CosetLimitExceeded(
+                f"order {expected} is above max_cosets={DEFAULT_MAX_COSETS}")
         pres = triangle_group(m, 2) if base == "hosohedron" else triangle_group(2, m)
         group = _enumerate(pres, expected)
     else:

@@ -9,13 +9,15 @@ semi-edges) and the three together must act transitively (connected map).
 An alternate-edge-colouring assigns two colours to the edges so that
 consecutive edges around every vertex and every face alternate.  It exists
 exactly when the medial graph, whose vertices are the map's edges with
-adjacency given by corner transitions, is bipartite; the test below
-2-colours that graph directly.
+adjacency given by corner transitions, is bipartite.  The constructor walks
+that graph breadth-first once, to prove connectivity; the test below then
+compares the parity of the edges' depths across every corner transition.
 """
 
 from __future__ import annotations
 
 import json
+from operator import eq
 from typing import Optional, Sequence
 
 from .perm_group import Permutation
@@ -38,35 +40,47 @@ class FlagMap:
         n = s0.degree
         if s1.degree != n or s2.degree != n:
             raise ValueError("flag permutations must share one degree")
-        for name, p in (("s0", s0), ("s1", s1), ("s2", s2)):
-            if not (p * p).is_identity():
+        flags = list(range(n))
+        along, corner, across = s0.images, s1.images, s2.images
+        for name, p in (("s0", along), ("s1", corner), ("s2", across)):
+            if list(map(p.__getitem__, p)) != flags:
                 raise ValueError(f"{name} is not an involution")
-        cross = s0 * s2
-        if not (cross * cross).is_identity():
+        cross = list(map(across.__getitem__, along))  # s0*s2
+        if list(map(cross.__getitem__, cross)) != flags:
             raise ValueError("s0*s2 is not an involution")
-        if any(cross(i) == i for i in range(n)):
+        if any(map(eq, cross, flags)):
             raise ValueError("s0*s2 has fixed points (semi-edge or boundary)")
-        self.flag_count = n
-        self.s0 = s0
-        self.s1 = s1
-        self.s2 = s2
-        if len(_orbits(n, (s0, s1, s2))) != 1:
+        # <s0, s2> is now a Klein four-group: key each flag's edge by the least
+        # of its four images.  One breadth-first walk over the edges through
+        # s1, each edge's flags in increasing order, gives each edge's depth;
+        # the map is connected when the walk reaches every edge.
+        self._edge = edge = list(map(min, flags, along, across, cross))
+        self._depth = depth = {0: 0}
+        queue = [0] if n else []
+        for e in queue:
+            d = depth[e] + 1
+            for f in sorted((e, along[e], across[e], cross[e])):
+                g = edge[corner[f]]
+                if g not in depth:
+                    depth[g] = d
+                    queue.append(g)
+        if not n or len(queue) != sum(map(eq, edge, flags)):
             raise ValueError("flag system is disconnected")
+        self.flag_count, self.s0, self.s1, self.s2 = n, s0, s1, s2
 
     def vertex_orbits(self) -> list[list[int]]:
-        return _orbits(self.flag_count, (self.s1, self.s2))
+        return _orbits(self.flag_count, (self.s1.images, self.s2.images))
 
     def edge_orbits(self) -> list[list[int]]:
-        return _orbits(self.flag_count, (self.s0, self.s2))
+        along, across = self.s0.images, self.s2.images
+        return [list(dict.fromkeys((e, along[e], across[e], across[along[e]])))
+                for e, least in enumerate(self._edge) if e == least]
 
     def face_orbits(self) -> list[list[int]]:
-        return _orbits(self.flag_count, (self.s0, self.s1))
+        return _orbits(self.flag_count, (self.s0.images, self.s1.images))
 
     def chi(self) -> int:
-        v = len(self.vertex_orbits())
-        e = len(self.edge_orbits())
-        f = len(self.face_orbits())
-        return v - e + f
+        return len(self.vertex_orbits()) - len(self.edge_orbits()) + len(self.face_orbits())
 
     def vertex_valencies(self) -> list[int]:
         """Valency per vertex: half the flag count of each vertex orbit."""
@@ -84,7 +98,7 @@ class FlagMap:
         }
 
 
-def _orbits(n: int, perms: Sequence[Permutation]) -> list[list[int]]:
+def _orbits(n: int, images: Sequence[Sequence[int]]) -> list[list[int]]:
     seen = [False] * n
     orbits = []
     for start in range(n):
@@ -92,12 +106,9 @@ def _orbits(n: int, perms: Sequence[Permutation]) -> list[list[int]]:
             continue
         orbit = [start]
         seen[start] = True
-        pos = 0
-        while pos < len(orbit):
-            f = orbit[pos]
-            pos += 1
-            for p in perms:
-                g = p(f)
+        for f in orbit:
+            for p in images:
+                g = p[f]
                 if not seen[g]:
                     seen[g] = True
                     orbit.append(g)
@@ -110,35 +121,15 @@ def is_alternate_edge_colourable(m: FlagMap) -> Optional[dict[int, int]]:
     every face, or return None when impossible.
 
     The returned dict maps each edge orbit (keyed by its least flag) to 0 or
-    1.  Adjacency in the medial graph is realized by corner transitions: the
-    edges of flags ``f`` and ``f*s1`` are consecutive around both the common
-    vertex and the common face.
+    1, in the order the constructor's walk reached them.  Adjacency in the
+    medial graph is realized by corner transitions: the edges of flags ``f``
+    and ``f*s1`` are consecutive around both the common vertex and the common
+    face.
     """
-    orbit_of = [0] * m.flag_count
-    flags_of: dict[int, list[int]] = {}
-    for orbit in m.edge_orbits():
-        rep = min(orbit)
-        for f in orbit:
-            orbit_of[f] = rep
-        flags_of[rep] = sorted(orbit)
-
-    colour: dict[int, int] = {0: 0}  # flag 0 keys its own edge
-    queue = [0]
-    s1 = m.s1.images
-    pos = 0
-    while pos < len(queue):
-        e = queue[pos]
-        pos += 1
-        # Neighbours of edge e: edges one corner transition away.
-        for f in flags_of[e]:
-            g = orbit_of[s1[f]]
-            if g == e:
-                return None
-            if g not in colour:
-                colour[g] = 1 - colour[e]
-                queue.append(g)
-            elif colour[g] == colour[e]:
-                return None
+    colour = {e: d & 1 for e, d in m._depth.items()}
+    side = list(map(colour.__getitem__, m._edge))
+    if any(map(eq, side, map(side.__getitem__, m.s1.images))):
+        return None
     return colour
 
 
@@ -208,14 +199,23 @@ def load_flagmap(path: str) -> FlagMap:
     as a comment are ignored)."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("flag map file must hold a JSON object")
     try:
         count = data["flag_count"]
-        s0, s1, s2 = (Permutation(data[key]) for key in ("s0", "s1", "s2"))
+        s0, s1, s2 = (Permutation(_int_list(data, key)) for key in ("s0", "s1", "s2"))
     except KeyError as exc:
         raise ValueError(f"flag map file missing key {exc}") from None
     if s0.degree != count:
         raise ValueError("flag_count does not match the permutation arrays")
     return FlagMap(s0, s1, s2)
+
+
+def _int_list(data: dict, key: str) -> list:
+    row = data[key]
+    if not isinstance(row, list) or set(map(type, row)) - {int}:
+        raise ValueError(f"flag map key {key!r} must be a list of integers")
+    return row
 
 
 def save_flagmap(m: FlagMap, path: str, comment: Optional[str] = None) -> None:

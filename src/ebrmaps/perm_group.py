@@ -21,6 +21,14 @@ class GroupTooLargeError(RuntimeError):
     """Raised when a closure exceeds the configured element bound."""
 
 
+def within_max_order(order: int) -> None:
+    """Refuse an order above ``DEFAULT_MAX_ORDER``.  Constructors that write a
+    group down check it before they build anything of that size."""
+    if order > DEFAULT_MAX_ORDER:
+        raise GroupTooLargeError(f"group too large: order {order} is above "
+                                 f"max_order={DEFAULT_MAX_ORDER}")
+
+
 class Permutation:
     """An immutable bijection of ``{0, ..., degree-1}``."""
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
+import ebrmaps.flag_maps as flag_maps
 from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, GroupPresentation, Permutation,
                      closure, ebr_type_presentation, extend_generator_map,
                      rotation_system_to_flagmap, triangle_group)
@@ -519,3 +521,95 @@ def sphere_family_by_closure(kind, m, rpp=False):
         r2, rho2 = _two_reflections(m)
         slots = (r2, r2, rho2, rho2)
     return closure(list(slots), names=("r0", "r2", "rho0", "rho2"))
+
+
+# ---------------------------------------------------------------------------
+# Flag maps: validation by Permutation products and orbit walks
+# ---------------------------------------------------------------------------
+
+def orbits_by_walk(n, perms):
+    """Orbits of ``<perms>`` on 0..n-1 by breadth-first search through
+    ``Permutation.__call__``, each listed from its least point, in order of
+    that point."""
+    seen = [False] * n
+    orbits = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = [start]
+        seen[start] = True
+        pos = 0
+        while pos < len(orbit):
+            f = orbit[pos]
+            pos += 1
+            for p in perms:
+                g = p(f)
+                if not seen[g]:
+                    seen[g] = True
+                    orbit.append(g)
+        orbits.append(orbit)
+    return orbits
+
+
+def flagmap_error_reference(s0, s1, s2):
+    """The message ``FlagMap(s0, s1, s2)`` must raise, or None when it must
+    accept: composed permutations for the involution and fixed-point checks
+    and one orbit walk of <s0, s1, s2> for connectivity."""
+    n = s0.degree
+    if s1.degree != n or s2.degree != n:
+        return "flag permutations must share one degree"
+    for name, p in (("s0", s0), ("s1", s1), ("s2", s2)):
+        if not (p * p).is_identity():
+            return f"{name} is not an involution"
+    cross = s0 * s2
+    if not (cross * cross).is_identity():
+        return "s0*s2 is not an involution"
+    if any(cross(i) == i for i in range(n)):
+        return "s0*s2 has fixed points (semi-edge or boundary)"
+    if len(orbits_by_walk(n, (s0, s1, s2))) != 1:
+        return "flag system is disconnected"
+    return None
+
+
+def colouring_by_flag_scan(m):
+    """Oracle: the medial-graph 2-colouring that rescans every flag for each
+    dequeued edge, O(edges x flags), over edge orbits found by
+    ``orbits_by_walk``."""
+    orbit_of = [0] * m.flag_count
+    for orbit in orbits_by_walk(m.flag_count, (m.s0, m.s2)):
+        for f in orbit:
+            orbit_of[f] = min(orbit)
+    colour = {0: 0}
+    queue = [0]
+    for e in queue:
+        for f in range(m.flag_count):
+            if orbit_of[f] != e:
+                continue
+            g = orbit_of[m.s1(f)]
+            if g == e or colour.get(g) == colour[e]:
+                return None
+            if g not in colour:
+                colour[g] = 1 - colour[e]
+                queue.append(g)
+    return colour
+
+
+def flag_involutions(convert, *args):
+    """The (s0, s1, s2) that ``convert`` hands to ``FlagMap``."""
+    with mock.patch.object(flag_maps, "FlagMap", lambda *perms: perms):
+        return convert(*args)
+
+
+@st.composite
+def rotation_systems(draw, max_edges=6):
+    """A random embedded graph: darts paired at random, then cut into
+    vertices in a random cyclic order.  Often disconnected."""
+    n = 2 * draw(st.integers(1, max_edges))
+    darts = draw(st.permutations(range(n)))
+    pairing = [0] * n
+    for a, b in zip(darts[::2], darts[1::2]):
+        pairing[a], pairing[b] = b, a
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    rotations = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    return rotations, pairing

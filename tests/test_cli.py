@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ebrmaps import rotation_system_to_flagmap
 from ebrmaps.cli import build_parser, main
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, flag_involutions, rotation_systems
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
@@ -88,11 +92,11 @@ def test_analyze_budget_exit_code(capsys):
     assert "max_cosets" in err
 
 
-def test_family_above_the_coset_budget_exits_2_at_once(capsys):
+def test_family_above_the_order_budget_exits_2_at_once(capsys):
     code, out, err = run(capsys, "analyze", "--family", "torus-rect",
                          "--params", "a=1000,c=1000")
     assert code == 2 and out == ""
-    assert err == "error: order 4000000 is above max_cosets=1000000\n"
+    assert err == "error: group too large: order 4000000 is above max_order=1000000\n"
 
 
 def test_enumerate_dih8(capsys):
@@ -176,6 +180,57 @@ def test_colourable_missing_file(capsys):
     code, _, err = run(capsys, "colourable", "--flagmap", "no_such_file.json")
     assert code == 1
     assert err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def flagmap_documents(draw):
+    """Flag-map JSON of every kind: any JSON value; objects whose arrays are
+    of the wrong type, out of range or not involutions, with keys dropped;
+    and the flag systems of random rotation systems, often disconnected."""
+    kind = draw(st.sampled_from(["any", "arrays", "rotations"]))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    if kind == "rotations":
+        perms = flag_involutions(rotation_system_to_flagmap, *draw(rotation_systems()))
+        doc = {key: list(p.images) for key, p in zip(("s0", "s1", "s2"), perms)}
+        return dict(flag_count=len(perms[0].images), **doc)
+    n = draw(st.integers(0, 8))
+    arrays = st.lists(st.integers(-1, n + 1), min_size=n, max_size=n)
+    doc = {"flag_count": draw(st.just(n) | JSON_VALUES)}
+    doc.update({key: draw(arrays | st.permutations(range(n)) | JSON_VALUES)
+                for key in ("s0", "s1", "s2")})
+    return {key: value for key, value in doc.items() if draw(st.integers(0, 7))}
+
+
+@settings(max_examples=300)
+@given(flagmap_documents())
+def test_colourable_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["colourable", "--flagmap", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and "colourable" in json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+def test_colourable_deeply_nested_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "colourable", "--flagmap", str(path))
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_export_corners_dot(capsys, tmp_path):

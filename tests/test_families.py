@@ -381,23 +381,31 @@ def test_unknown_catalog_name():
         regular_catalog("hosohedron:x")
 
 
-def test_constructors_refuse_orders_above_the_coset_budget(monkeypatch):
+def test_constructors_refuse_orders_above_the_order_budget(monkeypatch):
     import ebrmaps.families as families
-    from ebrmaps import CosetLimitExceeded
+    from ebrmaps import CosetLimitExceeded, GroupTooLargeError
+    from ebrmaps.perm_group import DEFAULT_MAX_ORDER
     from ebrmaps.presentation import DEFAULT_MAX_COSETS
 
     def unreachable(*args, **kwargs):
         raise AssertionError("group construction called")
 
-    # The affine writer builds the (4,4) families and torus44; coset
-    # enumeration builds the other catalog maps.
+    # The affine writer builds the (4,4), dihedral and sphere families and
+    # torus44, so they answer to the order budget; coset enumeration builds
+    # the other catalog maps, which answer to the coset budget.
     monkeypatch.setattr(families, "affine_quotient", unreachable)
     monkeypatch.setattr(families, "coset_enumerate", unreachable)
-    over = [lambda: torus_rect(1000, 1000), lambda: torus_rhombic(500, 251),
-            lambda: klein(250001, 1), lambda: regular_catalog("hosohedron:250001"),
-            lambda: regular_catalog("dihedron:250001"),
-            lambda: regular_catalog("torus44:354:708-rect")]  # 8 * 354**2
-    for build in over:
+    written = [lambda: torus_rect(1000, 1000), lambda: torus_rhombic(500, 251),
+               lambda: klein(250001, 1), lambda: dihedral_map(500002, 1),
+               lambda: sphere_family("semistar", 600000),
+               lambda: regular_catalog("torus44:354:708-rect")]  # 8 * 354**2
+    for build in written:
+        with pytest.raises(GroupTooLargeError,
+                           match=f"^group too large: order \\d+ is above max_order={DEFAULT_MAX_ORDER}$"):
+            build()
+    enumerated = [lambda: regular_catalog("hosohedron:250001"),
+                  lambda: regular_catalog("dihedron:250001")]
+    for build in enumerated:
         with pytest.raises(CosetLimitExceeded, match=f"above max_cosets={DEFAULT_MAX_COSETS}"):
             build()
     # An order at the budget itself goes on to build the group.

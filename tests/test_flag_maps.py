@@ -2,10 +2,13 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebrmaps import (
+    EdgeBiregularMap,
     FlagMap,
     Permutation,
+    catalog_group,
     closure,
     construction1,
     construction3,
@@ -20,7 +23,9 @@ from ebrmaps import (
     sphere_family,
     torus_rect,
 )
-from conftest import FIXTURE_DIR
+from conftest import (FIXTURE_DIR, all_valid_quadruples, colouring_by_flag_scan,
+                      flag_involutions, flagmap_error_reference, orbits_by_walk,
+                      rotation_systems)
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
@@ -185,6 +190,28 @@ def test_save_load_round_trip(tmp_path, sphere_flagmap):
     assert loaded.to_json_dict() == sphere_flagmap.to_json_dict()
 
 
+def test_empty_flag_map_is_refused():
+    empty = Permutation(())
+    with pytest.raises(ValueError, match="^flag system is disconnected$"):
+        FlagMap(empty, empty, empty)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2, 3]", "must hold a JSON object"),
+    ('{"flag_count": 4, "s0": [1, 0, 3, 2], "s1": [1, 0, 3, 2], "s2": 5}', "'s2'"),
+    ('{"flag_count": 4, "s0": [1, 0, 3, 2], "s1": [1, 0, 3, 2], "s2": [1.0, 0, 3, 2]}',
+     "'s2'"),
+    ('{"flag_count": 4, "s0": [1, 0, 3, 2], "s1": [null, 0, 3, 2], "s2": [1, 0, 3, 2]}',
+     "'s1'"),
+    ('{"flag_count": 2, "s0": [true, false], "s1": [1, 0], "s2": [1, 0]}', "'s0'"),
+])
+def test_load_rejects_non_integer_arrays(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_flagmap(str(path))
+
+
 def test_load_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"flag_count": 4, "s0": [1, 0, 3, 2]}))
@@ -195,28 +222,6 @@ def test_load_rejects_malformed_files(tmp_path):
         "s2": [1, 0, 3, 2]}))
     with pytest.raises(ValueError, match="flag_count"):
         load_flagmap(str(path))
-
-
-def colouring_by_flag_scan(m):
-    """Oracle: the medial-graph 2-colouring that rescans every flag for each
-    dequeued edge, O(edges x flags)."""
-    orbit_of = [0] * m.flag_count
-    for orbit in m.edge_orbits():
-        for f in orbit:
-            orbit_of[f] = min(orbit)
-    colour = {0: 0}
-    queue = [0]
-    for e in queue:
-        for f in range(m.flag_count):
-            if orbit_of[f] != e:
-                continue
-            g = orbit_of[m.s1(f)]
-            if g == e or colour.get(g) == colour[e]:
-                return None
-            if g not in colour:
-                colour[g] = 1 - colour[e]
-                queue.append(g)
-    return colour
 
 
 def test_colouring_matches_flag_scan_oracle(torus_flagmap, sphere_flagmap, cube_flagmap):
@@ -231,3 +236,98 @@ def test_colouring_matches_flag_scan_oracle(torus_flagmap, sphere_flagmap, cube_
         assert fast == slow
         assert fast is None or list(fast.items()) == list(slow.items())
     assert any(is_alternate_edge_colourable(m) is None for m in maps)
+
+
+# -- the constructor's one-pass checks against composed permutations -----------
+
+@st.composite
+def rotation_system_flags(draw):
+    rotations, pairing = draw(rotation_systems())
+    if draw(st.booleans()):  # a disjoint union with a second system
+        more_rotations, more_pairing = draw(rotation_systems())
+        shift = len(pairing)
+        rotations += [[d + shift for d in rot] for rot in more_rotations]
+        pairing += [d + shift for d in more_pairing]
+    return flag_involutions(rotation_system_to_flagmap, rotations, pairing)
+
+
+@st.composite
+def arbitrary_flags(draw):
+    """Three permutations, mostly involutions, of degrees that mostly agree:
+    they reach every refusal of the constructor, the empty map included."""
+    n = draw(st.integers(0, 8))
+
+    def perm():
+        degree = draw(st.sampled_from([n] * 5 + [n + 1]))
+        points = draw(st.permutations(range(degree)))
+        if draw(st.integers(0, 5)) == 0:
+            return Permutation(points)
+        images = list(range(degree))
+        pairs = draw(st.integers(0, degree // 2))
+        for a, b in zip(points[:2 * pairs:2], points[1:2 * pairs:2]):
+            images[a], images[b] = b, a
+        return Permutation(images)
+
+    return perm(), perm(), perm()
+
+
+FLAG_GROUPS = [catalog_group(name) for name in ("c2^3", "dih:8", "dih:12", "dihxc2:6")]
+FLAG_QUADS = [all_valid_quadruples(group, require_proper=True) for group in FLAG_GROUPS]
+SOLIDS = ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
+          "hosohedron:3", "dihedron:4", "torus44:2:2-rect"]
+
+
+@st.composite
+def ebr_flags(draw):
+    k = draw(st.integers(0, len(FLAG_GROUPS) - 1))
+    quad = draw(st.sampled_from(FLAG_QUADS[k]))
+    return flag_involutions(ebr_to_flagmap, EdgeBiregularMap(FLAG_GROUPS[k], *quad))
+
+
+@st.composite
+def solid_flags(draw):
+    return flag_involutions(regular_to_flagmap, regular_catalog(draw(st.sampled_from(SOLIDS))))
+
+
+FLAG_INPUTS = st.one_of(arbitrary_flags(), rotation_system_flags(), ebr_flags(), solid_flags())
+
+
+@settings(max_examples=400)
+@given(FLAG_INPUTS)
+def test_flagmap_agrees_with_composed_permutations(perms):
+    expected = flagmap_error_reference(*perms)
+    try:
+        m = FlagMap(*perms)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    n = m.flag_count
+    assert m.edge_orbits() == orbits_by_walk(n, (m.s0, m.s2))
+    assert m.vertex_orbits() == orbits_by_walk(n, (m.s1, m.s2))
+    assert m.face_orbits() == orbits_by_walk(n, (m.s0, m.s1))
+    fast = is_alternate_edge_colourable(m)
+    slow = colouring_by_flag_scan(m)
+    assert fast == slow
+    assert fast is None or list(fast.items()) == list(slow.items())
+
+
+def test_flagmap_property_inputs_reach_every_verdict():
+    """The strategies above are not vacuous: every refusal, and both
+    colourability verdicts, occur among examples drawn the same way."""
+    verdicts = set()
+
+    @settings(max_examples=400, database=None)
+    @given(FLAG_INPUTS)
+    def collect(perms):
+        expected = flagmap_error_reference(*perms)
+        if expected is None:
+            expected = is_alternate_edge_colourable(FlagMap(*perms)) is not None
+        verdicts.add(expected)
+
+    collect()
+    assert verdicts == {True, False, "flag permutations must share one degree",
+                        "s0 is not an involution", "s1 is not an involution",
+                        "s2 is not an involution", "s0*s2 is not an involution",
+                        "s0*s2 has fixed points (semi-edge or boundary)",
+                        "flag system is disconnected"}
