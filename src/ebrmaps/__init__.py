@@ -30,13 +30,13 @@ from .enumeration import (
     CandidateBudgetExceeded,
     ClassReport,
     MapClass,
-    catalog_group,
-    catalog_names,
     classify_report,
     dihedral_table_row,
     enumerate_ebr,
 )
 from .families import (
+    catalog_group,
+    catalog_names,
     dihedral_map,
     klein,
     regular_catalog,

@@ -16,10 +16,8 @@ from typing import Optional, Sequence
 from . import constructions, families
 from .ebr_core import SLOT_NAMES, EdgeBiregularMap
 from .enumeration import (
-    CATALOG_PREFIXES,
     DEFAULT_CANDIDATE_BUDGET,
     CandidateBudgetExceeded,
-    catalog_group,
     classify_report,
     enumerate_ebr,
 )
@@ -33,17 +31,6 @@ from .presentation import (
 )
 
 _DOT_COLOURS = {"r0": "red", "r2": "green", "rho0": "blue", "rho2": "yellow"}
-
-_FAMILY_PARAMS = {
-    "torus-rect": ("a", "c"),
-    "torus-rhombic": ("b", "c"),
-    "klein": ("a", "b"),
-    "dihedral": ("m", "row"),
-    "cycle": ("m",),
-    "dipole": ("m", "rpp"),
-    "semistar": ("m",),
-}
-
 
 def _parse_params(text: Optional[str]) -> dict[str, int]:
     params = {}
@@ -65,31 +52,33 @@ def _parse_params(text: Optional[str]) -> dict[str, int]:
     return params
 
 
+def _families() -> dict:
+    """Family name -> (constructor, parameter names in argument order); ``rpp``
+    is optional.  Built per call, so a wrapper later set on a ``families``
+    function, such as the bench tracer's, is the one called."""
+    return {
+        "torus-rect": (families.torus_rect, ("a", "c")),
+        "torus-rhombic": (families.torus_rhombic, ("b", "c")),
+        "klein": (families.klein, ("a", "b")),
+        "dihedral": (families.dihedral_map, ("m", "row")),
+        "cycle": (functools.partial(families.sphere_family, "cycle"), ("m",)),
+        "dipole": (functools.partial(families.sphere_family, "dipole"), ("m", "rpp")),
+        "semistar": (functools.partial(families.sphere_family, "semistar"), ("m",)),
+    }
+
+
 def _build_family(name: str, params: dict) -> EdgeBiregularMap:
-    if name not in _FAMILY_PARAMS:
-        raise ValueError(f"unknown family {name!r}; choose from "
-                         + ", ".join(sorted(_FAMILY_PARAMS)))
-    allowed = _FAMILY_PARAMS[name]
+    table = _families()
+    if name not in table:
+        raise ValueError(f"unknown family {name!r}; choose from " + ", ".join(sorted(table)))
+    build, allowed = table[name]
     for key in params:
         if key not in allowed:
             raise ValueError(f"family {name!r} takes parameters {allowed}, not {key!r}")
     missing = [key for key in allowed if key != "rpp" and key not in params]
     if missing:
         raise ValueError(f"family {name!r} needs parameters {', '.join(missing)}")
-    if name == "torus-rect":
-        return families.torus_rect(params["a"], params["c"])
-    if name == "torus-rhombic":
-        return families.torus_rhombic(params["b"], params["c"])
-    if name == "klein":
-        return families.klein(params["a"], params["b"])
-    if name == "dihedral":
-        return families.dihedral_map(params["m"], params["row"])
-    if name == "cycle":
-        return families.sphere_family("cycle", params["m"])
-    if name == "dipole":
-        return families.sphere_family("dipole", params["m"],
-                                      rpp=bool(params.get("rpp", False)))
-    return families.sphere_family("semistar", params["m"])
+    return build(*(params[key] for key in allowed if key in params))
 
 
 def _presentation_text(source: str) -> str:
@@ -146,11 +135,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_enumerate(args) -> int:
     source = args.group
     # A name in the catalog grammar is never read as a file.
-    if not source.startswith(CATALOG_PREFIXES) and os.path.exists(source):
+    if not source.startswith(families.CATALOG_PREFIXES) and os.path.exists(source):
         pres = parse_presentation(_presentation_text(source))
         group = coset_enumerate(pres, max_cosets=args.max_cosets)
     else:
-        group = catalog_group(source)
+        group = families.catalog_group(source)
     maps = enumerate_ebr(group, require_proper=args.proper,
                          require_distinct=args.distinct, chi_max=args.chi_max,
                          max_candidates=args.max_candidates)

@@ -10,6 +10,7 @@ under conjugation by the group are joined, since the least quadruple of a
 class starts with one (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998).  The classification report keys each map by the least
 Cayley form of its quadruple under the twin and dual slot permutations.
+The groups to sweep come from ``families.catalog_group`` or a presentation.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap
-from .families import affine_quotient
-from .perm_group import (FiniteGroup, Permutation, cayley_form, closure, is_dihedral,
-                         within_max_order)
+from .perm_group import FiniteGroup, cayley_form, is_dihedral
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
@@ -214,7 +213,7 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
         return ClassReport(())
     group = maps[0].group
     for m in maps:
-        if m.group is not group and m.group.elements != group.elements:
+        if m.group is not group and m.group.columns != group.columns:
             raise ValueError("maps must share one group")
         m._require_closed()
 
@@ -242,50 +241,3 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
             V=inv.V, F=inv.F, orientable=inv.orientable,
             fully_regular=inv.fully_regular, table_row=row))
     return ClassReport(tuple(classes), group_is_dihedral=dihedral)
-
-
-# ---------------------------------------------------------------------------
-# Built-in group catalog
-# ---------------------------------------------------------------------------
-
-def _dihedral_group(n: int, times_c2: bool = False) -> FiniteGroup:
-    """Dihedral group of order n (n even) as Z/(n/2) ⋊ C2, with a: x -> -x and
-    b: x -> 1 - x; times C2 (z, a translation of a second coordinate mod 2)
-    when asked."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError("dihedral order must be even and at least 2")
-    within_max_order(2 * n if times_c2 else n)
-    flip = (-1, 0, 0, 1)
-    gens = [(flip, (0, 0)), (flip, (1, 0))]
-    if not times_c2:
-        return affine_quotient(("a", "b"), gens, (n // 2, 0, 1))
-    return affine_quotient(("a", "b", "z"), gens + [((1, 0, 0, 1), (0, 1))], (n // 2, 0, 2))
-
-
-def _elementary_abelian(k: int) -> FiniteGroup:
-    gens = [Permutation.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)]
-    return closure(gens, names=[f"t{i}" for i in range(k)], max_order=2 ** k)
-
-
-CATALOG_PREFIXES = ("dih:", "dihxc2:", "c2^")  # the names catalog_group reads
-
-
-def catalog_names() -> list[str]:
-    names = [f"dih:{n}" for n in range(2, 49, 2)]
-    names += [f"dihxc2:{n}" for n in range(2, 25, 2)]
-    names += [f"c2^{k}" for k in (1, 2, 3)]
-    return names
-
-
-def catalog_group(name: str) -> FiniteGroup:
-    """Build a catalog group: dih:n (dihedral of order n), dihxc2:n, or c2^k."""
-    if name.startswith("dih:"):
-        return _dihedral_group(int(name.split(":")[1]))
-    if name.startswith("dihxc2:"):
-        return _dihedral_group(int(name.split(":")[1]), times_c2=True)
-    if name.startswith("c2^"):
-        k = int(name[3:])
-        if not 1 <= k <= 3:
-            raise ValueError("c2^k supports k in 1..3")
-        return _elementary_abelian(k)
-    raise ValueError(f"unknown catalog group {name!r}")

@@ -1,15 +1,18 @@
-"""Constructors for every classified family of edge-biregular maps.
+"""Constructors for every classified family of edge-biregular maps, and the
+built-in catalogs of regular maps and of groups to sweep.
 
-Each family group is written down as the right Cayley graph of a quotient
-(Z²/L) ⋊ P of affine maps, in O(order), by ``affine_quotient``.  For type
-(4,4) the four slot involutions generate D∞ × D∞ = Z² ⋊ C2², the
-reflections in the sides of a rectangle, so the torus and Klein-bottle maps
-are quotients (Z²/L) ⋊ C2² and the square-grid catalog map is
-(Z²/gZ²) ⋊ D4.  The dihedral and sphere families are quotients of
-Z ⋊ C2, some times C2.  The other catalog maps are built by coset
-enumeration of triangle-group quotients.  The tests check the columns
-against coset enumeration of the defining relators and against closure of
-explicit permutations.
+Each family group, and each catalog entry with a parameter, is written down
+as the right Cayley graph of a quotient (Z²/L) ⋊ P of affine maps, in
+O(order), by ``affine_quotient``, after ``within_max_order`` has accepted its
+order.  For type (4,4) the four slot involutions generate D∞ × D∞ = Z² ⋊ C2²,
+the reflections in the sides of a rectangle, so the torus and Klein-bottle
+maps are quotients (Z²/L) ⋊ C2² and the square-grid catalog map is
+(Z²/gZ²) ⋊ D4.  The dihedral and sphere families, the hosohedra, the
+dihedra and the dihedral catalog groups are quotients of Z ⋊ C2, some times
+C2.  Only the five platonic solids are built by coset enumeration of
+triangle-group quotients.  The tests check the columns against coset
+enumeration of the defining relators and against closure of explicit
+permutations.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from typing import Optional, Sequence
 from .constructions import RegularMap
 from .ebr_core import EdgeBiregularMap
 from .perm_group import FiniteGroup, Permutation, within_max_order
-from .presentation import (
-    DEFAULT_MAX_COSETS,
-    CosetLimitExceeded,
-    GroupPresentation,
-    coset_enumerate,
-    triangle_group,
-)
+from .presentation import GroupPresentation, coset_enumerate, triangle_group
 
 _SLOT_NAMES = ("r0", "r2", "rho0", "rho2")
 
@@ -211,7 +208,7 @@ def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
 
 
 # ---------------------------------------------------------------------------
-# Catalog of fully regular maps (via triangle-group quotients)
+# Built-in catalogs: fully regular maps, and groups to sweep
 # ---------------------------------------------------------------------------
 
 _PLATONIC = {
@@ -226,50 +223,87 @@ _PLATONIC = {
 # square grid, so R1 R2 R1 R0 and R2 R1 R0 R1 are the unit translations.
 _SQUARE_GRID = ((_FLIP_X, (1, 0)), (_FLIP_Y, (0, 0)), (_SWAP, (0, 0)))
 
+# R0 and R2 of the hosohedra and dihedra on two layers of Z/m; R1 is x -> 1 - x.
+_LAYERED = {"hosohedron": (_SWAP_LAYERS, _REFLECT_0), "dihedron": (_REFLECT_0, _SWAP_LAYERS)}
+
+
+def _parameter(text: str, unknown: str) -> int:
+    """A parameter of a built-in name: ASCII digits only, else ``unknown``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(unknown)
+    return int(text)
+
 
 def regular_catalog(name: str) -> RegularMap:
     """Named fully regular maps: quotients of the full triangle group by
     defining extra relators.
 
-    Names: the five platonic solids, ``hosohedron:m`` (type (m, 2)) and
-    ``dihedron:m`` (type (2, m)), built by coset enumeration; and
-    ``torus44:a:b-rect``, the square-grid torus map, written down as
-    (Z²/gZ²) ⋊ D4.  The 90-degree rotation conjugates the X translation to
-    the Y one, so the normal closure of X^a and Y^b is that of X^g and Y^g
-    with g = gcd(a, b), and the result has order 8*g**2.
+    Names: the five platonic solids, built by coset enumeration;
+    ``hosohedron:m`` (type (m, 2)) and ``dihedron:m`` (type (2, m)), written
+    down as D_m × C2: the reflections x -> -x and x -> 1 - x of Z/m and the
+    swap of two layers, central, as R0 of the hosohedron and R2 of the
+    dihedron; and ``torus44:a:b-rect``, the square-grid torus map, written
+    down as (Z²/gZ²) ⋊ D4.  The 90-degree rotation conjugates the X
+    translation to the Y one, so the normal closure of X^a and Y^b is that of
+    X^g and Y^g with g = gcd(a, b), and the result has order 8*g**2.
     """
-    if name.startswith("torus44:"):
-        parts = name.split(":")
-        if len(parts) != 3 or not parts[2].endswith("-rect"):
-            raise ValueError(f"unknown catalog name {name!r}")
-        a = _positive_int(parts[1], name)
-        b = _positive_int(parts[2][: -len("-rect")], name)
+    unknown = f"unknown catalog name {name!r}"
+    base, _, arg = name.partition(":")
+    if name in _PLATONIC:
+        k, l, expected = _PLATONIC[name]
+        group = _enumerate(triangle_group(k, l), expected)
+    elif base == "torus44":
+        a_text, _, b_text = arg.partition(":")
+        if not b_text.endswith("-rect"):
+            raise ValueError(unknown)
+        a, b = _parameter(a_text, unknown), _parameter(b_text[: -len("-rect")], unknown)
+        if min(a, b) < 1:
+            raise ValueError(f"catalog parameter must be positive in {name!r}")
         g = gcd(a, b)
         within_max_order(8 * g * g)
         group = affine_quotient(("R0", "R2", "R1"), _SQUARE_GRID, (g, 0, g))
-    elif name in _PLATONIC:
-        k, l, expected = _PLATONIC[name]
-        group = _enumerate(triangle_group(k, l), expected)
-    elif name.startswith("hosohedron:") or name.startswith("dihedron:"):
-        base, _, arg = name.partition(":")
-        m = _positive_int(arg, name)
-        expected = 4 * m
-        if expected > DEFAULT_MAX_COSETS:  # refused before any relator is built
-            raise CosetLimitExceeded(
-                f"order {expected} is above max_cosets={DEFAULT_MAX_COSETS}")
-        pres = triangle_group(m, 2) if base == "hosohedron" else triangle_group(2, m)
-        group = _enumerate(pres, expected)
+    elif base in _LAYERED:
+        m = _parameter(arg, unknown)
+        if m < 1:
+            raise ValueError(f"catalog parameter must be positive in {name!r}")
+        if m < 2:
+            raise ValueError("triangle group parameters must be at least 2")
+        within_max_order(4 * m)
+        group = affine_quotient(("R0", "R2", "R1"), (*_LAYERED[base], _REFLECT_1), (m, 0, 2))
     else:
-        raise ValueError(f"unknown catalog name {name!r}")
+        raise ValueError(unknown)
     return RegularMap(group, group.generator_index("R0"), group.generator_index("R2"),
                       group.generator_index("R1"), name=name)
 
 
-def _positive_int(text: str, name: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"unknown catalog name {name!r}") from None
-    if value < 1:
-        raise ValueError(f"catalog parameter must be positive in {name!r}")
-    return value
+CATALOG_PREFIXES = ("dih:", "dihxc2:", "c2^")  # the names catalog_group reads
+
+
+def catalog_names() -> list[str]:
+    names = [f"dih:{n}" for n in range(2, 49, 2)]
+    names += [f"dihxc2:{n}" for n in range(2, 25, 2)]
+    names += [f"c2^{k}" for k in (1, 2, 3)]
+    return names
+
+
+def catalog_group(name: str) -> FiniteGroup:
+    """Build a catalog group: dih:n, the dihedral group of order n, as
+    Z/(n/2) ⋊ C2 with a: x -> -x and b: x -> 1 - x; dihxc2:n, that times C2
+    with z a layer swap; or c2^k, the unit translations mod 2 and, for k = 3,
+    a reflection, which fixes every translation mod 2."""
+    unknown = f"unknown catalog group {name!r}"
+    prefix = next((p for p in CATALOG_PREFIXES if name.startswith(p)), None)
+    if prefix is None:
+        raise ValueError(unknown)
+    n = _parameter(name[len(prefix):], unknown)
+    if prefix == "c2^":
+        if not 1 <= n <= 3:
+            raise ValueError("c2^k supports k in 1..3")
+        gens = ((_IDENTITY, (1, 0)), (_IDENTITY, (0, 1)), _REFLECT_0)[:n]
+        return affine_quotient([f"t{i}" for i in range(n)], gens, (2, 0, 1 if n == 1 else 2))
+    if n < 2 or n % 2 != 0:
+        raise ValueError("dihedral order must be even and at least 2")
+    layers = 1 if prefix == "dih:" else 2
+    within_max_order(layers * n)
+    gens = (_REFLECT_0, _REFLECT_1, _SWAP_LAYERS)[:layers + 1]
+    return affine_quotient(("a", "b", "z")[:layers + 1], gens, (n // 2, 0, layers))

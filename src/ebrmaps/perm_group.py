@@ -166,7 +166,7 @@ class FiniteGroup:
         try:
             return self.columns[self.generator_names.index(name)][0]
         except ValueError:
-            raise KeyError(f"no generator named {name!r}") from None
+            raise ValueError(f"no generator named {name!r}") from None
 
     @property
     def elements(self) -> tuple[Permutation, ...]:

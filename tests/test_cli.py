@@ -72,6 +72,12 @@ def test_analyze_presentation_boundary_slots(capsys):
     assert data["l"] == 6
 
 
+def test_analyze_slots_naming_no_generator_exits_1(capsys):
+    code, out, err = run(capsys, "analyze", "--presentation", "< a, b | a^2, b^2, (a b)^3 >",
+                         "--slots", "a,b,c,-")
+    assert (code, out, err) == (1, "", "error: no generator named 'c'\n")
+
+
 def test_analyze_rejects_unknown_family(capsys):
     code, _, err = run(capsys, "analyze", "--family", "moebius", "--params", "m=1")
     assert code == 1
@@ -131,6 +137,27 @@ def test_enumerate_unknown_group_name(capsys):
     code, out, err = run(capsys, "enumerate", "--group", "teapot")
     assert code == 1 and out == ""
     assert err == "error: unknown catalog group 'teapot'\n"
+
+
+@pytest.mark.parametrize("command,name,message", [
+    *(("enumerate", name, f"unknown catalog group {name!r}")
+      for name in ("dih:8:junk", "dih:8_0", "dihxc2:6:1", "dih: 8", "dih:+8", "dih:8 ",
+                   "dih:-2", "dih:", "c2^ 2", "c2^\u0662", "dihxc2:1e3")),
+    *(("construct", name, f"unknown catalog name {name!r}")
+      for name in ("torus44:1_0:2-rect", "torus44:2:+2-rect", "torus44:2:2:2-rect",
+                   "hosohedron:+3", "dihedron:3 ", "hosohedron:\u00b3", "dihedron:")),
+    ("enumerate", "dih:0", "dihedral order must be even and at least 2"),
+    ("enumerate", "dihxc2:7", "dihedral order must be even and at least 2"),
+    ("enumerate", "c2^4", "c2^k supports k in 1..3"),
+    ("construct", "hosohedron:0", "catalog parameter must be positive in 'hosohedron:0'"),
+    ("construct", "dihedron:1", "triangle group parameters must be at least 2"),
+    ("construct", "torus44:2:0-rect", "catalog parameter must be positive in 'torus44:2:0-rect'"),
+])
+def test_built_in_names_take_ascii_digits_only(capsys, command, name, message):
+    option = ("--group", name) if command == "enumerate" else (
+        "--catalog", name, "--construction", "3")
+    code, out, err = run(capsys, command, *option)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name", ["dih:4000000", "dihxc2:600000"])
@@ -317,3 +344,81 @@ def test_one_parser_serves_every_call(capsys, tmp_path):
         assert [outcome(argv) for argv in calls] == fresh
     assert build_parser() is parser
     assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1]
+
+
+SMALL = st.integers(0, 13).map(str)
+# Junk for one place in five.
+JUNK = st.sampled_from(["_0", "+", " ", ":1", "-", "x", "\u0663"] + [""] * 28)
+OTHER_NAMES = ["cube", "tetrahedron", "teapot", ""]
+
+
+@st.composite
+def built_in_names(draw, prefixes):
+    """Names of a built-in catalog with small parameters, sometimes with junk
+    around a parameter, and now and then a name of no catalog."""
+    prefix = draw(st.sampled_from(prefixes * 4 + OTHER_NAMES))
+    if prefix in OTHER_NAMES:
+        return prefix + draw(JUNK)
+    param = draw(JUNK) + draw(SMALL) + draw(JUNK)
+    if prefix == "torus44:":
+        param += ":" + draw(SMALL) + draw(st.sampled_from(["-rect"] * 4 + [""]))
+    return prefix + param
+
+
+@st.composite
+def family_params(draw):
+    """``--params`` text over keys of every family, with small values."""
+    keys = draw(st.lists(st.sampled_from(["a", "b", "c", "m", "row", "rpp", "k", ""]),
+                         max_size=3, unique=True))
+    values = st.integers(0, 9).map(str) | st.sampled_from(["-1", "true", "x", "", "1_0"])
+    return ",".join(key + draw(st.sampled_from(["=", "=", ""])) + draw(values) for key in keys)
+
+
+FAMILY_PARAMS = {"torus-rect": ("a", "c"), "torus-rhombic": ("b", "c"), "klein": ("a", "b"),
+                 "dihedral": ("m", "row"), "cycle": ("m",), "dipole": ("m", "rpp"),
+                 "semistar": ("m",), "moebius": ("m",)}
+PRESENTATIONS = st.sampled_from([
+    "< a, b | a^2, b^2, (a b)^3 >", "< a, b | a^2, b^2 >",
+    "< a, b, c | a^2, b^2, c^2, (a b)^2, (a c)^3, (b c)^4 >",
+    "< r0, r2, p0, p2 | r0^2, r2^2, p0^2, p2^2, (r0 r2)^2, (p0 p2)^2,"
+    " (r0 p0)^2, (r2 p2)^2, (r0 p2)^2, (r2 p0)^2 >",
+    "< a, b | (a b >", "", "< | >"])
+
+
+@st.composite
+def cli_arguments(draw):
+    """Arguments to ``analyze``, ``enumerate`` and ``construct``, valid and
+    not, with small parameters so that every run is quick."""
+    command = draw(st.sampled_from(["analyze", "enumerate", "construct"]))
+    if command == "construct":
+        name = draw(built_in_names(["hosohedron:", "dihedron:", "torus44:", "dih:"]))
+        number = draw(st.sampled_from(["1", "2", "3", "4"] * 3 + ["0", "x"]))
+        return [command, "--catalog", name, "--construction", number]
+    if command == "enumerate":
+        flags = st.sampled_from(["--proper", "--distinct", "--chi-max=-1", "--chi-max=0"] * 3
+                                + ["--chi-max=x", "--max-candidates=50"])
+        name = draw(built_in_names(["dih:", "dihxc2:", "c2^", "hosohedron:"]))
+        return [command, "--group", name] + draw(st.lists(flags, max_size=3))
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+        valid = ",".join(f"{key}={draw(st.integers(1, 6))}" for key in FAMILY_PARAMS[family])
+        return [command, "--family", family, "--params", draw(st.just(valid) | family_params())]
+    slots = st.lists(st.sampled_from(["a", "b", "c", "r0", "r2", "p0", "p2", "-"]),
+                     min_size=3, max_size=5).map(",".join)
+    argv = [command, "--presentation", draw(PRESENTATIONS), "--max-cosets", "200"]
+    return argv + draw(st.just([]) | slots.map(lambda text: ["--slots=" + text]))
+
+
+@settings(max_examples=300)
+@given(cli_arguments())
+def test_cli_fuzz_exits_0_1_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue()) is not None
+    else:
+        assert out.getvalue() == ""
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1

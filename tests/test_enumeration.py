@@ -199,6 +199,22 @@ def test_report_rejects_mixed_groups():
         classify_report([dihedral_map(4, 1), dihedral_map(6, 1)])
 
 
+def test_report_compares_groups_by_columns_not_elements(monkeypatch):
+    from ebrmaps import EdgeBiregularMap, FiniteGroup
+
+    def unlisted(self):
+        raise AssertionError("elements listed")
+
+    monkeypatch.setattr(FiniteGroup, "elements", property(unlisted))
+    shared = enumerate_ebr(torus_rect(3, 3).group, require_proper=True)
+    copy = torus_rect(3, 3).group
+    mixed = [m if i % 2 else EdgeBiregularMap(copy, *m.slot_indices)
+             for i, m in enumerate(shared)]
+    assert classify_report(mixed) == classify_report(shared)
+    with pytest.raises(ValueError, match="maps must share one group"):
+        classify_report([torus_rect(3, 4), torus_rect(4, 3)])
+
+
 def test_report_rejects_boundary_maps():
     with pytest.raises(BoundaryMapError):
         classify_report([construction1(regular_catalog("tetrahedron"))])
@@ -249,6 +265,16 @@ def test_dihedral_catalog_columns_match_closure(name):
     kind, _, n = name.partition(":")
     reference = dihedral_by_closure(int(n), times_c2=kind == "dihxc2")
     group = catalog_group(name)
+    assert group.generator_names == reference.generator_names
+    assert group.columns == reference.columns
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_elementary_abelian_catalog_columns_match_closure(k):
+    from ebrmaps import Permutation, closure
+    transpositions = [Permutation.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)]
+    reference = closure(transpositions, names=[f"t{i}" for i in range(k)])
+    group = catalog_group(f"c2^{k}")
     assert group.generator_names == reference.generator_names
     assert group.columns == reference.columns
 

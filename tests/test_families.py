@@ -13,6 +13,7 @@ from ebrmaps import (
     sphere_family,
     torus_rect,
     torus_rhombic,
+    triangle_group,
 )
 from conftest import (dihedral_map_by_closure, euler_formula, family_presentation,
                       sphere_family_by_closure, torus44_presentation)
@@ -337,6 +338,15 @@ def test_hosohedron_and_dihedron():
     assert d.group.order == 12 and d.map_type() == (2, 3)
 
 
+def test_hosohedron_and_dihedron_columns_match_coset_enumeration():
+    for m in range(2, 61):
+        for name, pres in (("hosohedron", triangle_group(m, 2)),
+                           ("dihedron", triangle_group(2, m))):
+            group = regular_catalog(f"{name}:{m}").group
+            assert group.generator_names == pres.generator_names
+            assert group.columns == coset_enumerate(pres).columns, (name, m)
+
+
 def test_torus44_catalog():
     r = regular_catalog("torus44:3:3-rect")
     assert r.group.order == 72
@@ -383,30 +393,25 @@ def test_unknown_catalog_name():
 
 def test_constructors_refuse_orders_above_the_order_budget(monkeypatch):
     import ebrmaps.families as families
-    from ebrmaps import CosetLimitExceeded, GroupTooLargeError
+    from ebrmaps import GroupTooLargeError
     from ebrmaps.perm_group import DEFAULT_MAX_ORDER
-    from ebrmaps.presentation import DEFAULT_MAX_COSETS
 
     def unreachable(*args, **kwargs):
         raise AssertionError("group construction called")
 
-    # The affine writer builds the (4,4), dihedral and sphere families and
-    # torus44, so they answer to the order budget; coset enumeration builds
-    # the other catalog maps, which answer to the coset budget.
+    # The affine writer builds every family and every parametrised catalog
+    # entry, so they all answer to the order budget before anything is built.
     monkeypatch.setattr(families, "affine_quotient", unreachable)
     monkeypatch.setattr(families, "coset_enumerate", unreachable)
     written = [lambda: torus_rect(1000, 1000), lambda: torus_rhombic(500, 251),
                lambda: klein(250001, 1), lambda: dihedral_map(500002, 1),
                lambda: sphere_family("semistar", 600000),
-               lambda: regular_catalog("torus44:354:708-rect")]  # 8 * 354**2
+               lambda: regular_catalog("torus44:354:708-rect"),  # 8 * 354**2
+               lambda: regular_catalog("hosohedron:250001"),
+               lambda: regular_catalog("dihedron:250001")]
     for build in written:
         with pytest.raises(GroupTooLargeError,
                            match=f"^group too large: order \\d+ is above max_order={DEFAULT_MAX_ORDER}$"):
-            build()
-    enumerated = [lambda: regular_catalog("hosohedron:250001"),
-                  lambda: regular_catalog("dihedron:250001")]
-    for build in enumerated:
-        with pytest.raises(CosetLimitExceeded, match=f"above max_cosets={DEFAULT_MAX_COSETS}"):
             build()
     # An order at the budget itself goes on to build the group.
     with pytest.raises(AssertionError, match="group construction called"):
