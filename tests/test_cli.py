@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebrmaps import rotation_system_to_flagmap
+from ebrmaps import catalog_names, dihedral_presentation, rotation_system_to_flagmap
 from ebrmaps.cli import build_parser, main
 from conftest import FIXTURE_DIR, flag_involutions, rotation_systems
 
@@ -167,6 +168,29 @@ def test_enumerate_refuses_a_dihedral_group_above_the_order_budget(capsys, name)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: group too large: order ") and "above max_order=" in err
+
+
+SWEEP_FLAGS = (["--proper"], ["--proper", "--distinct", "--chi-max", "-1"], [])
+PRESENTATION_ORDERS = (26, 30, 36, 40)
+
+
+def test_enumerate_output_matches_the_recorded_digests(capsys, tmp_path, monkeypatch):
+    """Every catalog group and four dihedral presentation files, under three
+    flag sets: stdout (by sha256) and exit code as recorded before the sweep
+    learned to break on an automorphism, so the representatives stay the
+    same lex-least quadruples."""
+    with open(os.path.join(FIXTURE_DIR, "enumerate_digests.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    for m in PRESENTATION_ORDERS:
+        (tmp_path / f"dihedral-{m}.txt").write_text(str(dihedral_presentation(m)) + "\n")
+    groups = catalog_names() + [f"dihedral-{m}.txt" for m in PRESENTATION_ORDERS]
+    argvs = [["enumerate", "--group", g] + flags for g in groups for flags in SWEEP_FLAGS]
+    assert sorted(" ".join(argv) for argv in argvs) == sorted(recorded)
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == \
+            recorded[" ".join(argv)], argv
 
 
 def test_construct_cube_construction3(capsys):
