@@ -308,6 +308,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of ours, still one line and no traceback
+        detail = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

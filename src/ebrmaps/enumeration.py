@@ -8,8 +8,12 @@ keeps the first quadruple of each key in lexicographic order; that is the
 least quadruple of its automorphism class.  Only first pairs that are least
 under conjugation by the group are joined, since the least quadruple of a
 class starts with one (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  The classification report keys each map by the least
-Cayley form of its quadruple under the twin and dual slot permutations.
+J. Algorithms 1998).  Equal forms are an automorphism: a first pair that
+meets a form keyed under an earlier pair is that pair's image, so its
+quadruples are images of earlier ones and it is done.  The least quadruple
+of a class is never skipped, since its first pair is least in its
+Aut(H)-orbit.  The classification report keys each map by the least Cayley
+form of its quadruple under the twin and dual slot permutations.
 The groups to sweep come from ``families.catalog_group`` or a presentation.
 """
 
@@ -99,6 +103,10 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     automorphism class, sorted by slot indices.  ``chi_max`` keeps only maps
     with Euler characteristic at most that value.  ``max_candidates`` bounds
     the quadruples joined: first pairs kept times all pairs.
+
+    A first pair is dropped at its first form keyed under an earlier pair;
+    the filters are Aut(H)-invariant and forms are keyed before ``chi_max``
+    applies, so the output is that of the full sweep.
     """
     pairs = _commuting_involution_pairs(group, require_proper)
     # The least quadruple of a class is least under every inner automorphism.
@@ -109,7 +117,7 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
             f"{joined} candidate quadruples exceed the budget {max_candidates}")
     cache = _JoinCache(group)
     maps = []
-    keys: set[tuple] = set()
+    first_pairs: dict[tuple, tuple[int, int]] = {}  # form -> pair keyed under
     # Both lists are sorted, so quadruples come in lex order and the first of
     # each Cayley form is the least of its class; chi is constant on a class.
     for r_pair in firsts:
@@ -118,8 +126,10 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
             if require_distinct and len(set(quad)) < 4 or not cache.generates(r_pair, p_pair):
                 continue
             key = cayley_form(group, quad)[1]
-            if key not in keys:
-                keys.add(key)
+            if first_pairs.get(key, r_pair) != r_pair:
+                break  # an automorphism takes an earlier pair to r_pair
+            if key not in first_pairs:
+                first_pairs[key] = r_pair
                 m = EdgeBiregularMap(group, *quad)
                 if chi_max is None or m.chi() <= chi_max:
                     maps.append(m)

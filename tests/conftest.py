@@ -15,6 +15,7 @@ from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, GroupPresentation, Pe
                      closure, ebr_type_presentation, extend_generator_map,
                      rotation_system_to_flagmap, triangle_group)
 from ebrmaps.enumeration import _commuting_involution_pairs, _JoinCache
+from ebrmaps.perm_group import cayley_form
 
 # Derandomized, so that a property failure reproduces from the test log.
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -253,6 +254,15 @@ def _automorphisms(group, source):
                          for j, y in enumerate(image))]
     extensions = (extend_generator_map(group, list(source), list(image)) for image in images)
     return [aut for aut in extensions if aut is not None]
+
+
+def twin_dual_least_form(m):
+    """The least Cayley form of a map's quadruple under identity, twin, dual
+    and twin-of-dual: equal for two maps exactly when one is isomorphic to
+    the other or to its twin, dual or twin-of-dual, whatever their groups."""
+    r0, r2, p0, p2 = m.slot_indices
+    return min(cayley_form(m.group, quad)[1]
+               for quad in ((r0, r2, p0, p2), (p0, p2, r0, r2), (r2, r0, p2, p0), (p2, p0, r2, r0)))
 
 
 def aut_orbit_representatives(group, require_proper=False, require_distinct=False,

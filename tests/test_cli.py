@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ebrmaps.families as families
 from ebrmaps import catalog_names, dihedral_presentation, rotation_system_to_flagmap
 from ebrmaps.cli import build_parser, main
 from conftest import FIXTURE_DIR, flag_involutions, rotation_systems
@@ -337,6 +338,25 @@ def test_over_budget_relator_exits_1_with_one_line(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: relator longer than") and err.count("\n") == 1
 
+
+def test_internal_error_exits_1_with_one_line(capsys, monkeypatch):
+    def broken(name):
+        raise RuntimeError("coset table\nlost its place")
+
+    monkeypatch.setattr(families, "regular_catalog", broken)
+    code, out, err = run(capsys, "construct", "--catalog", "cube", "--construction", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: internal error: RuntimeError: coset table lost its place\n"
+    assert "Traceback" not in err
+
+
+def test_keyboard_interrupt_is_not_swallowed(monkeypatch):
+    def interrupted(name):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(families, "regular_catalog", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["construct", "--catalog", "cube", "--construction", "1"])
 
 def test_one_parser_serves_every_call(capsys, tmp_path):
     calls = [

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import ebrmaps.enumeration as enumeration
 from ebrmaps import (
     BoundaryMapError,
     CandidateBudgetExceeded,
@@ -14,8 +17,8 @@ from ebrmaps import (
     regular_catalog,
     torus_rect,
 )
-from conftest import (all_valid_quadruples, aut_orbit_representatives, dihedral_by_closure,
-                      pairwise_class_sizes, pairwise_representatives)
+from conftest import (_automorphisms, all_valid_quadruples, aut_orbit_representatives,
+                      dihedral_by_closure, pairwise_class_sizes, pairwise_representatives)
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -83,6 +86,33 @@ def test_sweep_matches_aut_orbit_reference(name, flags):
     group = SWEEP_GROUPS[name]()
     found = [m.slot_indices for m in enumerate_ebr(group, **FLAG_SETS[flags])]
     assert found == aut_orbit_representatives(group, **FLAG_SETS[flags])
+
+
+@pytest.mark.parametrize("name, flags, forms", [
+    ("c2^3", "none", 111), ("dihxc2:20", "proper", 393), ("torus_rect(4,4)", "none", 381)])
+def test_sweep_keys_one_form_on_a_first_pair_an_automorphism_reaches(
+        monkeypatch, name, flags, forms):
+    """A first pair that is least in its Aut(H)-orbit gets the form of every
+    quad it generates with; any other first pair gets exactly one form, the
+    one that shows an earlier pair maps to it."""
+    group = SWEEP_GROUPS[name]()
+    form, firsts = enumeration.cayley_form, Counter()
+
+    def counted(group, quad):
+        firsts[quad[:2]] += 1
+        return form(group, quad)
+
+    monkeypatch.setattr(enumeration, "cayley_form", counted)
+    maps = enumerate_ebr(group, **FLAG_SETS[flags])
+    assert sum(firsts.values()) == forms
+    auts = _automorphisms(group, maps[0].slot_indices)
+    pairs = enumeration._commuting_involution_pairs(group, flags == "proper")
+    cache = enumeration._JoinCache(group)
+    for pair, count in firsts.items():
+        if pair == min((aut[pair[0]], aut[pair[1]]) for aut in auts):
+            assert count == sum(cache.generates(pair, other) for other in pairs)
+        else:
+            assert count == 1
 
 
 def test_enumerated_quadruples_are_valid():
