@@ -70,7 +70,6 @@ from .presentation import (
     coset_enumerate,
     dihedral_presentation,
     ebr_type_presentation,
-    evaluate_word,
     parse_presentation,
     square_grid_group,
     triangle_group,

@@ -82,10 +82,10 @@ def _build_family(name: str, params: dict) -> EdgeBiregularMap:
 
 
 def _presentation_text(source: str) -> str:
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return source
+    if source.lstrip().startswith("<"):
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _build_from_presentation(source: str, slots: Optional[str],
@@ -240,7 +240,8 @@ def underlying_dot(m: EdgeBiregularMap) -> str:
 def _add_map_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", help="family name (e.g. torus-rect, dihedral)")
     parser.add_argument("--params", help="family parameters, e.g. a=4,c=3")
-    parser.add_argument("--presentation", help="presentation file or literal text")
+    parser.add_argument("--presentation",
+                        help="presentation text, which starts with '<', or a file holding it")
     parser.add_argument("--slots",
                         help="comma list naming the r0,r2,rho0,rho2 generators "
                              "('-' marks an absent slot)")

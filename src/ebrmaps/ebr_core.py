@@ -332,11 +332,7 @@ class EdgeBiregularMap:
     def left_action(self) -> tuple[Permutation, Permutation, Permutation, Permutation]:
         """Left-regular actions of the four slot elements on the corners."""
         self._require_closed()
-        group = self.group
-        n = group.order
-        return tuple(
-            Permutation(group.mul(s, e) for e in range(n))
-            for s in self.slot_indices)
+        return tuple(Permutation(self.group.left_translation(s)) for s in self.slot_indices)
 
 
 def are_isomorphic(m1: EdgeBiregularMap, m2: EdgeBiregularMap) -> bool:

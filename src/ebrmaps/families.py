@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .constructions import RegularMap
 from .ebr_core import EdgeBiregularMap
-from .perm_group import FiniteGroup, Permutation, within_max_order
+from .perm_group import FiniteGroup, within_max_order
 from .presentation import GroupPresentation, coset_enumerate, triangle_group
 
 _SLOT_NAMES = ("r0", "r2", "rho0", "rho2")
@@ -91,7 +91,7 @@ def affine_quotient(names: Sequence[str], generators: Sequence[Affine],
                 base = kept.index(_matmul(central[0], image)) * size
                 column += [base + through_central[x] for x in shift]
         columns.append(column)
-    return FiniteGroup(len(column), names, [Permutation(col) for col in columns], columns)
+    return FiniteGroup(names, columns)
 
 
 def _enumerate(pres: GroupPresentation, expected_order: int) -> FiniteGroup:

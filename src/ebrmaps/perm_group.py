@@ -3,9 +3,9 @@
 Permutations act on the point set ``{0, ..., degree-1}`` and compose left to
 right: ``(p * q)(i) == q(p(i))``, so a word evaluates by applying its letters
 in reading order; they are the input and output form of group elements.
-Inside a ``FiniteGroup`` an element is an index, numbered by breadth-first
-closure from the identity over the generators in declared order; every
-downstream "first representative" tie-break inherits this order.
+A ``FiniteGroup`` is its right Cayley graph, and an element is an index,
+numbered breadth-first from the identity over the generators in declared
+order; every downstream "first representative" tie-break inherits this order.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ class Permutation:
         return f"Permutation({text})"
 
 
-# Elements may be passed to group methods either as Permutation objects or as
-# indices into the element list.
+# An element given from outside the library: a permutation or an index.
 ElementLike = Union[Permutation, int]
 
 
@@ -124,16 +123,14 @@ class FiniteGroup:
     Elements are numbered 0 (the identity) upward in breadth-first order over
     the declared generators, which keeps reports and canonical forms stable;
     the constructor renumbers columns (and ``elements``) given in any order
-    with the identity at 0.  Permutations other than ``generators`` are
-    derived along the breadth-first tree, on request only.
+    with the identity at 0.  Permutations are derived on request only: element
+    ``i`` reads as its right translation ``x -> x*i``, unless ``closure``
+    passed the ``elements`` it was closed under.
     """
 
-    def __init__(self, degree: int, generator_names: Sequence[str],
-                 generators: Sequence[Permutation], columns: Sequence[Sequence[int]],
+    def __init__(self, generator_names: Sequence[str], columns: Sequence[Sequence[int]],
                  elements: Optional[Sequence[Permutation]] = None):
-        self.degree = degree
         self.generator_names = tuple(generator_names)
-        self.generators = tuple(generators)
         # Breadth-first tree: f was first reached as parent[f] * via[f], and
         # found[f] is its index in the input.
         n = len(columns[0])
@@ -151,8 +148,8 @@ class FiniteGroup:
             raise ValueError("the generators do not reach every element")
         self.columns = tuple([number[col[x]] for x in found] for col in columns)
         self._right: list[Optional[list[int]]] = [list(range(n))] + [None] * (n - 1)
-        self._orders: list[Optional[int]] = [None] * n
         self._elements = None if elements is None else tuple(elements[x] for x in found)
+        self.degree = n if elements is None else elements[0].degree
         self._index: Optional[dict[Permutation, int]] = None
 
     @property
@@ -169,23 +166,29 @@ class FiniteGroup:
             raise ValueError(f"no generator named {name!r}") from None
 
     @property
+    def generators(self) -> tuple[Permutation, ...]:
+        """Each generator as a permutation: its column, unless built by ``closure``."""
+        return tuple(self.element(col[0]) for col in self.columns)
+
+    @property
     def elements(self) -> tuple[Permutation, ...]:
         """Every element as a permutation, in element order."""
         if self._elements is None:
             els = [Permutation.identity(self.degree)]
             for f in range(1, self.order):
-                els.append(els[self._parent[f]] * self.generators[self._via[f]])
+                col = self.columns[self._via[f]]
+                els.append(Permutation([col[x] for x in els[self._parent[f]].images]))
             self._elements = tuple(els)
         return self._elements
 
     def element(self, i: int) -> Permutation:
         if self._elements is not None:
             return self._elements[i]
-        p = Permutation.identity(self.degree)
+        images: Sequence[int] = range(self.order)
         while i:  # prepend generators along the tree path back to 0
-            p = self.generators[self._via[i]] * p
+            images = [images[x] for x in self.columns[self._via[i]]]
             i = self._parent[i]
-        return p
+        return Permutation(images)
 
     def index(self, p: ElementLike) -> int:
         if isinstance(p, int):
@@ -215,6 +218,13 @@ class FiniteGroup:
             self._right[f] = right
         return right  # type: ignore[return-value]
 
+    def left_translation(self, j: int) -> list[int]:
+        """The array ``x -> j*x``, not memoised: j*f is (j*parent[f]) * via[f]."""
+        left = [j]
+        for f in range(1, self.order):
+            left.append(self.columns[self._via[f]][left[self._parent[f]]])
+        return left
+
     def mul(self, i: int, j: int) -> int:
         return (self._right[j] or self.right_translation(j))[i]
 
@@ -222,26 +232,23 @@ class FiniteGroup:
         return self.right_translation(i).index(0)
 
     def element_order(self, i: int) -> int:
-        order = self._orders[i]
-        if order is None:
-            right = self.right_translation(i)
-            x, order = i, 1
-            while x:
-                x = right[x]
-                order += 1
-            self._orders[i] = order
-        return order
+        return _order(self.right_translation(i))
 
     def involution_indices(self) -> list[int]:
-        return [i for i in range(1, self.order) if self.element_order(i) == 2]
+        """The elements of order 2: f = parent[f]*g has inverse g^-1 * parent[f]^-1."""
+        undo = [self.left_translation(self.inv(col[0])) for col in self.columns]
+        inverse = [0]
+        for f in range(1, self.order):
+            inverse.append(undo[self._via[f]][inverse[self._parent[f]]])
+        return [f for f in range(1, self.order) if inverse[f] == f]
 
     def involutions(self) -> list[Permutation]:
         """All elements of order exactly 2, in element order."""
         return [self.elements[i] for i in self.involution_indices()]
 
-    def subgroup_indices(self, gens: Sequence[ElementLike]) -> list[int]:
+    def subgroup_indices(self, gens: Sequence[int]) -> list[int]:
         """Elements of the generated subgroup, in BFS discovery order."""
-        rights = [self.right_translation(self.index(g)) for g in gens]
+        rights = [self.right_translation(g) for g in gens]
         seen = {0}
         out = [0]
         pos = 0
@@ -255,7 +262,7 @@ class FiniteGroup:
                     out.append(f)
         return out
 
-    def subgroup_order(self, gens: Sequence[ElementLike]) -> int:
+    def subgroup_order(self, gens: Sequence[int]) -> int:
         """Order of the subgroup generated by ``gens`` (1 for no generators)."""
         return len(self.subgroup_indices(gens))
 
@@ -299,12 +306,12 @@ def closure(generators: Sequence[Permutation], names: Optional[Sequence[str]] = 
                 j = index[f] = len(elements)
                 elements.append(f)
             col.append(j)
-    return FiniteGroup(degree, names, gens, columns, elements)
+    return FiniteGroup(names, columns, elements)
 
 
-def _walk(group: FiniteGroup, gens: Sequence[ElementLike], order: list[int]) -> Iterable[int]:
+def _walk(group: FiniteGroup, gens: Sequence[int], order: list[int]) -> Iterable[int]:
     """Yield the Cayley form of ``gens`` entry by entry, extending ``order == [0]``."""
-    rights = [group.right_translation(group.index(g)) for g in gens]
+    rights = [group.right_translation(g) for g in gens]
     position = [-1] * group.order
     position[0] = 0
     for x in order:
@@ -317,7 +324,7 @@ def _walk(group: FiniteGroup, gens: Sequence[ElementLike], order: list[int]) -> 
             yield p
 
 
-def cayley_form(group: FiniteGroup, gens: Sequence[ElementLike]) -> tuple[list[int], tuple]:
+def cayley_form(group: FiniteGroup, gens: Sequence[int]) -> tuple[list[int], tuple]:
     """The visiting order of ``<gens>`` breadth-first from the identity, and the
     position of ``order[k] * gens[j]`` at entry ``k * len(gens) + j`` (Sims'
     standardised coset table).  Equal forms mean ``gens[i] -> gens'[i]``
@@ -326,8 +333,8 @@ def cayley_form(group: FiniteGroup, gens: Sequence[ElementLike]) -> tuple[list[i
     return order, tuple(_walk(group, gens, order))
 
 
-def _isomorphism(src_group: FiniteGroup, src: Sequence[ElementLike],
-                 dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> Optional[list[int]]:
+def _isomorphism(src_group: FiniteGroup, src: Sequence[int],
+                 dst_group: FiniteGroup, dst: Sequence[int]) -> Optional[list[int]]:
     """Pair off the visiting orders of ``src`` and ``dst`` if their Cayley forms,
     walked in step up to the first difference, are equal; else None."""
     if len(src) != len(dst):
@@ -343,8 +350,8 @@ def _isomorphism(src_group: FiniteGroup, src: Sequence[ElementLike],
     return images
 
 
-def extend_generator_map(group: FiniteGroup, src: Sequence[ElementLike],
-                         dst: Sequence[ElementLike]) -> Optional[list[int]]:
+def extend_generator_map(group: FiniteGroup, src: Sequence[int],
+                         dst: Sequence[int]) -> Optional[list[int]]:
     """Extend ``src[i] -> dst[i]`` to an automorphism of ``group``, if one exists.
 
     Returns the automorphism as its image list on element indices, or None.
@@ -352,26 +359,32 @@ def extend_generator_map(group: FiniteGroup, src: Sequence[ElementLike],
     return _isomorphism(group, src, group, dst)
 
 
-def groups_isomorphic_on(src_group: FiniteGroup, src: Sequence[ElementLike],
-                         dst_group: FiniteGroup, dst: Sequence[ElementLike]) -> bool:
+def groups_isomorphic_on(src_group: FiniteGroup, src: Sequence[int],
+                         dst_group: FiniteGroup, dst: Sequence[int]) -> bool:
     """Whether ``src[i] -> dst[i]`` extends to an isomorphism between the groups."""
     return (src_group.order == dst_group.order
             and _isomorphism(src_group, src, dst_group, dst) is not None)
 
 
+def _order(translation: list[int]) -> int:
+    """The order of the element a translation array moves 0 to."""
+    x, order = translation[0], 1
+    while x:
+        x, order = translation[x], order + 1
+    return order
+
+
 def is_dihedral(group: FiniteGroup) -> bool:
-    """Whether the group is dihedral of its order: some element of order n/2
-    is inverted by an involution, and the two of them generate."""
+    """Whether the group is dihedral of its order 2h.  The involutions of D_h
+    are h reflections and, for even h, a half turn; involutions y and z
+    generate a dihedral group of order 2 * order(y z), and of any two
+    involutions of D_h one is a reflection, which generates with another."""
     n = group.order
     if n % 2 != 0:
         return n == 1
     half = n // 2
-    rotations = [i for i in range(n) if group.element_order(i) == half or half == 1]
     invs = group.involution_indices()
-    for x in rotations:
-        xinv = group.inv(x)
-        for y in invs:
-            if group.mul(group.mul(y, x), y) == xinv:
-                if group.subgroup_order([x, y]) == n:
-                    return True
-    return False
+    if len(invs) != half + 1 - half % 2:
+        return False
+    lefts = [group.left_translation(y) for y in invs[:2]]
+    return any(_order(group.left_translation(left[z])) == half for left in lefts for z in invs)

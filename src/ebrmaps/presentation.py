@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .perm_group import FiniteGroup, Permutation
+from .perm_group import FiniteGroup
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -284,16 +284,6 @@ def parse_presentation(text: str) -> GroupPresentation:
     return _Parser(text).parse()
 
 
-def evaluate_word(word: Word, generators: Sequence[Permutation]) -> Permutation:
-    """Evaluate a relator word on concrete permutations, left to right."""
-    result = Permutation.identity(generators[0].degree)
-    for idx, exp in word:
-        g = generators[idx] if exp > 0 else generators[idx].inverse()
-        for _ in range(abs(exp)):
-            result = result * g
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Standard presentations
 # ---------------------------------------------------------------------------
@@ -513,11 +503,12 @@ def coset_enumerate(pres: GroupPresentation,
                     max_cosets: int = DEFAULT_MAX_COSETS) -> FiniteGroup:
     """Enumerate the presented group over the trivial subgroup.
 
-    Returns the group with generator permutations on the live cosets, named
-    as in the presentation, and its elements numbered breadth-first from the
-    identity coset.  Raises CosetLimitExceeded when more than ``max_cosets``
-    live cosets would be needed, and ValueError when the relator rotations
-    would take more than ``MAX_ROTATION_LETTERS`` letters.
+    Returns the group as the Cayley graph the completed coset table holds,
+    with generators named as in the presentation and elements numbered
+    breadth-first from the identity coset.  Raises CosetLimitExceeded when
+    more than ``max_cosets`` live cosets would be needed, and ValueError when
+    the relator rotations would take more than ``MAX_ROTATION_LETTERS``
+    letters.
     """
     ngens = len(pres.generator_names)
     if ngens == 0:
@@ -571,9 +562,8 @@ def coset_enumerate(pres: GroupPresentation,
     # arrays are the columns of the Cayley graph.
     live = [c for c in range(len(ct.table)) if ct.alive[c]]
     renumber = {c: i for i, c in enumerate(live)}
-    perms = [Permutation(renumber[ct.table[c][col_of[i]]] for c in live)
-             for i in range(ngens)]
-    return FiniteGroup(len(live), pres.generator_names, perms, [p.images for p in perms])
+    columns = [[renumber[ct.table[c][col_of[i]]] for c in live] for i in range(ngens)]
+    return FiniteGroup(pres.generator_names, columns)
 
 
 def _cyclic_period(word: tuple[int, ...]) -> int:

@@ -86,6 +86,16 @@ def cube_flagmap():
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def evaluate_word(word, generators):
+    """Evaluate a relator word on concrete permutations, left to right."""
+    result = Permutation.identity(generators[0].degree)
+    for idx, exp in word:
+        g = generators[idx] if exp > 0 else generators[idx].inverse()
+        for _ in range(abs(exp)):
+            result = result * g
+    return result
+
+
 def involutions_by_scan(group):
     """Brute-force scan: non-identity elements squaring to the identity."""
     out = []
@@ -93,6 +103,39 @@ def involutions_by_scan(group):
         if not p.is_identity() and (p * p).is_identity():
             out.append(p)
     return out
+
+
+def dihedral_by_rotation(group) -> bool:
+    """Oracle: the group is dihedral of its order when some element of order
+    n/2 is inverted by an involution, and the two of them generate.  Every
+    element order is read off its memoised right translation."""
+    n = group.order
+    if n % 2 != 0:
+        return n == 1
+    half = n // 2
+    rotations = [i for i in range(n) if group.element_order(i) == half or half == 1]
+    invs = [i for i in range(1, n) if group.element_order(i) == 2]
+    for x in rotations:
+        xinv = group.inv(x)
+        for y in invs:
+            if group.mul(group.mul(y, x), y) == xinv:
+                if group.subgroup_order([x, y]) == n:
+                    return True
+    return False
+
+
+def random_quotients(count):
+    """Quotients of the (3, 4) triangle group by one or two random extra
+    relators, the same ones on every call."""
+    import random
+
+    rng = random.Random(271828)
+    base = triangle_group(3, 4)
+    for _ in range(count):
+        extra = tuple(tuple((rng.randrange(3), rng.choice((1, -1, 2)))
+                            for _ in range(rng.randint(1, 6)))
+                      for _ in range(rng.randint(1, 2)))
+        yield GroupPresentation(base.generator_names, base.relators + extra)
 
 
 def euler_formula(order: int, k: int, l: int) -> Fraction:

@@ -31,7 +31,8 @@ from ebrmaps import (
     triangle_group,
 )
 from ebrmaps.perm_group import cayley_form
-from conftest import all_valid_quadruples, pairwise_class_sizes, translate_reference
+from conftest import (all_valid_quadruples, pairwise_class_sizes, random_quotients,
+                      translate_reference)
 
 
 def assert_matches_permutations(group):
@@ -101,6 +102,48 @@ def test_coset_enumeration_hands_over_the_closure_group(name):
     assert g.elements == reference.elements
     assert g.columns == reference.columns
     assert_matches_permutations(g)
+
+
+def _element_groups():
+    """Closure-built groups (one regular, two not), coset-enumerated groups
+    (random quotients of the (3, 4) triangle group and one with generators of
+    order 4) and written-down groups."""
+    from ebrmaps import Permutation, parse_presentation
+
+    groups = [closure([Permutation((1, 2, 0, 3)), Permutation((1, 0, 2, 3))]),  # S3 on 4 points
+              closure([Permutation((1, 2, 3, 0)), Permutation((1, 0, 2, 3))]),  # S4 on 4 points
+              closure(list(catalog_group("dih:10").generators))]
+    groups += [coset_enumerate(pres, max_cosets=2000) for pres in random_quotients(6)]
+    groups.append(coset_enumerate(parse_presentation("< a, b | a^4, a^2 b^-2, b^-1 a b a >")))
+    groups += [catalog_group("dihxc2:12"), torus_rect(3, 4).group, klein(3, 2).group]
+    return groups
+
+
+ELEMENT_GROUPS = _element_groups()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_elements_products_and_generators_agree_with_the_columns(data):
+    group = data.draw(st.sampled_from(ELEMENT_GROUPS))
+    i, j = (data.draw(st.integers(0, group.order - 1)) for _ in range(2))
+    assert group.element(i) * group.element(j) == group.element(group.mul(i, j))
+    assert group.index(group.element(i)) == i
+    g = data.draw(st.integers(0, len(group.columns) - 1))
+    assert group.generators[g] == group.element(group.columns[g][0])
+
+
+def test_written_down_and_enumerated_groups_build_no_permutation(monkeypatch):
+    from ebrmaps import Permutation, regular_catalog
+
+    def refuse(self, images):
+        raise AssertionError("a Permutation was built")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    assert torus_rect(8, 8).group.order == 256
+    assert catalog_group("dihxc2:12").order == 24
+    assert regular_catalog("torus44:3:3-rect").group.order == 72
+    assert coset_enumerate(triangle_group(3, 4)).order == 48
 
 
 CLASSIFIED = {

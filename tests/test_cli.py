@@ -74,6 +74,19 @@ def test_analyze_presentation_boundary_slots(capsys):
     assert data["l"] == 6
 
 
+def test_literal_presentation_is_read_even_when_a_file_has_its_name(capsys, tmp_path,
+                                                                  monkeypatch):
+    text = "< a, b | a^2, b^2, (a b)^2 >"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / text).write_text("not a presentation\n")
+    code, out, err = run(capsys, "analyze", "--presentation", text, "--slots", "a,b,-,-")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order"] == 4
+    # A source that does not start with '<' is a path, even a missing one.
+    code, out, err = run(capsys, "analyze", "--presentation", "a, b | a^2 >", "--slots", "a,b,-,-")
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
 def test_analyze_slots_naming_no_generator_exits_1(capsys):
     code, out, err = run(capsys, "analyze", "--presentation", "< a, b | a^2, b^2, (a b)^3 >",
                          "--slots", "a,b,c,-")

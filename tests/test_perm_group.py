@@ -7,7 +7,7 @@ from ebrmaps import (
     extend_generator_map,
     is_dihedral,
 )
-from conftest import involutions_by_scan
+from conftest import dihedral_by_rotation, involutions_by_scan
 
 
 def square_symmetries():
@@ -89,7 +89,7 @@ def test_subgroup_order_edge_cases():
     g = square_symmetries()
     assert g.subgroup_order([]) == 1
     s = g.generator("s")
-    assert g.subgroup_order([s]) == 2
+    assert g.subgroup_order([g.index(s)]) == 2
 
 
 def test_subgroup_order_two_reflections_product_order_three():
@@ -97,7 +97,7 @@ def test_subgroup_order_two_reflections_product_order_three():
     t = Permutation((1, 0, 2))
     g = closure([s, t])
     assert g.order == 6
-    assert g.subgroup_order([s, t]) == 6
+    assert g.subgroup_order([g.index(s), g.index(t)]) == 6
 
 
 def test_subgroup_order_is_twice_product_order():
@@ -108,12 +108,13 @@ def test_subgroup_order_is_twice_product_order():
     invs = g.involutions()
     for x in invs:
         for y in invs:
-            assert g.subgroup_order([x, y]) == 2 * (x * y).order()
+            assert g.subgroup_order([g.index(x), g.index(y)]) == 2 * (x * y).order()
 
 
 def test_extend_identity_map():
     g = square_symmetries()
-    phi = extend_generator_map(g, list(g.generators), list(g.generators))
+    gens = [g.index(p) for p in g.generators]
+    phi = extend_generator_map(g, gens, gens)
     assert phi == list(range(g.order))
 
 
@@ -121,7 +122,7 @@ def test_extend_klein_four_swap():
     a = Permutation((1, 0, 2, 3))
     b = Permutation((0, 1, 3, 2))
     g = closure([a, b])
-    phi = extend_generator_map(g, [a, b], [b, a])
+    phi = extend_generator_map(g, [g.index(a), g.index(b)], [g.index(b), g.index(a)])
     assert phi is not None
     assert phi[g.index(a)] == g.index(b) and phi[g.index(b)] == g.index(a)
 
@@ -131,6 +132,7 @@ def test_extend_to_non_generating_image_fails():
     s, t = g.generator("s"), g.generator("t")
     central = (s * t) * (s * t)
     assert central.order() == 2
+    s, t, central = g.index(s), g.index(t), g.index(central)
     assert g.subgroup_order([s, central]) == 4  # proper subgroup
     assert extend_generator_map(g, [s, t], [s, central]) is None
 
@@ -140,10 +142,11 @@ def test_extend_inverse_round_trip():
     s, t = g.generator("s"), g.generator("t")
     z = (s * t) * (s * t)
     for dst in [(t * s * t, t), (s, t * s * t * z)]:
-        phi = extend_generator_map(g, [s, t], list(dst))
+        dst = [g.index(p) for p in dst]
+        phi = extend_generator_map(g, [g.index(s), g.index(t)], dst)
         if phi is None:
             continue
-        back = extend_generator_map(g, list(dst), [s, t])
+        back = extend_generator_map(g, dst, [g.index(s), g.index(t)])
         assert back is not None
         assert all(back[phi[i]] == i for i in range(g.order))
 
@@ -152,7 +155,7 @@ def test_extend_requires_generating_src():
     g = square_symmetries()
     s = g.generator("s")
     with pytest.raises(ValueError):
-        extend_generator_map(g, [s], [s])
+        extend_generator_map(g, [g.index(s)], [g.index(s)])
 
 
 def test_is_dihedral():
@@ -168,11 +171,50 @@ def test_is_dihedral():
     assert not is_dihedral(c2cubed)
 
 
+def dihedral_oracle_groups():
+    """Every catalog group, every family group of order at most 256, and
+    presented groups, among them generalised dihedral groups Dih(C3 x C3) and
+    Dih(C6 x C3), which have as many involutions as a dihedral group of their
+    order and are not dihedral."""
+    from ebrmaps import (catalog_group, catalog_names, coset_enumerate, dihedral_map,
+                         dihedral_presentation, klein, parse_presentation, sphere_family,
+                         torus_rect, torus_rhombic)
+
+    groups = [catalog_group(name) for name in catalog_names()]
+    maps = [torus_rect(a, c) for a in range(1, 65) for c in range(1, 64 // a + 1)]
+    maps += [torus_rhombic(b, c) for b in range(1, 33) for c in range(1, 32 // b + 1)]
+    maps += [klein(a, b) for b in (1, 2) for a in range(1, 64 // b + 1)]
+    maps += [dihedral_map(m, row) for m in range(4, 129, 2) for row in (1, 2, 3, 4)
+             if row in (1, 3) or m % 4 == 2]
+    maps += [sphere_family(kind, m) for kind in ("cycle", "dipole") for m in range(1, 65)]
+    maps += [sphere_family("semistar", m) for m in range(1, 129)]
+    maps += [sphere_family("dipole", m, rpp=True) for m in range(2, 129, 2)]
+    groups += [m.group for m in maps]
+    texts = ["< a, b | a^4, a^2 b^-2, b^-1 a b a >", "< a, b | a^2, b^3, (a b)^4 >",
+             "< a, b, c | a^2, b^3, c^3, b c b^-1 c^-1, (a b)^2, (a c)^2 >",
+             "< a, b, c | a^2, b^6, c^3, b c b^-1 c^-1, (a b)^2, (a c)^2 >"]
+    groups += [coset_enumerate(parse_presentation(text)) for text in texts]
+    groups += [coset_enumerate(dihedral_presentation(m)) for m in (1, 2, 3, 8, 15)]
+    assert all(g.order <= 256 for g in groups)
+    return groups
+
+
+def test_is_dihedral_agrees_with_the_rotation_oracle():
+    groups = dihedral_oracle_groups()
+    verdicts = [is_dihedral(g) for g in groups]
+    assert verdicts == [dihedral_by_rotation(g) for g in groups]
+    assert {True, False} == set(verdicts)
+    # The generalised dihedral groups pass the involution count.
+    for g in groups[-7:-5]:
+        assert len(g.involution_indices()) in (g.order // 2, g.order // 2 + 1)
+    assert [(g.order, is_dihedral(g)) for g in groups[-7:-5]] == [(18, False), (36, False)]
+
+
 def membership_groups():
-    """Catalog groups (one written as an affine quotient, one closure-built),
-    coset-enumerated groups (regular on their points), and a group of order 6
-    on 6 points that is not regular, held without its element list."""
-    from ebrmaps import FiniteGroup, catalog_group, coset_enumerate, dihedral_presentation
+    """Catalog groups written as affine quotients, coset-enumerated groups
+    (regular on their points), and a closure-built group of order 6 on 6
+    points that is not regular."""
+    from ebrmaps import catalog_group, coset_enumerate, dihedral_presentation
     from ebrmaps import triangle_group
 
     s3 = closure([Permutation.from_cycles(6, [(0, 1, 2), (3, 4, 5)]),
@@ -180,7 +222,7 @@ def membership_groups():
     assert s3.order == s3.degree == 6
     return [catalog_group("dih:12"), catalog_group("c2^3"),
             coset_enumerate(dihedral_presentation(5)), coset_enumerate(triangle_group(3, 4)),
-            FiniteGroup(s3.degree, s3.generator_names, s3.generators, s3.columns)]
+            s3]
 
 
 def test_membership_agrees_with_the_element_list():

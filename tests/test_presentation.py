@@ -10,12 +10,11 @@ from ebrmaps import (
     coset_enumerate,
     dihedral_presentation,
     ebr_type_presentation,
-    evaluate_word,
     parse_presentation,
     square_grid_group,
     triangle_group,
 )
-from conftest import cube_rotation_system, felsch_reference
+from conftest import cube_rotation_system, evaluate_word, felsch_reference, random_quotients
 from ebrmaps import rotation_system_to_flagmap
 
 
@@ -105,14 +104,14 @@ def test_type_presentation_spherical_cases_are_the_cycle_groups():
     assert universal.order == 12
     cycle = sphere_family("cycle", 3)
     assert groups_isomorphic_on(
-        universal, [universal.generator(n) for n in ("r0", "r2", "rho0", "rho2")],
-        cycle.group, list(cycle.slots))
+        universal, [universal.generator_index(n) for n in ("r0", "r2", "rho0", "rho2")],
+        cycle.group, list(cycle.slot_indices))
     dual_universal = coset_enumerate(ebr_type_presentation(6, 2), max_cosets=500)
     dipole = sphere_family("dipole", 3)
     assert groups_isomorphic_on(
         dual_universal,
-        [dual_universal.generator(n) for n in ("r0", "r2", "rho0", "rho2")],
-        dipole.group, list(dipole.slots))
+        [dual_universal.generator_index(n) for n in ("r0", "r2", "rho0", "rho2")],
+        dipole.group, list(dipole.slot_indices))
 
 
 def test_type_presentation_euclidean_and_hyperbolic_are_infinite():
@@ -333,33 +332,28 @@ def _check_against_reference(pres, max_cosets):
     import ebrmaps.presentation as presentation
 
     definitions, define = [], presentation._CosetTable.define
+    # The columns coset_enumerate hands to FiniteGroup, in live-coset numbering.
+    finite_group, handed = presentation.FiniteGroup, []
 
     def recording(table, c, x):
         definitions.append((c, x))
         define(table, c, x)
 
+    def capturing(names, columns):
+        handed.extend(list(col) for col in columns)
+        return finite_group(names, columns)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(presentation._CosetTable, "define", recording)
+        patch.setattr(presentation, "FiniteGroup", capturing)
         try:
             group = coset_enumerate(pres, max_cosets=max_cosets)
         except CosetLimitExceeded:
             group = None
-    outcome = CosetLimitExceeded if group is None else [list(p.images) for p in group.generators]
+    outcome = CosetLimitExceeded if group is None else handed
     assert (definitions, outcome) == felsch_reference(pres, max_cosets)
     for word in pres.relators if group else ():
         assert evaluate_word(word, list(group.generators)).is_identity()
-
-
-def _random_quotients(count):
-    import random
-
-    rng = random.Random(271828)
-    base = triangle_group(3, 4)
-    for _ in range(count):
-        extra = tuple(tuple((rng.randrange(3), rng.choice((1, -1, 2)))
-                            for _ in range(rng.randint(1, 6)))
-                      for _ in range(rng.randint(1, 2)))
-        yield GroupPresentation(base.generator_names, base.relators + extra)
 
 
 ORACLE_CASES = {
@@ -375,7 +369,7 @@ ORACLE_CASES = {
         "< a, b | a^3, b^3, (a b)^3, (a b^-1)^3 >",
         "< a | a >",
     )},
-    **{f"quotient{i}": pres for i, pres in enumerate(_random_quotients(12))},
+    **{f"quotient{i}": pres for i, pres in enumerate(random_quotients(12))},
 }
 
 
