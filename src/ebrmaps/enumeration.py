@@ -5,14 +5,20 @@ Candidates are ordered pairs of commuting involutions for (r0, r2) and
 isomorphic maps exactly when they have the same Cayley form
 (``perm_group.cayley_form``), so the sweep keys candidates by their form and
 keeps the first quadruple of each key in lexicographic order; that is the
-least quadruple of its automorphism class.  Only first pairs that are least
-under conjugation by the group are joined, since the least quadruple of a
-class starts with one (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  Equal forms are an automorphism: a first pair that
-meets a form keyed under an earlier pair is that pair's image, so its
-quadruples are images of earlier ones and it is done.  The least quadruple
-of a class is never skipped, since its first pair is least in its
-Aut(H)-orbit.  The classification report keys each map by the least Cayley
+least quadruple of its automorphism class (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998).  Equal forms are an automorphism, which
+pairs off the two visiting orders, and the sweep prunes with every one it
+finds, as nauty does (McKay and Piperno, "Practical graph isomorphism II",
+2014).  Two union-finds over the sorted pairs, each rooted at its least
+index, hold the orbits seen so far: one over first pairs, seeded with
+conjugation by the generators and fed every automorphism found, and one over
+second pairs, reset for each first pair and fed the automorphisms from forms
+repeated under it, which fix it.  A pair that is not a root is skipped, as
+it is the image of an earlier one, and so is the rest of a first pair once a
+form keyed under an earlier first pair shows it to be that pair's image.  The
+least quadruple of a class is never skipped: its first pair is least in its
+Aut(H)-orbit, and its second pair is least in its orbit under that pair's
+stabiliser.  The classification report keys each map by the least Cayley
 form of its quadruple under the twin and dual slot permutations.
 The groups to sweep come from ``families.catalog_group`` or a presentation.
 """
@@ -74,24 +80,33 @@ class _JoinCache:
         return hit
 
 
-def _least_under_conjugation(group: FiniteGroup,
-                             pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The pairs (sorted) that are least in their orbit under conjugation by
-    the group; each orbit is walked by conjugating with the generators."""
-    conjugators = [(group.inv(col[0]), col[0]) for col in group.columns]
-    kept, seen = [], set()
-    for pair in pairs:
-        if pair not in seen:
-            kept.append(pair)
-            seen.add(pair)
-            orbit = [pair]
-            for x, y in orbit:  # grows while it is walked
-                for g_inv, g in conjugators:
-                    image = (group.mul(group.mul(g_inv, x), g), group.mul(group.mul(g_inv, y), g))
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
-    return kept
+def _find(parent: list[int], i: int) -> int:
+    """The root of ``i``, the least index of its set; halves the path walked."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _merge_images(parent: list[int], pairs: list[tuple[int, int]],
+                  index: dict[tuple[int, int], int], aut: Sequence[int]) -> None:
+    """Merge every pair with its image under the automorphism ``aut``."""
+    for i, j in enumerate([index[aut[x], aut[y]] for x, y in pairs]):
+        if i != j:
+            a, b = _find(parent, i), _find(parent, j)
+            parent[max(a, b)] = min(a, b)
+
+
+def _seeded_firsts(group: FiniteGroup, pairs: list[tuple[int, int]],
+                   index: dict[tuple[int, int], int]) -> list[int]:
+    """The first-pair union-find merged under conjugation by each generator:
+    its roots are the pairs least under conjugation by the group."""
+    parent = list(range(len(pairs)))
+    for col in group.columns:
+        right = group.right_translation(col[0])
+        conjugation = [right[x] for x in group.left_translation(group.inv(col[0]))]
+        _merge_images(parent, pairs, index, conjugation)
+    return parent
 
 
 def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
@@ -102,37 +117,55 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     Returns validated maps for the lexicographically least quadruple of each
     automorphism class, sorted by slot indices.  ``chi_max`` keeps only maps
     with Euler characteristic at most that value.  ``max_candidates`` bounds
-    the quadruples joined: first pairs kept times all pairs.
+    the quadruples joined: first pairs least under conjugation times all pairs.
 
-    A first pair is dropped at its first form keyed under an earlier pair;
-    the filters are Aut(H)-invariant and forms are keyed before ``chi_max``
-    applies, so the output is that of the full sweep.
+    Two union-finds over indices into the sorted pair list skip every pair
+    that is not the root (least index) of its set.  The first-pair one starts
+    from conjugation by the generators; the second-pair one starts afresh for
+    each first pair.  A form met again gives the automorphism taking the
+    quadruple first keyed under it to the current one, and every pair is
+    merged with its image in the first-pair union-find.  If the form was keyed
+    under an earlier first pair, the current first pair is that pair's image
+    and is done; otherwise the automorphism fixes it, and the second pairs
+    are merged too.  The filters are Aut(H)-invariant and forms are keyed
+    before ``chi_max`` applies, so the output is that of the full sweep.
     """
     pairs = _commuting_involution_pairs(group, require_proper)
-    # The least quadruple of a class is least under every inner automorphism.
-    firsts = _least_under_conjugation(group, pairs)
-    joined = len(firsts) * len(pairs)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    firsts = _seeded_firsts(group, pairs, index)
+    joined = sum(root == i for i, root in enumerate(firsts)) * len(pairs)
     if joined > max_candidates:
         raise CandidateBudgetExceeded(
             f"{joined} candidate quadruples exceed the budget {max_candidates}")
     cache = _JoinCache(group)
     maps = []
-    first_pairs: dict[tuple, tuple[int, int]] = {}  # form -> pair keyed under
-    # Both lists are sorted, so quadruples come in lex order and the first of
-    # each Cayley form is the least of its class; chi is constant on a class.
-    for r_pair in firsts:
-        for p_pair in pairs:
+    keyed: dict[tuple, tuple[int, list[int]]] = {}  # form -> first pair, visiting order
+    # Quadruples come in lex order and the first of each Cayley form is the
+    # least of its class; chi is constant on a class.
+    for ri, r_pair in enumerate(pairs):
+        if firsts[ri] != ri:
+            continue
+        seconds = list(range(len(pairs)))
+        for pi, p_pair in enumerate(pairs):
             quad = r_pair + p_pair
-            if require_distinct and len(set(quad)) < 4 or not cache.generates(r_pair, p_pair):
+            if (seconds[pi] != pi or require_distinct and len(set(quad)) < 4
+                    or not cache.generates(r_pair, p_pair)):
                 continue
-            key = cayley_form(group, quad)[1]
-            if first_pairs.get(key, r_pair) != r_pair:
-                break  # an automorphism takes an earlier pair to r_pair
-            if key not in first_pairs:
-                first_pairs[key] = r_pair
+            order, key = cayley_form(group, quad)
+            if key not in keyed:
+                keyed[key] = ri, order
                 m = EdgeBiregularMap(group, *quad)
                 if chi_max is None or m.chi() <= chi_max:
                     maps.append(m)
+                continue
+            rj, earlier = keyed[key]
+            aut = [0] * group.order
+            for x, y in zip(earlier, order):
+                aut[x] = y
+            _merge_images(firsts, pairs, index, aut)
+            if rj != ri:
+                break  # an automorphism takes an earlier pair to r_pair
+            _merge_images(seconds, pairs, index, aut)
     return maps
 
 

@@ -40,6 +40,13 @@ class Permutation:
             raise ValueError("images do not form a bijection of 0..degree-1")
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from images already known to form a bijection."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @staticmethod
     def identity(degree: int) -> "Permutation":
         return Permutation(range(degree))
@@ -64,13 +71,13 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
         oth = other.images
-        return Permutation(oth[i] for i in self.images)
+        return Permutation._trusted(tuple([oth[i] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))

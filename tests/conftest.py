@@ -299,6 +299,25 @@ def _automorphisms(group, source):
     return [aut for aut in extensions if aut is not None]
 
 
+def _least_under_conjugation(group, pairs):
+    """The pairs (sorted) that are least in their orbit under conjugation by
+    the group; each orbit is walked by conjugating with the generators."""
+    conjugators = [(group.inv(col[0]), col[0]) for col in group.columns]
+    kept, seen = [], set()
+    for pair in pairs:
+        if pair not in seen:
+            kept.append(pair)
+            seen.add(pair)
+            orbit = [pair]
+            for x, y in orbit:  # grows while it is walked
+                for g_inv, g in conjugators:
+                    image = (group.mul(group.mul(g_inv, x), g), group.mul(group.mul(g_inv, y), g))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+    return kept
+
+
 def twin_dual_least_form(m):
     """The least Cayley form of a map's quadruple under identity, twin, dual
     and twin-of-dual: equal for two maps exactly when one is isomorphic to

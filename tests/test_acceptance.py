@@ -253,11 +253,11 @@ def test_criterion_11_dihedral_table_for_every_even_m_to_100():
     _report(11, "dihedral table rows found for every even m from 4 to 100")
 
 
-def test_criterion_12_chi_zero_maps_of_order_to_64_are_family_maps():
-    groups = ([torus_rect(a, c) for a in range(1, 17) for c in range(1, 17) if a * c <= 16]
-              + [torus_rhombic(b, c) for b in range(1, 9) for c in range(1, 9) if b * c <= 8]
-              + [klein(a, b) for b in (1, 2) for a in range(1, 64 // (4 * b) + 1)])
-    assert len(groups) == 94
+def test_criterion_12_chi_zero_maps_of_order_to_128_are_family_maps():
+    groups = ([torus_rect(a, c) for a in range(1, 33) for c in range(1, 33) if a * c <= 32]
+              + [torus_rhombic(b, c) for b in range(1, 17) for c in range(1, 17) if b * c <= 16]
+              + [klein(a, b) for b in (1, 2) for a in range(1, 128 // (4 * b) + 1)])
+    assert len(groups) == 217
     family_forms, found, unmatched = {}, {}, []
     for family in groups:
         family_forms.setdefault(family.group.order, set()).add(twin_dual_least_form(family))
@@ -270,8 +270,8 @@ def test_criterion_12_chi_zero_maps_of_order_to_64_are_family_maps():
             if form not in family_forms[m.group.order]:
                 unmatched.append(m)
     assert unmatched == []
-    assert sum(map(len, found.values())) == 544
-    # The converse: every family map up to order 64 turns up in the sweep.
+    assert sum(map(len, found.values())) == 1231
+    # The converse: every family map up to order 128 turns up in the sweep.
     assert {order: set(forms) for order, forms in found.items()} == family_forms
-    _report(12, "every closed chi = 0 map up to order 64 is a torus or Klein-bottle "
+    _report(12, "every closed chi = 0 map up to order 128 is a torus or Klein-bottle "
                 f"family map ({sum(map(len, family_forms.values()))} classes up to twin and dual)")

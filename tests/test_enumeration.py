@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 import ebrmaps.enumeration as enumeration
@@ -17,8 +15,9 @@ from ebrmaps import (
     regular_catalog,
     torus_rect,
 )
-from conftest import (_automorphisms, all_valid_quadruples, aut_orbit_representatives,
-                      dihedral_by_closure, pairwise_class_sizes, pairwise_representatives)
+from conftest import (_automorphisms, _least_under_conjugation, all_valid_quadruples,
+                      aut_orbit_representatives, dihedral_by_closure, pairwise_class_sizes,
+                      pairwise_representatives)
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -89,30 +88,55 @@ def test_sweep_matches_aut_orbit_reference(name, flags):
 
 
 @pytest.mark.parametrize("name, flags, forms", [
-    ("c2^3", "none", 111), ("dihxc2:20", "proper", 393), ("torus_rect(4,4)", "none", 381)])
+    ("c2^3", "none", 17), ("dihxc2:20", "proper", 56), ("torus_rect(4,4)", "none", 32)])
 def test_sweep_keys_one_form_on_a_first_pair_an_automorphism_reaches(
         monkeypatch, name, flags, forms):
-    """A first pair that is least in its Aut(H)-orbit gets the form of every
-    quad it generates with; any other first pair gets exactly one form, the
+    """A first pair that is least in its Aut(H)-orbit gets a form for each
+    second pair not yet shown to be the image of an earlier one under an
+    automorphism fixing it; any other first pair gets at most one form, the
     one that shows an earlier pair maps to it."""
     group = SWEEP_GROUPS[name]()
-    form, firsts = enumeration.cayley_form, Counter()
+    form, formed = enumeration.cayley_form, {}
 
     def counted(group, quad):
-        firsts[quad[:2]] += 1
+        formed.setdefault(quad[:2], []).append(quad[2:])
         return form(group, quad)
 
     monkeypatch.setattr(enumeration, "cayley_form", counted)
     maps = enumerate_ebr(group, **FLAG_SETS[flags])
-    assert sum(firsts.values()) == forms
+    assert sum(map(len, formed.values())) == forms
     auts = _automorphisms(group, maps[0].slot_indices)
     pairs = enumeration._commuting_involution_pairs(group, flags == "proper")
     cache = enumeration._JoinCache(group)
-    for pair, count in firsts.items():
-        if pair == min((aut[pair[0]], aut[pair[1]]) for aut in auts):
-            assert count == sum(cache.generates(pair, other) for other in pairs)
-        else:
-            assert count == 1
+    for r in pairs:
+        partners = [p for p in pairs if cache.generates(r, p)]
+        seconds = formed.get(r, [])
+        least = r == min((aut[r[0]], aut[r[1]]) for aut in auts)
+        if not partners:
+            assert not seconds
+            continue
+        # A first pair with no form of its own is the image of an earlier pair.
+        assert seconds or not least, r
+        if not least:
+            assert len(seconds) <= 1, r
+        # A second pair skipped under r is the image of an earlier second pair
+        # under an automorphism fixing r; a pair that is not least stops at its form.
+        stabiliser = [aut for aut in auts if (aut[r[0]], aut[r[1]]) == r]
+        for p in partners:
+            if p not in seconds and (least or seconds and p < seconds[0]):
+                assert any((aut[p[0]], aut[p[1]]) < p for aut in stabiliser), (r, p)
+
+
+@pytest.mark.parametrize("name, flags", [case for case in SWEEP_CASES
+                                         if case[0] != "torus_rect(6,6)"])
+def test_first_pair_roots_after_seeding_are_least_under_conjugation(name, flags):
+    group = SWEEP_GROUPS[name]()
+    pairs = enumeration._commuting_involution_pairs(
+        group, FLAG_SETS[flags].get("require_proper", False))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    parent = enumeration._seeded_firsts(group, pairs, index)
+    roots = [pair for i, pair in enumerate(pairs) if parent[i] == i]
+    assert roots == _least_under_conjugation(group, pairs)
 
 
 def test_enumerated_quadruples_are_valid():
@@ -149,6 +173,15 @@ def test_candidate_budget():
     g = catalog_group("dih:12")
     with pytest.raises(CandidateBudgetExceeded):
         enumerate_ebr(g, max_candidates=10)
+
+
+def test_candidate_budget_counts_first_pairs_least_under_conjugation():
+    g = catalog_group("dihxc2:24")
+    pairs = enumeration._commuting_involution_pairs(g, False)
+    joined = len(_least_under_conjugation(g, pairs)) * len(pairs)
+    assert joined == 12201
+    with pytest.raises(CandidateBudgetExceeded, match=f"^{joined} candidate quadruples"):
+        enumerate_ebr(g, max_candidates=1)
 
 
 def test_family_rows_appear_among_enumerated_maps():

@@ -3,6 +3,7 @@ import pytest
 from ebrmaps import (
     GroupTooLargeError,
     Permutation,
+    catalog_group,
     closure,
     extend_generator_map,
     is_dihedral,
@@ -59,6 +60,17 @@ def test_closure_respects_element_bound():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_products_and_inverses_equal_the_validated_constructor():
+    # Products and inverses skip the bijection check; the constructor keeps it.
+    elements = catalog_group("dihxc2:24").elements
+    for p in elements:
+        inverse = Permutation([p.images.index(i) for i in range(p.degree)])
+        assert p.inverse() == inverse and hash(p.inverse()) == hash(inverse)
+        for q in elements:
+            product = Permutation([q(p(i)) for i in range(p.degree)])
+            assert p * q == product and hash(p * q) == hash(product)
 
 
 def test_involutions_trivial_group():
