@@ -66,7 +66,6 @@ from .presentation import (
     CosetLimitExceeded,
     GroupPresentation,
     PresentationSyntaxError,
-    corner_monodromy_presentation,
     coset_enumerate,
     dihedral_presentation,
     ebr_type_presentation,

@@ -151,22 +151,6 @@ class EdgeBiregularMap:
                      for i in self.slot_indices)
 
     @property
-    def r0(self) -> Optional[Permutation]:
-        return self.slots[0]
-
-    @property
-    def r2(self) -> Optional[Permutation]:
-        return self.slots[1]
-
-    @property
-    def rho0(self) -> Optional[Permutation]:
-        return self.slots[2]
-
-    @property
-    def rho2(self) -> Optional[Permutation]:
-        return self.slots[3]
-
-    @property
     def has_boundary(self) -> bool:
         return self.degeneracy_class == "boundary"
 

@@ -50,36 +50,6 @@ def _commuting_involution_pairs(group: FiniteGroup, proper: bool) -> list[tuple[
     return pairs
 
 
-class _JoinCache:
-    """Memoized subgroup joins keyed by the (frozen) element sets of the
-    pair subgroups; dihedral-sized groups have few distinct subgroups, so
-    almost every quadruple's generation check is a dictionary hit."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.pair_subgroup: dict[tuple[int, int], frozenset[int]] = {}
-        self.joins: dict[tuple[frozenset, frozenset], bool] = {}
-
-    def subgroup_of_pair(self, pair: tuple[int, int]) -> frozenset[int]:
-        cached = self.pair_subgroup.get(pair)
-        if cached is None:
-            cached = frozenset(self.group.subgroup_indices(list(set(pair))))
-            self.pair_subgroup[pair] = cached
-        return cached
-
-    def generates(self, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> bool:
-        sa, sb = self.subgroup_of_pair(pair_a), self.subgroup_of_pair(pair_b)
-        if sa == sb:
-            return len(sa) == self.group.order
-        key = frozenset((sa, sb))
-        hit = self.joins.get(key)
-        if hit is None:
-            gens = list(set(pair_a) | set(pair_b))
-            hit = self.group.subgroup_order(gens) == self.group.order
-            self.joins[key] = hit
-        return hit
-
-
 def _find(parent: list[int], i: int) -> int:
     """The root of ``i``, the least index of its set; halves the path walked."""
     while parent[i] != i:
@@ -137,7 +107,10 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     if joined > max_candidates:
         raise CandidateBudgetExceeded(
             f"{joined} candidate quadruples exceed the budget {max_candidates}")
-    cache = _JoinCache(group)
+    # A commuting pair (x, y) spans {1, x, y, xy}, so whether a quadruple
+    # generates depends only on its two spans; a span joined with itself is itself.
+    spans = [frozenset((0, x, y, group.mul(x, y))) for x, y in pairs]
+    joins = {frozenset((s,)): len(s) == group.order for s in spans}  # {span, span} -> generates
     maps = []
     keyed: dict[tuple, tuple[int, list[int]]] = {}  # form -> first pair, visiting order
     # Quadruples come in lex order and the first of each Cayley form is the
@@ -148,8 +121,12 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
         seconds = list(range(len(pairs)))
         for pi, p_pair in enumerate(pairs):
             quad = r_pair + p_pair
-            if (seconds[pi] != pi or require_distinct and len(set(quad)) < 4
-                    or not cache.generates(r_pair, p_pair)):
+            if seconds[pi] != pi or require_distinct and len(set(quad)) < 4:
+                continue
+            join = frozenset((spans[ri], spans[pi]))
+            if join not in joins:
+                joins[join] = group.subgroup_order(set(quad)) == group.order
+            if not joins[join]:
                 continue
             order, key = cayley_form(group, quad)
             if key not in keyed:

@@ -249,10 +249,6 @@ class FiniteGroup:
             inverse.append(undo[self._via[f]][inverse[self._parent[f]]])
         return [f for f in range(1, self.order) if inverse[f] == f]
 
-    def involutions(self) -> list[Permutation]:
-        """All elements of order exactly 2, in element order."""
-        return [self.elements[i] for i in self.involution_indices()]
-
     def subgroup_indices(self, gens: Sequence[int]) -> list[int]:
         """Elements of the generated subgroup, in BFS discovery order."""
         rights = [self.right_translation(g) for g in gens]

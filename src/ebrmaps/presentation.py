@@ -1,6 +1,7 @@
 """Group presentations: parsing, standard constructors, and coset enumeration.
 
-The textual grammar (ASCII, whitespace insignificant)::
+The textual grammar, in ASCII; whitespace (``string.whitespace``) separates
+tokens, and any other character is a syntax error::
 
     presentation := "<" gens "|" relators ">"
     gens         := ident ("," ident)*
@@ -8,6 +9,7 @@ The textual grammar (ASCII, whitespace insignificant)::
     word         := factor+
     factor       := ident ("^" int)? | "(" word ")" ("^" int)?
     ident        := [A-Za-z][A-Za-z0-9]*
+    int          := "-"? [0-9]+
 
 Coset enumeration runs over the trivial subgroup, so a completed table is
 the right Cayley graph of the presented group, and its generator columns
@@ -21,6 +23,8 @@ processed through a union-find with path compression.
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,178 +95,130 @@ class GroupPresentation:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("<>|,^()")
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind  # "punct", "ident", "int", "end"
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise PresentationSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+# The grammar's token classes, all ASCII; any other character is an error.
+_TOKEN = re.compile("|".join((
+    "(?P<ident>[A-Za-z][A-Za-z0-9]*)", "(?P<int>-?[0-9]+)", "(?P<punct>[<>|,^()])",
+    f"(?P<space>[{re.escape(string.whitespace)}]+)", "(?P<other>.)")), re.DOTALL)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []  # kind, text, offset; kind "end" last
+        for match in _TOKEN.finditer(text):
+            if match.lastgroup == "other":
+                raise self.error(f"unexpected character {match.group()!r}", match.start())
+            if match.lastgroup != "space":
+                self.tokens.append((match.lastgroup, match.group(), match.start()))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def error(self, message: str, offset: int) -> PresentationSyntaxError:
+        """The error at ``offset``, placed by 1-based line and column."""
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return PresentationSyntaxError(
+            message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise PresentationSyntaxError(
-                f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
-        return self.take()
+    def expected(self, what: str) -> PresentationSyntaxError:
+        """The error for a next token (or end of input) that is not ``what``."""
+        _, text, offset = self.peek()
+        return self.error(f"expected {what}, found {text or 'end of input'!r}", offset)
+
+    def is_punct(self, text: str) -> bool:
+        return self.peek()[:2] == ("punct", text)
+
+    def expect(self, text: str) -> None:
+        if not self.is_punct(text):
+            raise self.expected(repr(text))
+        self.take()
 
     def parse(self) -> GroupPresentation:
         self.expect("<")
         names = [self.ident()]
-        while self.peek().text == "," and self.peek().kind == "punct":
+        while self.is_punct(","):
             self.take()
             names.append(self.ident())
         seen = set()
         for name in names:
             if name in seen:
-                tok = self.tokens[0]
-                raise PresentationSyntaxError(
-                    f"duplicate generator name {name!r}", tok.line, tok.column)
+                raise self.error(f"duplicate generator name {name!r}", self.tokens[0][2])
             seen.add(name)
         self.expect("|")
         index = {name: i for i, name in enumerate(names)}
         relators = [self.word(index)]
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        while self.is_punct(","):
             self.take()
             relators.append(self.word(index))
         self.expect(">")
-        tok = self.peek()
-        if tok.kind != "end":
-            raise PresentationSyntaxError(
-                f"trailing input {tok.text!r}", tok.line, tok.column)
+        kind, text, offset = self.peek()
+        if kind != "end":
+            raise self.error(f"trailing input {text!r}", offset)
         return GroupPresentation(tuple(names), tuple(relators))
 
     def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise PresentationSyntaxError(
-                f"expected identifier, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
-        return self.take().text
+        if self.peek()[0] != "ident":
+            raise self.expected("identifier")
+        return self.take()[1]
 
     def exponent(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise PresentationSyntaxError(
-                f"expected integer exponent, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
-        self.take()
+        if self.peek()[0] != "int":
+            raise self.expected("integer exponent")
+        _, text, offset = self.take()
         try:
-            value = int(tok.text)
+            value = int(text)
         except ValueError:  # too many digits to convert, so far over budget
             value = MAX_ROTATION_LETTERS + 1
         if value == 0:
-            raise PresentationSyntaxError("zero exponent", tok.line, tok.column)
+            raise self.error("zero exponent", offset)
         return value
 
-    def power(self, tok: _Token, length: int, base: int) -> int:
-        """The exponent after ``tok`` (1 if none), once a word of ``length``
-        letters followed by ``base`` letters to that power stays within
-        budget; the error points at the exponent, or else at ``tok``."""
-        if self.peek().kind == "punct" and self.peek().text == "^":
+    def power(self, offset: int, length: int, base: int) -> int:
+        """The exponent after the token at ``offset`` (1 if none), once a word
+        of ``length`` letters followed by ``base`` letters to that power stays
+        within budget; the error points at the exponent, or else at ``offset``."""
+        exp = 1
+        if self.is_punct("^"):
             self.take()
-            tok = self.peek()
+            offset = self.peek()[2]
             exp = self.exponent()
-        else:
-            exp = 1
         if length + base * abs(exp) > MAX_ROTATION_LETTERS:
-            raise PresentationSyntaxError(
-                f"relator longer than {MAX_ROTATION_LETTERS} letters", tok.line, tok.column)
+            raise self.error(f"relator longer than {MAX_ROTATION_LETTERS} letters", offset)
         return exp
 
     def word(self, index: dict[str, int], depth: int = 0) -> Word:
         terms: list[tuple[int, int]] = []
         length = 0  # letters once expanded
-        first = True
         while True:
-            tok = self.peek()
-            if tok.kind == "ident":
+            kind, text, offset = self.peek()
+            if kind == "ident":
                 self.take()
-                if tok.text not in index:
-                    raise PresentationSyntaxError(
-                        f"unknown generator name {tok.text!r}", tok.line, tok.column)
-                exp = self.power(tok, length, 1)
-                terms.append((index[tok.text], exp))
+                if text not in index:
+                    raise self.error(f"unknown generator name {text!r}", offset)
+                exp = self.power(offset, length, 1)
+                terms.append((index[text], exp))
                 length += abs(exp)
-            elif tok.kind == "punct" and tok.text == "(":
+            elif self.is_punct("("):
                 if depth >= MAX_NESTING:
-                    raise PresentationSyntaxError(
-                        f"parentheses nested deeper than {MAX_NESTING}",
-                        tok.line, tok.column)
+                    raise self.error(f"parentheses nested deeper than {MAX_NESTING}", offset)
                 self.take()
                 inner = self.word(index, depth + 1)
                 self.expect(")")
                 base = _length(inner)
-                exp = self.power(tok, length, base)
+                exp = self.power(offset, length, base)
                 terms.extend(_power(inner, exp))
                 length += base * abs(exp)
+            elif not terms:
+                raise self.expected("word")
             else:
-                if first:
-                    raise PresentationSyntaxError(
-                        f"expected word, found {tok.text or 'end of input'!r}",
-                        tok.line, tok.column)
                 return tuple(terms)
-            first = False
 
 
 def _length(word: Sequence[tuple[int, int]]) -> int:
@@ -344,23 +300,6 @@ def square_grid_group() -> GroupPresentation:
     return ebr_type_presentation(4, 4)
 
 
-def corner_monodromy_presentation() -> GroupPresentation:
-    """The universal corner-gluing group: two commuting pairs of involutions
-    with no mixed relations (a free product of two Klein four-groups)."""
-    r0, r2, p0, p2 = 0, 1, 2, 3
-    return GroupPresentation(
-        ("r0", "r2", "p0", "p2"),
-        (
-            ((r0, 2),),
-            ((r2, 2),),
-            ((p0, 2),),
-            ((p2, 2),),
-            tuple([(r0, 1), (r2, 1)] * 2),
-            tuple([(p0, 1), (p2, 1)] * 2),
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Coset enumeration (Felsch strategy, trivial subgroup)
 # ---------------------------------------------------------------------------
@@ -375,8 +314,7 @@ class _CosetTable:
         self.inv_col = inv_col
         self.max_cosets = max_cosets
         self.table: list[list[Optional[int]]] = [[None] * n_cols]
-        self.parent = [0]
-        self.alive = [True]
+        self.parent = [0]  # a coset is live exactly when it is its own root
         self.live_count = 1
         self.deductions: list[tuple[int, int]] = []
         # Rotations of relators (and their inverses) indexed by first letter,
@@ -403,7 +341,6 @@ class _CosetTable:
         self.table.append(row)
         self.table[c][x] = d
         self.parent.append(d)
-        self.alive.append(True)
         self.live_count += 1
         self.deductions.append((c, x))
 
@@ -417,7 +354,6 @@ class _CosetTable:
             if u > v:
                 u, v = v, u
             self.parent[v] = u
-            self.alive[v] = False
             self.live_count -= 1
             queue.append(v)
 
@@ -433,7 +369,7 @@ class _CosetTable:
                     continue
                 # Detach the mirror entry, then reinstall under representatives.
                 self.table[d][self.inv_col[x]] = None
-                if self.alive[d] and d < self.cursor:
+                if self.parent[d] == d and d < self.cursor:
                     self.cursor = d
                 u, v = self.find(dead), self.find(d)
                 if self.table[u][x] is not None:
@@ -450,7 +386,7 @@ class _CosetTable:
         end: forward to the first gap, then backward along the inverse word.
         A closed cycle whose ends differ is a coincidence; a gap of one
         letter is filled, and the new entry is queued."""
-        table, parent, alive = self.table, self.parent, self.alive
+        table, parent = self.table, self.parent
         deductions, rotations = self.deductions, self.rotations
         while deductions:
             c, x = deductions.pop()
@@ -479,7 +415,7 @@ class _CosetTable:
                 if k == gap:
                     if f != b:
                         self.coincidence(f, b)
-                        if not alive[c]:
+                        if parent[c] != c:
                             break
                 elif k == gap - 1:
                     # Both slots are empty: the scans stopped at them.
@@ -488,10 +424,10 @@ class _CosetTable:
                     deductions.append((f, word[i]))
 
     def next_empty(self) -> Optional[tuple[int, int]]:
-        table, alive = self.table, self.alive
+        table, parent = self.table, self.parent
         c = self.cursor
         while c < len(table):
-            if alive[c] and None in table[c]:
+            if parent[c] == c and None in table[c]:
                 self.cursor = c
                 return c, table[c].index(None)
             c += 1
@@ -560,7 +496,7 @@ def coset_enumerate(pres: GroupPresentation,
 
     # The generators permute the live cosets regularly, so their image
     # arrays are the columns of the Cayley graph.
-    live = [c for c in range(len(ct.table)) if ct.alive[c]]
+    live = [c for c in range(len(ct.table)) if ct.parent[c] == c]
     renumber = {c: i for i, c in enumerate(live)}
     columns = [[renumber[ct.table[c][col_of[i]]] for c in live] for i in range(ngens)]
     return FiniteGroup(pres.generator_names, columns)

@@ -14,7 +14,7 @@ import ebrmaps.flag_maps as flag_maps
 from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, GroupPresentation, Permutation,
                      closure, ebr_type_presentation, extend_generator_map,
                      rotation_system_to_flagmap, triangle_group)
-from ebrmaps.enumeration import _commuting_involution_pairs, _JoinCache
+from ebrmaps.enumeration import _commuting_involution_pairs
 from ebrmaps.perm_group import cayley_form
 
 # Derandomized, so that a property failure reproduces from the test log.
@@ -327,6 +327,26 @@ def twin_dual_least_form(m):
                for quad in ((r0, r2, p0, p2), (p0, p2, r0, r2), (r2, r0, p2, p0), (p2, p0, r2, r0)))
 
 
+def pair_generation_memo(group):
+    """``generates(r_pair, p_pair)``: whether two involution pairs generate
+    ``group``, memoised on the subgroups the pairs generate, each found by
+    closure, so the answer rests on no assumption about commuting pairs."""
+    spans, joins = {}, {}
+
+    def span(pair):
+        if pair not in spans:
+            spans[pair] = frozenset(group.subgroup_indices(pair))
+        return spans[pair]
+
+    def generates(r_pair, p_pair):
+        key = frozenset((span(r_pair), span(p_pair)))
+        if key not in joins:
+            joins[key] = group.subgroup_order(r_pair + p_pair) == group.order
+        return joins[key]
+
+    return generates
+
+
 def aut_orbit_representatives(group, require_proper=False, require_distinct=False,
                               chi_max=None):
     """Reference sweep: list Aut(H), join every pair with every pair, and take
@@ -334,10 +354,10 @@ def aut_orbit_representatives(group, require_proper=False, require_distinct=Fals
     Aut(H)-orbit, marking the whole orbit.  Returns the representatives'
     quadruples (those with chi at most ``chi_max``)."""
     pairs = _commuting_involution_pairs(group, require_proper)
-    cache = _JoinCache(group)
+    generates = pair_generation_memo(group)
     quads = sorted(r_pair + p_pair for r_pair in pairs for p_pair in pairs
                    if not (require_distinct and len(set(r_pair + p_pair)) < 4)
-                   and cache.generates(r_pair, p_pair))
+                   and generates(r_pair, p_pair))
     if not quads:
         return []
     auts = _automorphisms(group, quads[0])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ebrmaps.families as families
-from ebrmaps import catalog_names, dihedral_presentation, rotation_system_to_flagmap
+from ebrmaps import (PresentationSyntaxError, catalog_names, dihedral_presentation,
+                     parse_presentation, rotation_system_to_flagmap)
 from ebrmaps.cli import build_parser, main
 from conftest import FIXTURE_DIR, flag_involutions, rotation_systems
 
@@ -85,6 +86,23 @@ def test_literal_presentation_is_read_even_when_a_file_has_its_name(capsys, tmp_
     # A source that does not start with '<' is a path, even a missing one.
     code, out, err = run(capsys, "analyze", "--presentation", "a, b | a^2 >", "--slots", "a,b,-,-")
     assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("< \u00e9, b | \u00e9^2, b^2, (\u00e9 b)^2 >", 1, 3),
+    ("< a | a^\u0661\u0662 >", 1, 9),
+    ("< a | a^\u00b2 >", 1, 9),
+    ("< a |\n\u00a0a^2 >", 2, 1),
+], ids=["non-ascii-letter", "arabic-indic-digits", "superscript-two", "no-break-space"])
+def test_presentation_outside_ascii_is_a_syntax_error_at_the_character(capsys, text, line,
+                                                                         column):
+    with pytest.raises(PresentationSyntaxError, match="unexpected character") as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    code, out, err = run(capsys, "analyze", "--presentation", text, "--slots", "a,a,-,-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(f"(line {line}, column {column})\n")
+    assert err.count("\n") == 1
 
 
 def test_analyze_slots_naming_no_generator_exits_1(capsys):

@@ -12,12 +12,14 @@ from ebrmaps import (
     dihedral_table_row,
     enumerate_ebr,
     is_dihedral,
+    klein,
     regular_catalog,
     torus_rect,
+    torus_rhombic,
 )
 from conftest import (_automorphisms, _least_under_conjugation, all_valid_quadruples,
-                      aut_orbit_representatives, dihedral_by_closure, pairwise_class_sizes,
-                      pairwise_representatives)
+                      aut_orbit_representatives, dihedral_by_closure, pair_generation_memo,
+                      pairwise_class_sizes, pairwise_representatives)
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -107,9 +109,9 @@ def test_sweep_keys_one_form_on_a_first_pair_an_automorphism_reaches(
     assert sum(map(len, formed.values())) == forms
     auts = _automorphisms(group, maps[0].slot_indices)
     pairs = enumeration._commuting_involution_pairs(group, flags == "proper")
-    cache = enumeration._JoinCache(group)
+    generates = pair_generation_memo(group)
     for r in pairs:
-        partners = [p for p in pairs if cache.generates(r, p)]
+        partners = [p for p in pairs if generates(r, p)]
         seconds = formed.get(r, [])
         least = r == min((aut[r[0]], aut[r[1]]) for aut in auts)
         if not partners:
@@ -137,6 +139,21 @@ def test_first_pair_roots_after_seeding_are_least_under_conjugation(name, flags)
     parent = enumeration._seeded_firsts(group, pairs, index)
     roots = [pair for i, pair in enumerate(pairs) if parent[i] == i]
     assert roots == _least_under_conjugation(group, pairs)
+
+
+SPAN_GROUPS = {**SWEEP_GROUPS, "torus_rhombic(2,3)": lambda: torus_rhombic(2, 3).group,
+               "klein(3,2)": lambda: klein(3, 2).group}
+
+
+@pytest.mark.parametrize("name", SPAN_GROUPS)
+def test_a_commuting_involution_pair_spans_one_x_y_and_xy(name):
+    """The sweep reads each pair's subgroup off the pair as {1, x, y, xy}."""
+    group = SPAN_GROUPS[name]()
+    invs = group.involution_indices()
+    pairs = [(x, y) for x in invs for y in invs if group.mul(x, y) == group.mul(y, x)]
+    assert pairs
+    for x, y in pairs:
+        assert {0, x, y, group.mul(x, y)} == set(group.subgroup_indices((x, y))), (x, y)
 
 
 def test_enumerated_quadruples_are_valid():

@@ -6,7 +6,6 @@ from ebrmaps import (
     GroupPresentation,
     PresentationSyntaxError,
     closure,
-    corner_monodromy_presentation,
     coset_enumerate,
     dihedral_presentation,
     ebr_type_presentation,
@@ -17,6 +16,12 @@ from ebrmaps import (
 from conftest import cube_rotation_system, evaluate_word, felsch_reference, random_quotients
 from ebrmaps import rotation_system_to_flagmap
 
+# The universal corner-gluing group: two commuting pairs of involutions with
+# no mixed relations (a free product of two Klein four-groups).
+CORNER_MONODROMY = GroupPresentation(
+    ("r0", "r2", "p0", "p2"),
+    (((0, 2),), ((1, 2),), ((2, 2),), ((3, 2),), ((0, 1), (1, 1)) * 2, ((2, 1), (3, 1)) * 2))
+
 
 def test_parse_single_generator():
     pres = parse_presentation("< a | a^2 >")
@@ -26,7 +31,7 @@ def test_parse_single_generator():
 
 def test_parse_corner_monodromy_text_matches_constructor():
     text = "< r0, r2, p0, p2 | r0^2, r2^2, p0^2, p2^2, (r0 r2)^2, (p0 p2)^2 >"
-    assert parse_presentation(text) == corner_monodromy_presentation()
+    assert parse_presentation(text) == CORNER_MONODROMY
 
 
 def test_parse_syntax_error_reports_position():
@@ -94,7 +99,7 @@ def test_triangle_4_4_exceeds_any_bound():
 
 def test_corner_monodromy_is_infinite_up_to_bound():
     with pytest.raises(CosetLimitExceeded):
-        coset_enumerate(corner_monodromy_presentation(), max_cosets=10**4)
+        coset_enumerate(CORNER_MONODROMY, max_cosets=10**4)
 
 
 def test_type_presentation_spherical_cases_are_the_cycle_groups():
