@@ -12,13 +12,16 @@ tokens, and any other character is a syntax error::
     int          := "-"? [0-9]+
 
 Coset enumeration runs over the trivial subgroup, so a completed table is
-the right Cayley graph of the presented group, and its generator columns
-become the ``FiniteGroup`` directly.  The strategy is definition-driven with
-immediate deductions (Felsch style): always fill the lowest empty slot of the
-lowest live coset, and close relator cycles as soon as their last edge
-appears.  Each new entry is queued once, not with its mirror: the cycles
-through an edge are the same read from either end.  Coincidences are
-processed through a union-find with path compression.
+the right Cayley graph of the presented group.  The table is kept as
+``FiniteGroup`` keeps a group, one list per column (about 100 bytes per
+coset over four involution columns), so its generator columns become the
+``FiniteGroup`` directly.  The strategy is definition-driven with immediate
+deductions (Felsch style): always fill the lowest empty slot of the lowest
+live coset, and close relator cycles as soon as their last edge appears.
+Each new entry is queued once, not with its mirror: the cycles through an
+edge are the same read from either end.  Coincidences are processed through
+a union-find with path compression.  The relators' lengths are held to the
+rotation budget, ``MAX_ROTATION_LETTERS``, before any of them is expanded.
 """
 
 from __future__ import annotations
@@ -305,23 +308,23 @@ def square_grid_group() -> GroupPresentation:
 # ---------------------------------------------------------------------------
 
 class _CosetTable:
-    # An entry c --x--> d is queued as (c, x) alone, though its mirror
-    # d --inv_col[x]--> c is written with it.  The rotations that start with
-    # inv_col[x], scanned at d, are those that start with x, scanned at c,
-    # read backwards, so queueing the mirror would scan every cycle twice.
-    def __init__(self, n_cols: int, inv_col: list[int], max_cosets: int):
-        self.n_cols = n_cols
+    # columns[x][c] is c·x, or None while that slot is empty: one list per
+    # column, as FiniteGroup keeps the finished group.  An entry c --x--> d
+    # is queued as (c, x) alone, though its mirror d --inv_col[x]--> c is
+    # written with it.  The rotations that start with inv_col[x], scanned at
+    # d, are those that start with x, scanned at c, read backwards, so
+    # queueing the mirror would scan every cycle twice.
+    def __init__(self, inv_col: list[int], max_cosets: int):
         self.inv_col = inv_col
         self.max_cosets = max_cosets
-        self.table: list[list[Optional[int]]] = [[None] * n_cols]
+        self.columns: list[list[Optional[int]]] = [[None] for _ in inv_col]
         self.parent = [0]  # a coset is live exactly when it is its own root
         self.live_count = 1
         self.deductions: list[tuple[int, int]] = []
         # Rotations of relators (and their inverses) indexed by first letter,
         # each paired with its inverse word, which is also a stored rotation.
         self.rotations: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [
-            [] for _ in range(n_cols)]
-        self.cursor = 0  # lowest row that might have an empty slot
+            [] for _ in inv_col]
 
     def find(self, c: int) -> int:
         root = c
@@ -335,16 +338,21 @@ class _CosetTable:
         if self.live_count >= self.max_cosets:
             raise CosetLimitExceeded(
                 f"enumeration exceeded max_cosets={self.max_cosets}")
-        d = len(self.table)
-        row: list[Optional[int]] = [None] * self.n_cols
-        row[self.inv_col[x]] = c
-        self.table.append(row)
-        self.table[c][x] = d
+        d = len(self.parent)
+        for col in self.columns:
+            col.append(None)
+        self.columns[x][c] = d
+        self.columns[self.inv_col[x]][d] = c
         self.parent.append(d)
         self.live_count += 1
         self.deductions.append((c, x))
 
-    def coincidence(self, a: int, b: int) -> None:
+    def coincidence(self, a: int, b: int) -> int:
+        """Merge ``a`` and ``b``, and every pair of cosets that forces.
+        Returns the lowest live coset that lost an entry, or the number of
+        cosets if none did."""
+        columns, inv_col, parent = self.columns, self.inv_col, self.parent
+        low = len(parent)
         queue: list[int] = []
 
         def merge(u: int, v: int) -> None:
@@ -353,7 +361,7 @@ class _CosetTable:
                 return
             if u > v:
                 u, v = v, u
-            self.parent[v] = u
+            parent[v] = u
             self.live_count -= 1
             queue.append(v)
 
@@ -362,77 +370,85 @@ class _CosetTable:
         while pos < len(queue):
             dead = queue[pos]
             pos += 1
-            row = self.table[dead]
-            for x in range(self.n_cols):
-                d = row[x]
+            for x, col in enumerate(columns):
+                d = col[dead]
                 if d is None:
                     continue
                 # Detach the mirror entry, then reinstall under representatives.
-                self.table[d][self.inv_col[x]] = None
-                if self.parent[d] == d and d < self.cursor:
-                    self.cursor = d
+                mirror = columns[inv_col[x]]
+                mirror[d] = None
+                if parent[d] == d and d < low:
+                    low = d
                 u, v = self.find(dead), self.find(d)
-                if self.table[u][x] is not None:
-                    merge(v, self.table[u][x])
-                elif self.table[v][self.inv_col[x]] is not None:
-                    merge(u, self.table[v][self.inv_col[x]])
+                if col[u] is not None:
+                    merge(v, col[u])
+                elif mirror[v] is not None:
+                    merge(u, mirror[v])
                 else:
-                    self.table[u][x] = v
-                    self.table[v][self.inv_col[x]] = u
+                    col[u] = v
+                    mirror[v] = u
                     self.deductions.append((u, x))
+        return low
 
-    def process_deductions(self) -> None:
-        """Scan every relator cycle through each queued entry at its live
-        end: forward to the first gap, then backward along the inverse word.
-        A closed cycle whose ends differ is a coincidence; a gap of one
-        letter is filled, and the new entry is queued."""
-        table, parent = self.table, self.parent
+    def fill(self) -> None:
+        """Complete the table.  Scan every relator cycle through each queued
+        entry at its live end: forward to the first gap, then backward along
+        the inverse word.  A closed cycle whose ends differ is a coincidence;
+        a gap of one letter is filled, and the new entry is queued.  Once the
+        queue is empty, define the first empty slot of the lowest live coset,
+        until no slot is empty."""
+        columns, parent = self.columns, self.parent
         deductions, rotations = self.deductions, self.rotations
-        while deductions:
-            c, x = deductions.pop()
-            if parent[c] != c:
-                c = self.find(c)
-            if table[c][x] is None:
-                continue
-            for word, back in rotations[x]:
-                f, i = c, 0
-                for y in word:
-                    nxt = table[f][y]
-                    if nxt is None:
-                        break
-                    f = nxt
-                    i += 1
-                gap = len(word) - i
-                b, k = c, 0
-                for y in back:
-                    if k == gap:
-                        break
-                    prv = table[b][y]
-                    if prv is None:
-                        break
-                    b = prv
-                    k += 1
-                if k == gap:
-                    if f != b:
-                        self.coincidence(f, b)
-                        if parent[c] != c:
+        cursor = 0  # every live coset below it is complete
+        while True:
+            while deductions:
+                c, x = deductions.pop()
+                if parent[c] != c:
+                    c = self.find(c)
+                if columns[x][c] is None:
+                    continue
+                for word, back in rotations[x]:
+                    f, i = c, 0
+                    for y in word:
+                        nxt = columns[y][f]
+                        if nxt is None:
                             break
-                elif k == gap - 1:
-                    # Both slots are empty: the scans stopped at them.
-                    table[f][word[i]] = b
-                    table[b][back[k]] = f
-                    deductions.append((f, word[i]))
-
-    def next_empty(self) -> Optional[tuple[int, int]]:
-        table, parent = self.table, self.parent
-        c = self.cursor
-        while c < len(table):
-            if parent[c] == c and None in table[c]:
-                self.cursor = c
-                return c, table[c].index(None)
-            c += 1
-        self.cursor = c
-        return None
+                        f = nxt
+                        i += 1
+                    gap = len(word) - i
+                    b, k = c, 0
+                    for y in back:
+                        if k == gap:
+                            break
+                        prv = columns[y][b]
+                        if prv is None:
+                            break
+                        b = prv
+                        k += 1
+                    if k == gap:
+                        if f != b:
+                            cursor = min(cursor, self.coincidence(f, b))
+                            if parent[c] != c:
+                                break
+                    elif k == gap - 1:
+                        # Both slots are empty: the scans stopped at them.
+                        columns[word[i]][f] = b
+                        columns[back[k]][b] = f
+                        deductions.append((f, word[i]))
+            # Define the first empty slot of the lowest live coset, if any.
+            while cursor < len(parent):
+                if parent[cursor] == cursor:
+                    for x, col in enumerate(columns):
+                        if col[cursor] is None:
+                            break
+                    else:  # complete
+                        cursor += 1
+                        continue
+                    break
+                cursor += 1
+            else:
+                return
+            self.define(cursor, x)
 
 
 def coset_enumerate(pres: GroupPresentation,
@@ -452,9 +468,19 @@ def coset_enumerate(pres: GroupPresentation,
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
 
+    # Refuse before expanding any relator.  Each is one of its rotations, and
+    # one over two or more generators has at least two rotations of its full
+    # length, as its cyclic period exceeds 1.  Relators are counted as given,
+    # so one repeated up to rotation or inversion counts again.
     too_many = f"relator rotations take more than {MAX_ROTATION_LETTERS} letters"
-    if any(_length(word) > MAX_ROTATION_LETTERS for word in pres.relators):
-        raise ValueError(too_many)  # before expanding, as one rotation is the word
+    mixed = 0  # twice the letters of the relators over two or more generators
+    for word in pres.relators:
+        if any(idx != word[0][0] for idx, _ in word):
+            mixed += 2 * _length(word)
+        elif _length(word) > MAX_ROTATION_LETTERS:
+            raise ValueError(too_many)
+    if mixed > MAX_ROTATION_LETTERS:
+        raise ValueError(too_many)
     involutory = {word[0][0] for word in pres.relators
                   if _length(word) == 2 and len({(idx, exp > 0) for idx, exp in word}) == 1}
 
@@ -464,7 +490,7 @@ def coset_enumerate(pres: GroupPresentation,
         col_of.append(len(inv_col))
         inv_col.extend([col_of[i]] if i in involutory else [col_of[i] + 1, col_of[i]])
 
-    ct = _CosetTable(len(inv_col), inv_col, max_cosets)
+    ct = _CosetTable(inv_col, max_cosets)
 
     stored: dict[tuple[int, ...], tuple[int, ...]] = {}  # each rotation, held once
     letters = 0
@@ -487,18 +513,15 @@ def coset_enumerate(pres: GroupPresentation,
     for rot in stored:
         ct.rotations[rot[0]].append((rot, stored[tuple(inv_col[x] for x in reversed(rot))]))
 
-    while True:
-        ct.process_deductions()
-        slot = ct.next_empty()
-        if slot is None:
-            break
-        ct.define(*slot)
+    ct.fill()
 
     # The generators permute the live cosets regularly, so their image
     # arrays are the columns of the Cayley graph.
-    live = [c for c in range(len(ct.table)) if ct.parent[c] == c]
-    renumber = {c: i for i, c in enumerate(live)}
-    columns = [[renumber[ct.table[c][col_of[i]]] for c in live] for i in range(ngens)]
+    live = [c for c, root in enumerate(ct.parent) if root == c]
+    renumber = [0] * len(ct.parent)
+    for i, c in enumerate(live):
+        renumber[c] = i
+    columns = [[renumber[ct.columns[x][c]] for c in live] for x in col_of]
     return FiniteGroup(pres.generator_names, columns)
 
 

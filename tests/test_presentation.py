@@ -57,6 +57,23 @@ def test_parse_round_trips_through_str():
         assert parse_presentation(str(pres)) == pres
 
 
+_names = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,3}", fullmatch=True)
+
+
+@st.composite
+def _presentations(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
+    term = st.tuples(st.integers(0, len(names) - 1), st.integers(-10**5, 10**5).filter(bool))
+    relators = draw(st.lists(st.lists(term, min_size=1, max_size=6).map(tuple),
+                             min_size=1, max_size=4))
+    return GroupPresentation(tuple(names), tuple(relators))
+
+
+@given(_presentations())
+def test_parse_round_trips_through_str_on_random_presentations(pres):
+    assert parse_presentation(str(pres)) == pres
+
+
 def test_negative_exponents_track_formal_inverses():
     pres = parse_presentation("< a, b | a^3, b^2, (a b)^-2 >")
     g = coset_enumerate(pres, max_cosets=100)
@@ -306,6 +323,37 @@ def test_rotation_table_holds_relator_letters_once():
     try:
         with pytest.raises(CosetLimitExceeded):
             coset_enumerate(pres, max_cosets=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_an_over_budget_relator_is_refused_before_it_is_expanded():
+    import tracemalloc
+
+    # 1,200,000 letters over two generators: at least two rotations of that
+    # length, 2,400,000 letters in all, above the budget.
+    pres = GroupPresentation(("a", "b"), (((0, 600_000), (1, 600_000)),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than"):
+            coset_enumerate(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_coset_table_memory_per_coset():
+    import tracemalloc
+
+    # One list per column: the square grid's four involution columns, the
+    # union-find parents and one int per coset, about 100 bytes a coset.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CosetLimitExceeded):
+            coset_enumerate(square_grid_group(), max_cosets=100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
