@@ -32,7 +32,9 @@ from .presentation import (
 
 _DOT_COLOURS = {"r0": "red", "r2": "green", "rho0": "blue", "rho2": "yellow"}
 
-def _parse_params(text: Optional[str]) -> dict[str, int]:
+def _parse_params(text: Optional[str]) -> dict[str, int | bool]:
+    """``key=value`` pairs: ``rpp`` is ``true`` or ``false``, every other
+    parameter an integer."""
     params = {}
     if not text:
         return params
@@ -41,9 +43,11 @@ def _parse_params(text: Optional[str]) -> dict[str, int]:
         if not sep:
             raise ValueError(f"malformed parameter {part!r}, expected key=value")
         key = key.strip()
-        value = value.strip()
-        if value.lower() in ("true", "false"):
-            params[key] = value.lower() == "true"
+        value = value.strip().lower()
+        if key == "rpp":
+            if value not in ("true", "false"):
+                raise ValueError("parameter 'rpp' must be true or false")
+            params[key] = value == "true"
         else:
             try:
                 params[key] = int(value)

@@ -10,12 +10,15 @@ the corner-gluing (monodromy) instructions by right multiplication.
 Slot coincidences encode degeneracies: ``r0 == r2`` makes the shaded orbit
 consist of semi-edges (likewise unshaded), both coincidences give a semistar,
 and an absent slot puts the corresponding edge orbit on a surface boundary.
-Surface invariants are only defined for maps with all four slots present.
+Surface facts are defined only for a closed map, one with all four slots
+present, and come from ``invariants()`` alone: one ``MapInvariants`` record of
+type ``(k, l)``, ``V``, ``F``, edge counts, ``chi``, genus, orientability and
+full regularity, which serialises itself as the CLI's JSON report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .perm_group import (
@@ -50,15 +53,16 @@ class EdgeCount:
 
 @dataclass(frozen=True)
 class MapInvariants:
-    """Type, counts and symmetry flags of a map with all slots present."""
+    """Type, counts and symmetry flags of a map with all slots present; the
+    field names are the JSON keys."""
 
     order: int
     k: int
     l: int
     V: int
     F: int
-    shaded_edges: EdgeCount
-    unshaded_edges: EdgeCount
+    edges_shaded: EdgeCount
+    edges_unshaded: EdgeCount
     chi: int
     orientable: bool
     genus: int
@@ -68,34 +72,20 @@ class MapInvariants:
     degeneracy_class: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "k": self.k,
-            "l": self.l,
-            "V": self.V,
-            "F": self.F,
-            "edges_shaded": {"count": self.shaded_edges.count,
-                             "kind": self.shaded_edges.kind},
-            "edges_unshaded": {"count": self.unshaded_edges.count,
-                               "kind": self.unshaded_edges.kind},
-            "chi": self.chi,
-            "orientable": self.orientable,
-            "genus": self.genus,
-            "fully_regular": self.fully_regular,
-            "proper": self.proper,
-            "distinct_generators": self.distinct_generators,
-            "degeneracy_class": self.degeneracy_class,
-        }
+        return asdict(self)
 
 
 class EdgeBiregularMap:
     """Validated map ``(H; r0, r2, rho0, rho2)``: each slot is an element
-    index or a permutation of ``H``, or None when absent."""
+    index or a permutation of ``H``, or None when absent.  A closed map's
+    facts come from ``invariants()``; a boundary map's from
+    ``boundary_report()``."""
 
     def __init__(self, group: FiniteGroup,
                  r0: Optional[ElementLike], r2: Optional[ElementLike],
                  rho0: Optional[ElementLike], rho2: Optional[ElementLike]):
         self.group = group
+        self._invariants: Optional[MapInvariants] = None
         self.slot_indices: tuple[Optional[int], ...] = tuple(
             None if s is None else self._checked_index(s) for s in (r0, r2, rho0, rho2))
 
@@ -178,97 +168,36 @@ class EdgeBiregularMap:
 
     # -- invariants ----------------------------------------------------------
 
-    def vertex_valency(self) -> int:
-        """k: the order of the vertex stabiliser <r2, rho2>."""
-        self._require_closed()
-        return self.group.subgroup_order([self.slot_indices[1], self.slot_indices[3]])
-
-    def face_length(self) -> int:
-        """l: the order of the face stabiliser <r0, rho0>."""
-        self._require_closed()
-        return self.group.subgroup_order([self.slot_indices[0], self.slot_indices[2]])
-
-    def map_type(self) -> tuple[int, int]:
-        return (self.vertex_valency(), self.face_length())
-
-    def edge_counts(self) -> tuple[EdgeCount, EdgeCount]:
-        """Shaded and unshaded edge counts: a colour class with coincident
-        slots contributes |H|/2 semi-edges, a proper class |H|/4 edges."""
-        self._require_closed()
-        n = self.group.order
-        shaded = (EdgeCount(n // 4, "proper")
-                  if self.slot_indices[0] != self.slot_indices[1]
-                  else EdgeCount(n // 2, "semi"))
-        unshaded = (EdgeCount(n // 4, "proper")
-                    if self.slot_indices[2] != self.slot_indices[3]
-                    else EdgeCount(n // 2, "semi"))
-        return shaded, unshaded
-
-    def chi(self) -> int:
-        """Euler characteristic; semi-edges contribute nothing."""
-        self._require_closed()
-        n = self.group.order
-        shaded, unshaded = self.edge_counts()
-        proper_edges = sum(e.count for e in (shaded, unshaded) if e.kind == "proper")
-        return n // self.vertex_valency() - proper_edges + n // self.face_length()
-
-    def is_orientable(self) -> bool:
-        """True when the corner graph on the distinct slot elements is
-        bipartite, i.e. no odd word in the slot elements is the identity."""
-        self._require_closed()
-        group = self.group
-        rights = [group.right_translation(g) for g in sorted(set(self.slot_indices))]
-        colour: list[Optional[int]] = [None] * group.order
-        colour[0] = 0
-        queue = [0]
-        pos = 0
-        while pos < len(queue):
-            e = queue[pos]
-            pos += 1
-            for right in rights:
-                f = right[e]
-                if colour[f] is None:
-                    colour[f] = 1 - colour[e]
-                    queue.append(f)
-                elif colour[f] == colour[e]:
-                    return False
-        return True
-
-    def is_fully_regular(self) -> bool:
-        """Whether swapping each r-slot with its rho-partner extends to a
-        group automorphism (equivalently, the map is isomorphic to its twin)."""
-        self._require_closed()
-        idx = self.slot_indices
-        return extend_generator_map(
-            self.group, list(idx), [idx[2], idx[3], idx[0], idx[1]]) is not None
-
-    def has_distinct_generators(self) -> bool:
-        self._require_closed()
-        return len(set(self.slot_indices)) == 4
-
     def invariants(self) -> MapInvariants:
+        """Every closed-surface fact of the map, computed once and cached."""
         self._require_closed()
-        cached = getattr(self, "_invariants", None)
-        if cached is not None:
-            return cached
-        n = self.group.order
-        k = self.vertex_valency()
-        l = self.face_length()
-        shaded, unshaded = self.edge_counts()
-        chi = self.chi()
-        orientable = self.is_orientable()
-        genus = (2 - chi) // 2 if orientable else 2 - chi
-        result = MapInvariants(
+        if self._invariants is not None:
+            return self._invariants
+        group, idx = self.group, self.slot_indices
+        n = group.order
+        k = group.subgroup_order([idx[1], idx[3]])
+        l = group.subgroup_order([idx[0], idx[2]])
+        # A colour class with coincident slots is |H|/2 semi-edges, which add
+        # nothing to the Euler characteristic; a proper class is |H|/4 edges.
+        shaded, unshaded = (EdgeCount(n // 2, "semi") if idx[i] == idx[i + 1]
+                            else EdgeCount(n // 4, "proper") for i in (0, 2))
+        proper_edges = sum(e.count for e in (shaded, unshaded) if e.kind == "proper")
+        chi = n // k - proper_edges + n // l
+        orientable = _bipartite_corners(group, idx)
+        self._invariants = MapInvariants(
             order=n, k=k, l=l, V=n // k, F=n // l,
-            shaded_edges=shaded, unshaded_edges=unshaded,
-            chi=chi, orientable=orientable, genus=genus,
-            fully_regular=self.is_fully_regular(),
+            edges_shaded=shaded, edges_unshaded=unshaded,
+            chi=chi, orientable=orientable,
+            genus=(2 - chi) // 2 if orientable else 2 - chi,
+            # Fully regular: swapping each r-slot with its rho-partner extends
+            # to a group automorphism, i.e. the map is isomorphic to its twin.
+            fully_regular=extend_generator_map(
+                group, list(idx), [idx[2], idx[3], idx[0], idx[1]]) is not None,
             proper=self.is_proper,
-            distinct_generators=self.has_distinct_generators(),
+            distinct_generators=len(set(idx)) == 4,
             degeneracy_class=self.degeneracy_class,
         )
-        self._invariants = result
-        return result
+        return self._invariants
 
     def boundary_report(self) -> dict:
         """Group-level data for a boundary map.  No Euler characteristic is
@@ -317,6 +246,27 @@ class EdgeBiregularMap:
         """Left-regular actions of the four slot elements on the corners."""
         self._require_closed()
         return tuple(Permutation(self.group.left_translation(s)) for s in self.slot_indices)
+
+
+def _bipartite_corners(group: FiniteGroup, slot_indices) -> bool:
+    """Orientability: whether the corner graph on the distinct slot elements
+    is bipartite, i.e. no odd word in the slot elements is the identity."""
+    rights = [group.right_translation(g) for g in sorted(set(slot_indices))]
+    colour: list[Optional[int]] = [None] * group.order
+    colour[0] = 0
+    queue = [0]
+    pos = 0
+    while pos < len(queue):
+        e = queue[pos]
+        pos += 1
+        for right in rights:
+            f = right[e]
+            if colour[f] is None:
+                colour[f] = 1 - colour[e]
+                queue.append(f)
+            elif colour[f] == colour[e]:
+                return False
+    return True
 
 
 def are_isomorphic(m1: EdgeBiregularMap, m2: EdgeBiregularMap) -> bool:

@@ -100,6 +100,8 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     are merged too.  The filters are Aut(H)-invariant and forms are keyed
     before ``chi_max`` applies, so the output is that of the full sweep.
     """
+    if max_candidates < 0:
+        raise ValueError(f"the candidate budget must be non-negative, not {max_candidates}")
     pairs = _commuting_involution_pairs(group, require_proper)
     index = {pair: i for i, pair in enumerate(pairs)}
     firsts = _seeded_firsts(group, pairs, index)
@@ -132,7 +134,7 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
             if key not in keyed:
                 keyed[key] = ri, order
                 m = EdgeBiregularMap(group, *quad)
-                if chi_max is None or m.chi() <= chi_max:
+                if chi_max is None or m.invariants().chi <= chi_max:
                     maps.append(m)
                 continue
             rj, earlier = keyed[key]

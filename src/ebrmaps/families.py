@@ -21,11 +21,9 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .constructions import RegularMap
-from .ebr_core import EdgeBiregularMap
+from .ebr_core import SLOT_NAMES, EdgeBiregularMap
 from .perm_group import FiniteGroup, within_max_order
 from .presentation import GroupPresentation, coset_enumerate, triangle_group
-
-_SLOT_NAMES = ("r0", "r2", "rho0", "rho2")
 
 # An affine map (x, y) -> (a x + b y + s, c x + d y + t) of Z², held as
 # ((a, b, c, d), (s, t)).
@@ -103,7 +101,7 @@ def _enumerate(pres: GroupPresentation, expected_order: int) -> FiniteGroup:
 
 
 def _slot_map(group: FiniteGroup) -> EdgeBiregularMap:
-    return EdgeBiregularMap(group, *(group.generator_index(name) for name in _SLOT_NAMES))
+    return EdgeBiregularMap(group, *(group.generator_index(name) for name in SLOT_NAMES))
 
 
 def torus_rect(a: int, c: int) -> EdgeBiregularMap:
@@ -114,7 +112,7 @@ def torus_rect(a: int, c: int) -> EdgeBiregularMap:
     if a < 1 or c < 1:
         raise ValueError("torus_rect parameters must be positive")
     within_max_order(4 * a * c)
-    return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (a, 0, c)))
+    return _slot_map(affine_quotient(SLOT_NAMES, _RECTANGLE, (a, 0, c)))
 
 
 def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
@@ -124,7 +122,7 @@ def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
     if b < 1 or c < 1:
         raise ValueError("torus_rhombic parameters must be positive")
     within_max_order(8 * b * c)
-    return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (2 * b, b, c)))
+    return _slot_map(affine_quotient(SLOT_NAMES, _RECTANGLE, (2 * b, b, c)))
 
 
 def klein(a: int, b: int) -> EdgeBiregularMap:
@@ -139,7 +137,7 @@ def klein(a: int, b: int) -> EdgeBiregularMap:
         raise ValueError("klein parameter b must be 1 or 2")
     within_max_order(4 * a * b)
     glide = (_FLIP_X, (0, a))
-    return _slot_map(affine_quotient(_SLOT_NAMES, _RECTANGLE, (b, 0, 2 * a), glide))
+    return _slot_map(affine_quotient(SLOT_NAMES, _RECTANGLE, (b, 0, 2 * a), glide))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,7 @@ def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
         slots = (_REFLECT_0, reflect_0z, _REFLECT_1, reflect_1z)
     else:
         slots = (reflect_0z, _REFLECT_0, (_IDENTITY, z), _REFLECT_1)
-    return _slot_map(affine_quotient(_SLOT_NAMES, slots, lattice))
+    return _slot_map(affine_quotient(SLOT_NAMES, slots, lattice))
 
 
 def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
@@ -204,7 +202,7 @@ def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
     else:
         raise ValueError(f"unknown sphere family kind {kind!r}")
     within_max_order(2 * lattice[0] * lattice[2])
-    return _slot_map(affine_quotient(_SLOT_NAMES, slots, lattice))
+    return _slot_map(affine_quotient(SLOT_NAMES, slots, lattice))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .ebr_core import SLOT_NAMES
 from .perm_group import FiniteGroup
 
 DEFAULT_MAX_COSETS = 10**6
@@ -275,9 +276,6 @@ def dihedral_presentation(m: int) -> GroupPresentation:
     )
 
 
-_SLOT_GENS = ("r0", "r2", "rho0", "rho2")
-
-
 def ebr_type_presentation(k: int, l: int) -> GroupPresentation:
     """Partial presentation shared by every edge-biregular map of type (k, l):
     four involutions r0, r2, rho0, rho2 with commuting edge pairs and
@@ -294,7 +292,7 @@ def ebr_type_presentation(k: int, l: int) -> GroupPresentation:
         tuple([(r2, 1), (p2, 1)] * (k // 2)),
         tuple([(r0, 1), (p0, 1)] * (l // 2)),
     )
-    return GroupPresentation(_SLOT_GENS, squares + pairs)
+    return GroupPresentation(SLOT_NAMES, squares + pairs)
 
 
 def square_grid_group() -> GroupPresentation:

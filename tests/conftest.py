@@ -367,7 +367,7 @@ def aut_orbit_representatives(group, require_proper=False, require_distinct=Fals
         if quad in marked:
             continue
         marked.update(tuple(aut[i] for i in quad) for aut in auts)
-        if chi_max is None or EdgeBiregularMap(group, *quad).chi() <= chi_max:
+        if chi_max is None or EdgeBiregularMap(group, *quad).invariants().chi <= chi_max:
             reps.append(quad)
     return reps
 

@@ -80,7 +80,7 @@ def test_criterion_01_euler_identity(family_maps, construction3_outputs):
             assert Fraction(inv.chi) == expected, label
     for name, regular in construction3_outputs:
         child = construction3(regular)
-        assert child.chi() == regular.chi, name
+        assert child.invariants().chi == regular.chi, name
     _report(1, "Euler identity and the semi-edge convention hold exactly")
 
 
@@ -148,7 +148,8 @@ def test_criterion_05_non_distinct_generators_bound_chi():
         group = catalog_group(name)
         for m in enumerate_ebr(group, require_proper=True):
             if len(set(m.slot_indices)) < 4:
-                assert m.chi() in (0, 1, 2), (name, m.slot_indices, m.chi())
+                chi = m.invariants().chi
+                assert chi in (0, 1, 2), (name, m.slot_indices, chi)
                 checked += 1
     assert checked > 100
     _report(5, f"chi in {{0,1,2}} for all {checked} proper coincident-slot maps")
@@ -168,7 +169,8 @@ def test_criterion_06_construction_round_trips():
         "dihedron:3": (4, 6), "dihedron:4": (4, 8),
     }
     for name, expected in type_map.items():
-        assert construction3(regular_catalog(name)).map_type() == expected, name
+        inv = construction3(regular_catalog(name)).invariants()
+        assert (inv.k, inv.l) == expected, name
     _report(6, "construction round trips and doubled type lists")
 
 
@@ -190,7 +192,7 @@ def test_criterion_07_colourability(family_maps, torus_flagmap, cube_flagmap):
         for rep, colour in colouring.items():
             sizes[colour] = sizes.get(colour, 0) + 1
         assert sorted(sizes.values()) == sorted(
-            [inv.shaded_edges.count, inv.unshaded_edges.count]), label
+            [inv.edges_shaded.count, inv.edges_unshaded.count]), label
         checked += 1
     assert checked >= 80
     _report(7, f"colourability verdicts and witness counts on {checked} maps")
@@ -218,12 +220,12 @@ def test_criterion_09_fully_regular_iff_twin_isomorphic(family_maps):
     for label, m in family_maps:
         if m.group.order > 64:
             continue
-        assert m.is_fully_regular() == are_isomorphic(m, m.twin()), label
+        assert m.invariants().fully_regular == are_isomorphic(m, m.twin()), label
         checked += 1
     for name in ("dih:8", "dih:12", "dih:16", "dihxc2:8", "c2^3"):
         group = catalog_group(name)
         for m in enumerate_ebr(group):
-            assert m.is_fully_regular() == are_isomorphic(m, m.twin()), name
+            assert m.invariants().fully_regular == are_isomorphic(m, m.twin()), name
             checked += 1
     assert checked >= 100
     _report(9, f"fully regular iff twin-isomorphic on {checked} maps")
@@ -248,9 +250,9 @@ def test_criterion_11_dihedral_table_for_every_even_m_to_100():
                              chi_max=-1)
         report = classify_report(maps)
         assert not report.discrepancies, m
-        rows = {1, 2, 3, 4} if (m // 2) % 2 == 1 else {1, 3}
-        assert {c.table_row for c in report.classes} == rows, m
-    _report(11, "dihedral table rows found for every even m from 4 to 100")
+        rows = [1, 2, 3, 4] if (m // 2) % 2 == 1 else [1, 3]
+        assert sorted(c.table_row for c in report.classes) == rows, m
+    _report(11, "each dihedral table row is one class for every even m from 4 to 100")
 
 
 def test_criterion_12_chi_zero_maps_of_order_to_128_are_family_maps():
@@ -263,7 +265,7 @@ def test_criterion_12_chi_zero_maps_of_order_to_128_are_family_maps():
         family_forms.setdefault(family.group.order, set()).add(twin_dual_least_form(family))
     for family in groups:
         for m in enumerate_ebr(family.group, require_proper=True):
-            if m.chi() != 0:
+            if m.invariants().chi != 0:
                 continue
             form = twin_dual_least_form(m)
             found.setdefault(m.group.order, []).append(form)

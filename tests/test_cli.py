@@ -123,6 +123,22 @@ def test_analyze_reports_missing_parameters(capsys):
     assert "needs parameters c" in err
 
 
+@pytest.mark.parametrize("family,params,message", [
+    ("cycle", "m=true", "parameter 'm' must be an integer"),
+    ("torus-rect", "a=true,c=true", "parameter 'a' must be an integer"),
+    ("dipole", "m=2,rpp=1", "parameter 'rpp' must be true or false"),
+])
+def test_family_parameters_are_typed_by_name(capsys, family, params, message):
+    code, out, err = run(capsys, "analyze", "--family", family, "--params", params)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_projective_dipole_takes_rpp_true(capsys):
+    code, out, _ = run(capsys, "analyze", "--family", "dipole", "--params", "m=2,rpp=true")
+    assert code == 0
+    assert json.loads(out)["chi"] == 1
+
+
 def test_analyze_budget_exit_code(capsys):
     text = "< a, b | a^2, b^2 >"  # infinite: free product C2 * C2
     code, _, err = run(capsys, "analyze", "--presentation", text,
@@ -146,6 +162,12 @@ def test_enumerate_dih8(capsys):
     assert sorted(c["table_row"] for c in payload) == [1, 3]
     assert all(set(c) == {"class_size", "type", "chi", "V", "F", "orientable",
                           "fully_regular", "table_row"} for c in payload)
+
+
+def test_enumerate_negative_budget_exits_1(capsys):
+    code, out, err = run(capsys, "enumerate", "--group", "dih:8", "--max-candidates", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_enumerate_from_presentation_file(capsys, tmp_path):

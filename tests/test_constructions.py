@@ -101,8 +101,8 @@ def test_round_trips_on_platonic_maps(name):
 ])
 def test_construction3_doubles_the_type(name, expected):
     r = regular_catalog(name)
-    m = construction3(r)
-    assert m.map_type() == expected == (2 * r.k, 2 * r.l)
+    inv = construction3(r).invariants()
+    assert (inv.k, inv.l) == expected == (2 * r.k, 2 * r.l)
 
 
 @pytest.mark.parametrize("name", PLATONIC + ["hosohedron:4", "dihedron:3",
@@ -113,13 +113,13 @@ def test_construction3_preserves_chi_v_f(name):
     assert inv.chi == r.chi
     assert inv.V == r.vertex_count
     assert inv.F == r.face_count
-    assert inv.shaded_edges.count == r.edge_count
+    assert inv.edges_shaded.count == r.edge_count
 
 
 def test_construction3_regularity_fixture():
     for name, expected in CONSTRUCTION3_FULLY_REGULAR.items():
         m = construction3(regular_catalog(name))
-        assert m.is_fully_regular() == expected
+        assert m.invariants().fully_regular == expected
         idx = list(m.slot_indices)
         oracle = automorphism_by_full_table(
             m.group, idx, [idx[2], idx[3], idx[0], idx[1]]) is not None
@@ -151,8 +151,9 @@ def test_construction4_round_trip_through_projective_dipole():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_construction4_outputs_are_digonal_and_fully_regular(m):
     out = construction4(regular_catalog(f"hosohedron:{m}"))
-    assert out.face_length() == 2
-    assert out.is_fully_regular()
+    inv = out.invariants()
+    assert inv.l == 2
+    assert inv.fully_regular
     assert are_isomorphic_to_dipole(out, m)
 
 
@@ -181,9 +182,9 @@ def test_loop_edge_coincidence_forces_torus_or_klein():
         g = catalog_group(name)
         for m in enumerate_ebr(g, require_proper=True):
             r0, r2, rho0, rho2 = m.slot_indices
-            if r0 != rho2 or m.map_type() != (4, 4):
-                continue
             inv = m.invariants()
+            if r0 != rho2 or (inv.k, inv.l) != (4, 4):
+                continue
             assert inv.chi == 0
             inside = r0 in g.subgroup_indices([r2, rho0])
             assert inv.orientable == (not inside)

@@ -1,23 +1,29 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebrmaps import (
     BoundaryMapError,
     EdgeBiregularMap,
+    FiniteGroup,
     InvalidMapError,
     Permutation,
     are_isomorphic,
+    catalog_group,
     closure,
     construction1,
     construction3,
     dihedral_map,
+    ebr_to_flagmap,
     klein,
     regular_catalog,
     sphere_family,
     torus_rect,
 )
-from conftest import automorphism_by_full_table, euler_formula, orientable_by_even_subgroup
+from conftest import (all_valid_quadruples, automorphism_by_full_table, euler_formula,
+                      orientable_by_even_subgroup)
 
 
 def klein_four():
@@ -57,9 +63,9 @@ def test_klein_four_digonal_map():
     g, x, y = klein_four()
     m = EdgeBiregularMap(g, x, y, x, y)
     # r0 = rho0 forces digonal faces; here the vertex stabiliser collapses too
-    assert m.face_length() == 2
-    assert m.vertex_valency() == 2
     inv = m.invariants()
+    assert inv.l == 2
+    assert inv.k == 2
     assert (inv.V, inv.F, inv.chi) == (2, 2, 2)
     assert inv.fully_regular
 
@@ -67,7 +73,7 @@ def test_klein_four_digonal_map():
 def test_dihedral_row_one_is_valid_proper_map():
     m = dihedral_map(4, 1)
     assert m.is_proper
-    assert m.has_distinct_generators()
+    assert m.invariants().distinct_generators
 
 
 def test_non_involution_slot_rejected():
@@ -136,15 +142,15 @@ def test_construction3_cube_invariants():
     inv = construction3(regular_catalog("cube")).invariants()
     assert (inv.k, inv.l) == (6, 8)
     assert (inv.V, inv.F) == (8, 6)
-    assert inv.shaded_edges.count == 12 and inv.shaded_edges.kind == "proper"
-    assert inv.unshaded_edges.count == 24 and inv.unshaded_edges.kind == "semi"
+    assert inv.edges_shaded.count == 12 and inv.edges_shaded.kind == "proper"
+    assert inv.edges_unshaded.count == 24 and inv.edges_unshaded.kind == "semi"
     assert inv.chi == 2 and inv.orientable
 
 
 def test_semistar_invariants():
     inv = sphere_family("semistar", 3).invariants()
     assert (inv.V, inv.F, inv.chi) == (1, 1, 2)
-    assert inv.shaded_edges.kind == "semi" and inv.unshaded_edges.kind == "semi"
+    assert inv.edges_shaded.kind == "semi" and inv.edges_unshaded.kind == "semi"
     assert not inv.proper and not inv.distinct_generators
 
 
@@ -153,6 +159,64 @@ def test_euler_identity_for_proper_maps():
         inv = m.invariants()
         if inv.proper and inv.distinct_generators:
             assert Fraction(inv.chi) == euler_formula(inv.order, inv.k, inv.l)
+
+
+def test_invariants_close_each_stabiliser_once(monkeypatch):
+    m = torus_rect(4, 3)
+    calls = []
+    subgroup_order = FiniteGroup.subgroup_order
+
+    def counted(self, gens):
+        calls.append(gens)
+        return subgroup_order(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_order", counted)
+    first = m.invariants()
+    assert m.invariants() is first
+    assert len(calls) == 2
+
+
+PROPERTY_GROUPS = {
+    "dih:12": lambda: catalog_group("dih:12"),
+    "dihxc2:8": lambda: catalog_group("dihxc2:8"),
+    "c2^3": lambda: catalog_group("c2^3"),
+    "torus_rect(2,3)": lambda: torus_rect(2, 3).group,
+    "klein(3,1)": lambda: klein(3, 1).group,
+}
+
+
+@functools.cache
+def valid_quads(name, proper):
+    group = PROPERTY_GROUPS[name]()
+    quads = [q for q in all_valid_quadruples(group)
+             if (q[0] != q[1] and q[2] != q[3]) == proper]
+    return group, quads
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), st.booleans(), st.data())
+def test_invariants_agree_with_independent_oracles(name, proper, data):
+    group, quads = valid_quads(name, proper)
+    r0, r2, rho0, rho2 = quad = data.draw(st.sampled_from(quads))
+    m = EdgeBiregularMap(group, *quad)
+    inv = m.invariants()
+    assert inv.proper == proper
+    assert inv.orientable == orientable_by_even_subgroup(m)
+    assert inv.fully_regular == (automorphism_by_full_table(
+        group, list(quad), [rho0, rho2, r0, r2]) is not None)
+    assert inv.k == 2 * group.element_order(group.mul(r2, rho2))
+    assert inv.l == 2 * group.element_order(group.mul(r0, rho0))
+    if proper:
+        flags = ebr_to_flagmap(m)
+        assert len(flags.vertex_orbits()) == inv.V
+        assert len(flags.face_orbits()) == inv.F
+        assert flags.chi() == inv.chi
+        assert set(flags.vertex_valencies()) == {inv.k}
+        assert set(flags.face_lengths()) == {inv.l}
+    assert m.twin().twin() == m
+    assert m.dual().dual() == m
+    dual = m.dual().invariants()
+    assert (dual.k, dual.l, dual.V, dual.F, dual.chi) == (inv.l, inv.k, inv.F, inv.V, inv.chi)
 
 
 def test_boundary_maps_have_no_invariants():
@@ -168,12 +232,12 @@ def test_boundary_maps_have_no_invariants():
 
 def test_orientability_matches_even_subgroup_oracle():
     for m in sample_maps():
-        assert m.is_orientable() == orientable_by_even_subgroup(m)
+        assert m.invariants().orientable == orientable_by_even_subgroup(m)
 
 
 def test_klein_maps_are_non_orientable():
-    assert not klein(3, 1).is_orientable()
-    assert not klein(3, 2).is_orientable()
+    assert not klein(3, 1).invariants().orientable
+    assert not klein(3, 2).invariants().orientable
 
 
 # -- twin and dual ------------------------------------------------------------
@@ -187,8 +251,8 @@ def test_twin_swaps_colour_roles():
     m = construction3(regular_catalog("cube"))
     t = m.twin()
     inv = t.invariants()
-    assert inv.shaded_edges == m.invariants().unshaded_edges
-    assert inv.unshaded_edges == m.invariants().shaded_edges
+    assert inv.edges_shaded == m.invariants().edges_unshaded
+    assert inv.edges_unshaded == m.invariants().edges_shaded
     assert inv.chi == m.invariants().chi
 
 
@@ -196,8 +260,9 @@ def test_dual_is_an_involution_and_preserves_chi():
     for m in sample_maps():
         d = m.dual()
         assert d.dual() == m
-        assert d.invariants().chi == m.invariants().chi
-        assert d.map_type() == m.map_type()[::-1]
+        inv, dual_inv = m.invariants(), d.invariants()
+        assert dual_inv.chi == inv.chi
+        assert (dual_inv.k, dual_inv.l) == (inv.l, inv.k)
 
 
 def test_twin_and_dual_commute():
@@ -208,9 +273,9 @@ def test_twin_and_dual_commute():
 # -- full regularity and isomorphism -------------------------------------------
 
 def test_fully_regular_square_lattice_only():
-    assert torus_rect(3, 3).is_fully_regular()
-    assert not torus_rect(4, 3).is_fully_regular()
-    assert not klein(5, 1).is_fully_regular()
+    assert torus_rect(3, 3).invariants().fully_regular
+    assert not torus_rect(4, 3).invariants().fully_regular
+    assert not klein(5, 1).invariants().fully_regular
 
 
 def test_fully_regular_agrees_with_full_table_oracle():
@@ -218,7 +283,7 @@ def test_fully_regular_agrees_with_full_table_oracle():
         idx = list(m.slot_indices)
         swapped = [idx[2], idx[3], idx[0], idx[1]]
         oracle = automorphism_by_full_table(m.group, idx, swapped) is not None
-        assert m.is_fully_regular() == oracle
+        assert m.invariants().fully_regular == oracle
 
 
 def test_isomorphic_to_itself():
@@ -228,7 +293,7 @@ def test_isomorphic_to_itself():
 
 def test_twin_isomorphism_iff_fully_regular():
     for m in sample_maps():
-        assert are_isomorphic(m, m.twin()) == m.is_fully_regular()
+        assert are_isomorphic(m, m.twin()) == m.invariants().fully_regular
 
 
 def test_rect_maps_isomorphic_after_dual_only():
@@ -259,8 +324,9 @@ def test_mismatched_slot_patterns_rejected():
 def test_digon_degeneracy_is_fully_regular():
     for m in (sphere_family("dipole", 2), sphere_family("dipole", 3),
               sphere_family("dipole", 4, rpp=True)):
-        assert m.face_length() == 2
-        assert m.is_fully_regular()
+        inv = m.invariants()
+        assert inv.l == 2
+        assert inv.fully_regular
 
 
 # -- monodromy -----------------------------------------------------------------
@@ -310,4 +376,4 @@ def test_chi_parity_and_genus_consistency():
 def test_semi_edge_chi_invariant_under_twin():
     for m in (construction3(regular_catalog("cube")),
               construction3(regular_catalog("hosohedron:4"))):
-        assert m.twin().chi() == m.chi()
+        assert m.twin().invariants().chi == m.invariants().chi

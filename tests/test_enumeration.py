@@ -176,7 +176,7 @@ def test_filters():
     for m in distinct:
         assert len(set(m.slot_indices)) == 4
     capped = enumerate_ebr(g, chi_max=0)
-    assert all(m.chi() <= 0 for m in capped)
+    assert all(m.invariants().chi <= 0 for m in capped)
 
 
 def test_enumeration_is_deterministic():
@@ -190,6 +190,11 @@ def test_candidate_budget():
     g = catalog_group("dih:12")
     with pytest.raises(CandidateBudgetExceeded):
         enumerate_ebr(g, max_candidates=10)
+
+
+def test_negative_candidate_budget_is_bad_input():
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_ebr(catalog_group("dih:8"), max_candidates=-1)
 
 
 def test_candidate_budget_counts_first_pairs_least_under_conjugation():
@@ -268,7 +273,7 @@ def test_classification_of_non_representatives_matches_pairwise_oracle():
 
 def test_twin_pair_forms_one_class():
     m = dihedral_map(4, 3)
-    assert not m.is_fully_regular()
+    assert not m.invariants().fully_regular
     report = classify_report([m, m.twin()])
     assert len(report.classes) == 1
     assert report.classes[0].class_size == 2

@@ -269,7 +269,7 @@ def test_cycle_m2_is_the_square_on_the_sphere():
     inv = sphere_family("cycle", 2).invariants()
     assert (inv.k, inv.l) == (2, 4)
     assert (inv.V, inv.F, inv.chi) == (4, 2, 2)
-    assert inv.shaded_edges.count + inv.unshaded_edges.count == 4
+    assert inv.edges_shaded.count + inv.edges_unshaded.count == 4
 
 
 def test_dipole_is_dual_of_cycle():

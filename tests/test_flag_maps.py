@@ -119,7 +119,8 @@ def test_flag_counts_are_twice_the_group_order():
     dihedral_map(6, 2),
     sphere_family("cycle", 3),
     sphere_family("dipole", 3),
-], ids=lambda m: f"order{m.group.order}-{m.degeneracy_class}-{m.map_type()}")
+], ids=lambda m: f"order{m.group.order}-{m.degeneracy_class}-"
+                  f"{(m.invariants().k, m.invariants().l)}")
 def test_ebr_flag_system_round_trip(m):
     fm = ebr_to_flagmap(m)
     inv = m.invariants()
@@ -133,7 +134,7 @@ def test_ebr_flag_system_round_trip(m):
     for rep, colour in colouring.items():
         sizes[colour] = sizes.get(colour, 0) + 1
     assert sorted(sizes.values()) == sorted(
-        [inv.shaded_edges.count, inv.unshaded_edges.count])
+        [inv.edges_shaded.count, inv.edges_unshaded.count])
 
 
 def test_witness_classes_match_construction_colouring():
