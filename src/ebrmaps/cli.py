@@ -33,8 +33,8 @@ from .presentation import (
 _DOT_COLOURS = {"r0": "red", "r2": "green", "rho0": "blue", "rho2": "yellow"}
 
 def _parse_params(text: Optional[str]) -> dict[str, int | bool]:
-    """``key=value`` pairs: ``rpp`` is ``true`` or ``false``, every other
-    parameter an integer."""
+    """``key=value`` pairs, each key once: ``rpp`` is ``true`` or ``false``,
+    every other parameter an integer."""
     params = {}
     if not text:
         return params
@@ -44,6 +44,8 @@ def _parse_params(text: Optional[str]) -> dict[str, int | bool]:
             raise ValueError(f"malformed parameter {part!r}, expected key=value")
         key = key.strip()
         value = value.strip().lower()
+        if key in params:
+            raise ValueError(f"parameter {key!r} is given twice")
         if key == "rpp":
             if value not in ("true", "false"):
                 raise ValueError("parameter 'rpp' must be true or false")

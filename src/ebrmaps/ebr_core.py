@@ -86,6 +86,7 @@ class EdgeBiregularMap:
                  rho0: Optional[ElementLike], rho2: Optional[ElementLike]):
         self.group = group
         self._invariants: Optional[MapInvariants] = None
+        self._form: Optional[tuple] = None  # the Cayley form of the slots, once known
         self.slot_indices: tuple[Optional[int], ...] = tuple(
             None if s is None else self._checked_index(s) for s in (r0, r2, rho0, rho2))
 

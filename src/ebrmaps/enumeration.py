@@ -13,13 +13,15 @@ finds, as nauty does (McKay and Piperno, "Practical graph isomorphism II",
 index, hold the orbits seen so far: one over first pairs, seeded with
 conjugation by the generators and fed every automorphism found, and one over
 second pairs, reset for each first pair and fed the automorphisms from forms
-repeated under it, which fix it.  A pair that is not a root is skipped, as
-it is the image of an earlier one, and so is the rest of a first pair once a
-form keyed under an earlier first pair shows it to be that pair's image.  The
-least quadruple of a class is never skipped: its first pair is least in its
-Aut(H)-orbit, and its second pair is least in its orbit under that pair's
-stabiliser.  The classification report keys each map by the least Cayley
-form of its quadruple under the twin and dual slot permutations.
+repeated under it, which fix it.  A merge walks only the pairs the sweep
+has not reached, as only their roots are read again.  A pair that is not a
+root is skipped, as it is the image of an earlier one, and so is the rest of
+a first pair once a form keyed under an earlier first pair shows it to be
+that pair's image.  The least quadruple of a class is never skipped: its
+first pair is least in its Aut(H)-orbit, and its second pair is least in its
+orbit under that pair's stabiliser.  The classification report looks each
+map's own form up among the forms of the classes found so far; a map that
+opens a class adds the forms of its twin, dual and twin-of-dual quadruples.
 The groups to sweep come from ``families.catalog_group`` or a presentation.
 """
 
@@ -39,14 +41,17 @@ class CandidateBudgetExceeded(RuntimeError):
 
 
 def _commuting_involution_pairs(group: FiniteGroup, proper: bool) -> list[tuple[int, int]]:
+    """The ordered pairs of commuting involutions, sorted.  Involutions x and
+    y commute exactly when y*x is 1 or an involution, so each x reads one row."""
     invs = group.involution_indices()
+    one_or_inv = bytearray(group.order)
+    one_or_inv[0] = 1
+    for x in invs:
+        one_or_inv[x] = 1
     pairs = []
     for x in invs:
-        for y in invs:
-            if proper and x == y:
-                continue
-            if group.mul(x, y) == group.mul(y, x):
-                pairs.append((x, y))
+        right = group.right_translation(x)
+        pairs.extend((x, y) for y in invs if one_or_inv[right[y]] and not (proper and x == y))
     return pairs
 
 
@@ -59,12 +64,20 @@ def _find(parent: list[int], i: int) -> int:
 
 
 def _merge_images(parent: list[int], pairs: list[tuple[int, int]],
-                  index: dict[tuple[int, int], int], aut: Sequence[int]) -> None:
-    """Merge every pair with its image under the automorphism ``aut``."""
-    for i, j in enumerate([index[aut[x], aut[y]] for x, y in pairs]):
+                  index: dict[tuple[int, int], int], aut: Sequence[int],
+                  start: int = 0) -> None:
+    """Merge each pair from ``start`` on with its image under the automorphism
+    ``aut``.  A pair from ``start`` on is then a root exactly when it would be
+    had every pair been merged: a cycle of ``aut`` that reaches below ``start``
+    joins each of its pairs from ``start`` on to one below it."""
+    for i, (x, y) in enumerate(pairs[start:], start):
+        j = index[aut[x], aut[y]]
         if i != j:
             a, b = _find(parent, i), _find(parent, j)
-            parent[max(a, b)] = min(a, b)
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
 
 
 def _seeded_firsts(group: FiniteGroup, pairs: list[tuple[int, int]],
@@ -93,12 +106,14 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     that is not the root (least index) of its set.  The first-pair one starts
     from conjugation by the generators; the second-pair one starts afresh for
     each first pair.  A form met again gives the automorphism taking the
-    quadruple first keyed under it to the current one, and every pair is
-    merged with its image in the first-pair union-find.  If the form was keyed
-    under an earlier first pair, the current first pair is that pair's image
-    and is done; otherwise the automorphism fixes it, and the second pairs
-    are merged too.  The filters are Aut(H)-invariant and forms are keyed
-    before ``chi_max`` applies, so the output is that of the full sweep.
+    quadruple first keyed under it to the current one, and every pair after
+    the current first pair is merged with its image in the first-pair
+    union-find.  If the form was keyed under an earlier first pair, the
+    current first pair is that pair's image and is done; otherwise the
+    automorphism fixes it, and the pairs after the current second pair are
+    merged in the second-pair union-find too.  The filters are
+    Aut(H)-invariant and forms are keyed before ``chi_max`` applies, so the
+    output is that of the full sweep.
     """
     if max_candidates < 0:
         raise ValueError(f"the candidate budget must be non-negative, not {max_candidates}")
@@ -134,6 +149,7 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
             if key not in keyed:
                 keyed[key] = ri, order
                 m = EdgeBiregularMap(group, *quad)
+                m._form = key  # the report classes each map by its own form
                 if chi_max is None or m.invariants().chi <= chi_max:
                     maps.append(m)
                 continue
@@ -141,10 +157,10 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
             aut = [0] * group.order
             for x, y in zip(earlier, order):
                 aut[x] = y
-            _merge_images(firsts, pairs, index, aut)
+            _merge_images(firsts, pairs, index, aut, ri + 1)
             if rj != ri:
                 break  # an automorphism takes an earlier pair to r_pair
-            _merge_images(seconds, pairs, index, aut)
+            _merge_images(seconds, pairs, index, aut, pi + 1)
     return maps
 
 
@@ -240,18 +256,24 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
         m._require_closed()
 
     # Classes are orbits of Aut(H) x {identity, twin, dual, twin-of-dual} on
-    # quads; the form tells Aut(H)-orbits apart, so the least form keys each.
-    members: dict[tuple, list[EdgeBiregularMap]] = {}
+    # quads, and equal forms are one Aut(H)-orbit: a map joins the class that
+    # holds its own form, or opens one under all four forms of its quad.
+    members: list[list[EdgeBiregularMap]] = []
+    by_form: dict[tuple, list[EdgeBiregularMap]] = {}  # any of the four forms -> class
     for m in maps:
-        r0, r2, p0, p2 = m.slot_indices
-        key = min(cayley_form(m.group, quad)[1]
-                  for quad in ((r0, r2, p0, p2), (p0, p2, r0, r2),
-                               (r2, r0, p2, p0), (p2, p0, r2, r0)))
-        members.setdefault(key, []).append(m)
+        if m._form is None:  # a map the sweep did not key
+            m._form = cayley_form(m.group, m.slot_indices)[1]
+        if m._form not in by_form:
+            members.append([])
+            r0, r2, p0, p2 = m.slot_indices
+            for quad in ((p0, p2, r0, r2), (r2, r0, p2, p0), (p2, p0, r2, r0)):
+                by_form[cayley_form(m.group, quad)[1]] = members[-1]
+            by_form[m._form] = members[-1]
+        by_form[m._form].append(m)
 
     dihedral = is_dihedral(group)
     classes = []
-    for cls in members.values():
+    for cls in members:
         rep = cls[0]
         inv = rep.invariants()
         row = None

@@ -42,6 +42,8 @@ MAX_NESTING = 100
 # Coset enumeration stores each distinct rotation of every relator and of
 # its inverse, so this many letters at most; the parser holds each relator
 # to it before expansion, so a short input cannot ask for an unbounded word.
+# A relator over two or more generators has at least two rotations of its
+# full length, so a power in one is held to half the budget.
 # A dihedral relator (a b)^m stores 4m letters, so the budget admits every
 # dihedral group that DEFAULT_MAX_COSETS admits.  A relator that is not a
 # proper power stores up to twice its length squared, so it is held to
@@ -184,22 +186,29 @@ class _Parser:
             raise self.error("zero exponent", offset)
         return value
 
-    def power(self, offset: int, length: int, base: int) -> int:
+    def power(self, offset: int, length: int, base: int, mixed: bool = False) -> int:
         """The exponent after the token at ``offset`` (1 if none), once a word
         of ``length`` letters followed by ``base`` letters to that power stays
-        within budget; the error points at the exponent, or else at ``offset``."""
+        within budget, twice over if the relator is ``mixed`` (over two or
+        more generators, which ``coset_enumerate`` stores at least two
+        rotations of); the error points at the exponent, or else at ``offset``."""
         exp = 1
         if self.is_punct("^"):
             self.take()
             offset = self.peek()[2]
             exp = self.exponent()
-        if length + base * abs(exp) > MAX_ROTATION_LETTERS:
+        letters = length + base * abs(exp)
+        if letters > MAX_ROTATION_LETTERS:
             raise self.error(f"relator longer than {MAX_ROTATION_LETTERS} letters", offset)
+        if mixed and 2 * letters > MAX_ROTATION_LETTERS:
+            raise self.error(
+                f"relator longer than {MAX_ROTATION_LETTERS} letters in its rotations", offset)
         return exp
 
     def word(self, index: dict[str, int], depth: int = 0) -> Word:
         terms: list[tuple[int, int]] = []
         length = 0  # letters once expanded
+        gens: set[int] = set()  # the generators read so far
         while True:
             kind, text, offset = self.peek()
             if kind == "ident":
@@ -208,6 +217,7 @@ class _Parser:
                     raise self.error(f"unknown generator name {text!r}", offset)
                 exp = self.power(offset, length, 1)
                 terms.append((index[text], exp))
+                gens.add(index[text])
                 length += abs(exp)
             elif self.is_punct("("):
                 if depth >= MAX_NESTING:
@@ -216,7 +226,8 @@ class _Parser:
                 inner = self.word(index, depth + 1)
                 self.expect(")")
                 base = _length(inner)
-                exp = self.power(offset, length, base)
+                gens.update(idx for idx, _ in inner)
+                exp = self.power(offset, length, base, len(gens) > 1)
                 terms.extend(_power(inner, exp))
                 length += base * abs(exp)
             elif not terms:

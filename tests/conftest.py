@@ -14,7 +14,6 @@ import ebrmaps.flag_maps as flag_maps
 from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, GroupPresentation, Permutation,
                      closure, ebr_type_presentation, extend_generator_map,
                      rotation_system_to_flagmap, triangle_group)
-from ebrmaps.enumeration import _commuting_involution_pairs
 from ebrmaps.perm_group import cayley_form
 
 # Derandomized, so that a property failure reproduces from the test log.
@@ -318,6 +317,28 @@ def _least_under_conjugation(group, pairs):
     return kept
 
 
+def commuting_pairs_by_products(group, proper):
+    """The ordered pairs of commuting involutions, sorted, each pair tested by
+    comparing its two products."""
+    invs = group.involution_indices()
+    return [(x, y) for x in invs for y in invs
+            if not (proper and x == y) and group.mul(x, y) == group.mul(y, x)]
+
+
+def merge_every_pair(parent, pairs, index, aut):
+    """Merge every pair with its image under the automorphism ``aut`` in the
+    union-find ``parent``, each set rooted at its least index."""
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in enumerate([index[aut[x], aut[y]] for x, y in pairs]):
+        if i != j:
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+
+
 def twin_dual_least_form(m):
     """The least Cayley form of a map's quadruple under identity, twin, dual
     and twin-of-dual: equal for two maps exactly when one is isomorphic to
@@ -353,7 +374,7 @@ def aut_orbit_representatives(group, require_proper=False, require_distinct=Fals
     each quadruple not yet marked in lex order as the representative of its
     Aut(H)-orbit, marking the whole orbit.  Returns the representatives'
     quadruples (those with chi at most ``chi_max``)."""
-    pairs = _commuting_involution_pairs(group, require_proper)
+    pairs = commuting_pairs_by_products(group, require_proper)
     generates = pair_generation_memo(group)
     quads = sorted(r_pair + p_pair for r_pair in pairs for p_pair in pairs
                    if not (require_distinct and len(set(r_pair + p_pair)) < 4)

@@ -127,6 +127,8 @@ def test_analyze_reports_missing_parameters(capsys):
     ("cycle", "m=true", "parameter 'm' must be an integer"),
     ("torus-rect", "a=true,c=true", "parameter 'a' must be an integer"),
     ("dipole", "m=2,rpp=1", "parameter 'rpp' must be true or false"),
+    ("cycle", "m=2,m=3", "parameter 'm' is given twice"),
+    ("dipole", "m=2,rpp=true,rpp=false", "parameter 'rpp' is given twice"),
 ])
 def test_family_parameters_are_typed_by_name(capsys, family, params, message):
     code, out, err = run(capsys, "analyze", "--family", family, "--params", params)

@@ -18,7 +18,8 @@ from ebrmaps import (
     torus_rhombic,
 )
 from conftest import (_automorphisms, _least_under_conjugation, all_valid_quadruples,
-                      aut_orbit_representatives, dihedral_by_closure, pair_generation_memo,
+                      aut_orbit_representatives, commuting_pairs_by_products,
+                      dihedral_by_closure, merge_every_pair, pair_generation_memo,
                       pairwise_class_sizes, pairwise_representatives)
 
 
@@ -149,11 +150,76 @@ SPAN_GROUPS = {**SWEEP_GROUPS, "torus_rhombic(2,3)": lambda: torus_rhombic(2, 3)
 def test_a_commuting_involution_pair_spans_one_x_y_and_xy(name):
     """The sweep reads each pair's subgroup off the pair as {1, x, y, xy}."""
     group = SPAN_GROUPS[name]()
-    invs = group.involution_indices()
-    pairs = [(x, y) for x in invs for y in invs if group.mul(x, y) == group.mul(y, x)]
+    pairs = commuting_pairs_by_products(group, False)
     assert pairs
     for x, y in pairs:
         assert {0, x, y, group.mul(x, y)} == set(group.subgroup_indices((x, y))), (x, y)
+
+
+@pytest.mark.parametrize("proper", [False, True])
+@pytest.mark.parametrize("name", SPAN_GROUPS)
+def test_commuting_pairs_match_the_product_reference(name, proper):
+    group = SPAN_GROUPS[name]()
+    assert (enumeration._commuting_involution_pairs(group, proper)
+            == commuting_pairs_by_products(group, proper))
+
+
+def _merged_automorphisms(monkeypatch, group, **flags):
+    """Every automorphism the sweep merges, conjugations by the generators first."""
+    auts, merge = [], enumeration._merge_images
+
+    def recording(parent, pairs, index, aut, start=0):
+        auts.append(aut)
+        merge(parent, pairs, index, aut, start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_merge_images", recording)
+        enumerate_ebr(group, **flags)
+    return auts
+
+
+@pytest.mark.parametrize("proper", [False, True])
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_merge_from_start_keeps_every_root_from_start_on(monkeypatch, name, proper):
+    """Merging only the pairs from ``start`` on leaves each of them a root
+    exactly when merging every pair would, through all the automorphisms the
+    sweep merges, one after another."""
+    group = catalog_group(name)
+    pairs = enumeration._commuting_involution_pairs(group, proper)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    auts = _merged_automorphisms(monkeypatch, group, require_proper=proper)
+    assert auts
+    for start in range(0, len(pairs) + 1, max(1, len(pairs) // 20)):
+        whole, short = list(range(len(pairs))), list(range(len(pairs)))
+        for aut in auts:
+            merge_every_pair(whole, pairs, index, aut)
+            enumeration._merge_images(short, pairs, index, aut, start)
+            assert ([whole[i] == i for i in range(start, len(pairs))]
+                    == [short[i] == i for i in range(start, len(pairs))]), start
+
+
+@pytest.mark.parametrize("name, flags", [case for case in SWEEP_CASES
+                                         if case[0] != "torus_rect(6,6)"])
+def test_sweep_forms_the_quads_it_forms_with_whole_merges(monkeypatch, name, flags):
+    group = SWEEP_GROUPS[name]()
+
+    def formed_quads(merge):
+        quads, form = [], enumeration.cayley_form
+
+        def counted(group, quad):
+            quads.append(quad)
+            return form(group, quad)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "cayley_form", counted)
+            patch.setattr(enumeration, "_merge_images", merge)
+            enumerate_ebr(group, **FLAG_SETS[flags])
+        return quads
+
+    def whole(parent, pairs, index, aut, start=0):
+        merge_every_pair(parent, pairs, index, aut)
+
+    assert formed_quads(enumeration._merge_images) == formed_quads(whole)
 
 
 def test_enumerated_quadruples_are_valid():
@@ -263,6 +329,29 @@ def test_classification_matches_pairwise_oracle(name, flags):
     maps = enumerate_ebr(catalog_group(name), **flags)
     sizes = [c.class_size for c in classify_report(maps).classes]
     assert sizes == pairwise_class_sizes(maps)
+
+
+def test_report_forms_three_quads_per_class_and_none_of_a_swept_map(monkeypatch):
+    """The sweep keeps each map's own form; the report forms the twin, dual
+    and twin-of-dual quads of the first map of each class only."""
+    maps = enumerate_ebr(catalog_group("dihxc2:20"), require_proper=True)
+    form, formed = enumeration.cayley_form, []
+
+    def counted(group, quad):
+        formed.append(tuple(quad))
+        return form(group, quad)
+
+    monkeypatch.setattr(enumeration, "cayley_form", counted)
+    report = classify_report(maps)
+    assert len(report.classes) > 1
+    assert len(formed) == 3 * len(report.classes)
+    openers = []
+    for twin, dual, twin_of_dual in zip(formed[::3], formed[1::3], formed[2::3]):
+        p0, p2, r0, r2 = twin
+        assert (dual, twin_of_dual) == ((r2, r0, p2, p0), (p2, p0, r2, r0))
+        openers.append((r0, r2, p0, p2))
+    assert openers == sorted(openers)
+    assert set(openers) <= {m.slot_indices for m in maps}
 
 
 def test_classification_of_non_representatives_matches_pairwise_oracle():

@@ -266,7 +266,7 @@ def test_relator_length_is_budgeted_before_expansion(text, column):
     ("< a, b | a^99 b a >", 17),
     ("< a, b | a^99 (a b) >", 15),
     ("< a, b | (a (a b)^50)^2 >", 19),
-    ("< a, b | (a (a b)^49)^2 >", 23),
+    ("< a, b | (a (a b)^24)^2 >", 23),
 ])
 def test_relator_length_error_points_at_the_token_over_budget(monkeypatch, text, column):
     import ebrmaps.presentation as presentation
@@ -275,8 +275,48 @@ def test_relator_length_error_points_at_the_token_over_budget(monkeypatch, text,
     with pytest.raises(PresentationSyntaxError, match="longer than 100 letters") as info:
         parse_presentation(text)
     assert (info.value.line, info.value.column) == (1, column)
-    pres = parse_presentation("< a, b | a^2, b^2, (a b)^50 >")
-    assert sum(abs(exp) for _, exp in pres.relators[2]) == 100
+    pres = parse_presentation("< a, b | a^2, b^2, (a b)^25, a^100 >")
+    assert [sum(abs(exp) for _, exp in word) for word in pres.relators[2:]] == [50, 100]
+
+
+@pytest.mark.parametrize("text, column", [
+    ("< a, b | (a b)^26 >", 16),
+    ("< a, b | a^49 (a b) >", 15),
+    ("< a, b | b (a)^50 >", 16),
+    ("< a, b | ((a b)^13)^2 >", 21),
+])
+def test_a_power_that_makes_a_relator_mixed_is_held_to_half_the_budget(
+        monkeypatch, text, column):
+    """Coset enumeration stores at least two full-length rotations of a
+    relator over two or more generators, so the parser refuses such a power
+    once twice the relator's letters exceed the budget, as enumeration would."""
+    import ebrmaps.presentation as presentation
+
+    monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 100)
+    with pytest.raises(PresentationSyntaxError,
+                       match="longer than 100 letters in its rotations") as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 200)
+    pres = parse_presentation(text)
+    monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 100)
+    with pytest.raises(ValueError, match="more than 100 letters"):
+        coset_enumerate(pres)
+
+
+def test_a_mixed_power_over_budget_is_refused_before_it_is_expanded():
+    import tracemalloc
+
+    # (a b)^1000000 is 2,000,000 letters, within the budget for one
+    # rotation, but enumeration would store two.
+    tracemalloc.start()
+    try:
+        with pytest.raises(PresentationSyntaxError, match="in its rotations"):
+            parse_presentation("< a, b | a^2, b^2, (a b)^1000000 >")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_coset_enumeration_budgets_the_rotation_letters(monkeypatch):
