@@ -19,9 +19,14 @@ coset over four involution columns), so its generator columns become the
 deductions (Felsch style): always fill the lowest empty slot of the lowest
 live coset, and close relator cycles as soon as their last edge appears.
 Each new entry is queued once, not with its mirror: the cycles through an
-edge are the same read from either end.  Coincidences are processed through
-a union-find with path compression.  The relators' lengths are held to the
-rotation budget, ``MAX_ROTATION_LETTERS``, before any of them is expanded.
+edge are the same read from either end.  Each distinct rotation of the
+relators and their inverses is stored once, as the column lists of its
+letters after the first: a scan through an entry c·x starts at c·x, and
+reads back from c along the lists of another stored rotation.  An entry that
+a scan fills is queued with the cycle the fill closed, which its own scans
+skip.  Coincidences are processed through a union-find with path
+compression.  The relators' lengths are held to the rotation budget,
+``MAX_ROTATION_LETTERS``, before any of them is expanded.
 """
 
 from __future__ import annotations
@@ -215,9 +220,9 @@ class _Parser:
                 self.take()
                 if text not in index:
                     raise self.error(f"unknown generator name {text!r}", offset)
-                exp = self.power(offset, length, 1)
-                terms.append((index[text], exp))
                 gens.add(index[text])
+                exp = self.power(offset, length, 1, len(gens) > 1)
+                terms.append((index[text], exp))
                 length += abs(exp)
             elif self.is_punct("("):
                 if depth >= MAX_NESTING:
@@ -246,6 +251,9 @@ def _invert(word: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _power(word: Sequence[tuple[int, int]], exp: int) -> list[tuple[int, int]]:
+    """``word`` to the power ``exp``; a power of one term stays one term."""
+    if len(word) == 1:
+        return [(word[0][0], word[0][1] * exp)]
     base = list(word) if exp > 0 else _invert(word)
     return base * abs(exp)
 
@@ -319,21 +327,29 @@ def square_grid_group() -> GroupPresentation:
 class _CosetTable:
     # columns[x][c] is c·x, or None while that slot is empty: one list per
     # column, as FiniteGroup keeps the finished group.  An entry c --x--> d
-    # is queued as (c, x) alone, though its mirror d --inv_col[x]--> c is
-    # written with it.  The rotations that start with inv_col[x], scanned at
-    # d, are those that start with x, scanned at c, read backwards, so
-    # queueing the mirror would scan every cycle twice.
+    # is queued as (c, x, skip) alone, though its mirror d --inv_col[x]--> c
+    # is written with it.  The rotations that start with inv_col[x], scanned
+    # at d, are those that start with x, scanned at c, read backwards, so
+    # queueing the mirror would scan every cycle twice.  ``skip`` is the tail
+    # of the rotation whose cycle through the entry a fill has just closed,
+    # or None.
+    #
+    # rotations[x] holds each stored rotation x w as a record (tail, back,
+    # ring, start).  ``tail`` is the column lists of w, so a scan from c
+    # starts at c·x and looks up no column index; the list itself names the
+    # rotation.  ``back`` is the tail of the inverse of x w rotated by one,
+    # another stored rotation: the columns that lead from c back along w.
+    # ``ring`` lists the (first column, tail) of each rotation of one relator
+    # or inverse by shift; x w is ring[start - 1], so ring[(start + i) %
+    # len(ring)] is the rotation that starts with the letter of tail[i].
     def __init__(self, inv_col: list[int], max_cosets: int):
         self.inv_col = inv_col
         self.max_cosets = max_cosets
         self.columns: list[list[Optional[int]]] = [[None] for _ in inv_col]
         self.parent = [0]  # a coset is live exactly when it is its own root
         self.live_count = 1
-        self.deductions: list[tuple[int, int]] = []
-        # Rotations of relators (and their inverses) indexed by first letter,
-        # each paired with its inverse word, which is also a stored rotation.
-        self.rotations: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [
-            [] for _ in inv_col]
+        self.deductions: list[tuple[int, int, Optional[list]]] = []
+        self.rotations: list[list[tuple[list, list, list, int]]] = [[] for _ in inv_col]
 
     def find(self, c: int) -> int:
         root = c
@@ -354,7 +370,7 @@ class _CosetTable:
         self.columns[self.inv_col[x]][d] = c
         self.parent.append(d)
         self.live_count += 1
-        self.deductions.append((c, x))
+        self.deductions.append((c, x, None))
 
     def coincidence(self, a: int, b: int) -> int:
         """Merge ``a`` and ``b``, and every pair of cosets that forces.
@@ -396,68 +412,72 @@ class _CosetTable:
                 else:
                     col[u] = v
                     mirror[v] = u
-                    self.deductions.append((u, x))
+                    self.deductions.append((u, x, None))
         return low
 
     def fill(self) -> None:
         """Complete the table.  Scan every relator cycle through each queued
-        entry at its live end: forward to the first gap, then backward along
-        the inverse word.  A closed cycle whose ends differ is a coincidence;
-        a gap of one letter is filled, and the new entry is queued.  Once the
-        queue is empty, define the first empty slot of the lowest live coset,
-        until no slot is empty."""
+        entry c --x--> d at its live end c, but the one a fill has just
+        closed: forward from d to the first gap, then backward from c.  A
+        closed cycle whose ends differ is a coincidence; a gap of one letter
+        is filled, and the new entry is queued with the cycle it closed.
+        Once the queue is empty, define the first empty slot of the lowest
+        live coset, until no slot is empty."""
         columns, parent = self.columns, self.parent
         deductions, rotations = self.deductions, self.rotations
-        cursor = 0  # every live coset below it is complete
+        ncols = len(columns)
+        cursor = slot = 0  # live cosets below cursor, and its slots below slot, are full
         while True:
             while deductions:
-                c, x = deductions.pop()
+                c, x, skip = deductions.pop()
                 if parent[c] != c:
                     c = self.find(c)
-                if columns[x][c] is None:
+                d = columns[x][c]
+                if d is None:
                     continue
-                for word, back in rotations[x]:
-                    f, i = c, 0
-                    for y in word:
-                        nxt = columns[y][f]
+                for tail, back, ring, start in rotations[x]:
+                    if tail is skip:
+                        continue
+                    f, i = d, 0
+                    for col in tail:
+                        nxt = col[f]
                         if nxt is None:
                             break
                         f = nxt
                         i += 1
-                    gap = len(word) - i
+                    gap = len(tail) - i
                     b, k = c, 0
-                    for y in back:
+                    for col in back:
                         if k == gap:
                             break
-                        prv = columns[y][b]
+                        prv = col[b]
                         if prv is None:
                             break
                         b = prv
                         k += 1
                     if k == gap:
                         if f != b:
-                            cursor = min(cursor, self.coincidence(f, b))
+                            cursor, slot = min(cursor, self.coincidence(f, b)), 0
                             if parent[c] != c:
                                 break
+                            d = columns[x][c]
                     elif k == gap - 1:
                         # Both slots are empty: the scans stopped at them.
-                        columns[word[i]][f] = b
-                        columns[back[k]][b] = f
-                        deductions.append((f, word[i]))
+                        tail[i][f] = b
+                        back[k][b] = f
+                        y, closed = ring[(start + i) % len(ring)]
+                        deductions.append((f, y, closed))
             # Define the first empty slot of the lowest live coset, if any.
             while cursor < len(parent):
                 if parent[cursor] == cursor:
-                    for x, col in enumerate(columns):
-                        if col[cursor] is None:
-                            break
-                    else:  # complete
-                        cursor += 1
-                        continue
-                    break
-                cursor += 1
+                    while slot < ncols and columns[slot][cursor] is not None:
+                        slot += 1
+                    if slot < ncols:
+                        break
+                cursor, slot = cursor + 1, 0
             else:
                 return
-            self.define(cursor, x)
+            self.define(cursor, slot)
 
 
 def coset_enumerate(pres: GroupPresentation,
@@ -501,26 +521,40 @@ def coset_enumerate(pres: GroupPresentation,
 
     ct = _CosetTable(inv_col, max_cosets)
 
-    stored: dict[tuple[int, ...], tuple[int, ...]] = {}  # each rotation, held once
+    # Each distinct rotation of the relators and their inverses is held once,
+    # as a record of _CosetTable.rotations in the ring of its word.
+    where: dict[tuple[int, ...], tuple[list, int]] = {}  # rotation -> ring, shift
     letters = 0
     for word in pres.relators:
         expanded: list[int] = []
         for idx, exp in word:
             expanded += [col_of[idx] if exp > 0 else inv_col[col_of[idx]]] * abs(exp)
         cols = tuple(expanded)
-        if len(cols) == 2 and cols[0] == cols[1]:
-            continue  # involution squares are built into the column structure
+        del expanded
+        if not cols or len(cols) == 2 and cols[0] == cols[1]:
+            continue  # holds everywhere, or is built into an involution's column
         inverse = tuple(inv_col[x] for x in reversed(cols))
-        for base in (cols, inverse):
+        rings = []
+        for base, inv in ((cols, inverse), (inverse, cols)):
+            if base in where:
+                continue  # all its rotations are stored already
+            ring: list[tuple[int, list]] = []
             for shift in range(_cyclic_period(base)):
                 rot = base[shift:] + base[:shift] if shift else base
-                if rot not in stored:
-                    letters += len(rot)
-                    if letters > MAX_ROTATION_LETTERS:
-                        raise ValueError(too_many)
-                    stored[rot] = rot
-    for rot in stored:
-        ct.rotations[rot[0]].append((rot, stored[tuple(inv_col[x] for x in reversed(rot))]))
+                letters += len(rot)
+                if letters > MAX_ROTATION_LETTERS:
+                    raise ValueError(too_many)
+                where[rot] = ring, shift
+                ring.append((rot[0], [ct.columns[y] for y in rot[1:]]))
+            rings.append((ring, inv))
+        # The inverse of rotation s of an n-letter word, rotated by one, is
+        # rotation n - 1 - s of the inverse word.
+        for ring, inv in rings:
+            inv_ring, u = where[inv]
+            for s, (x, tail) in enumerate(ring):
+                back = inv_ring[(u + len(cols) - 1 - s) % len(ring)][1]
+                ct.rotations[x].append((tail, back, ring, s + 1))
+    del where
 
     ct.fill()
 

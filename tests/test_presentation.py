@@ -263,7 +263,8 @@ def test_relator_length_is_budgeted_before_expansion(text, column):
 
 
 @pytest.mark.parametrize("text, column", [
-    ("< a, b | a^99 b a >", 17),
+    ("< a, b | a^99 a a >", 17),
+    ("< a, b | a^99 b a >", 15),
     ("< a, b | a^99 (a b) >", 15),
     ("< a, b | (a (a b)^50)^2 >", 19),
     ("< a, b | (a (a b)^24)^2 >", 23),
@@ -284,6 +285,7 @@ def test_relator_length_error_points_at_the_token_over_budget(monkeypatch, text,
     ("< a, b | a^49 (a b) >", 15),
     ("< a, b | b (a)^50 >", 16),
     ("< a, b | ((a b)^13)^2 >", 21),
+    ("< a, b | (a)^50 b >", 17),
 ])
 def test_a_power_that_makes_a_relator_mixed_is_held_to_half_the_budget(
         monkeypatch, text, column):
@@ -304,19 +306,30 @@ def test_a_power_that_makes_a_relator_mixed_is_held_to_half_the_budget(
         coset_enumerate(pres)
 
 
-def test_a_mixed_power_over_budget_is_refused_before_it_is_expanded():
+@pytest.mark.parametrize("text, column", [
+    ("< a, b | a^2, b^2, (a b)^1000000 >", 26),
+    ("< a, b | a^2, b^2, (a)^1999999 b >", 32),
+])
+def test_a_mixed_power_over_budget_is_refused_before_it_is_expanded(text, column):
     import tracemalloc
 
-    # (a b)^1000000 is 2,000,000 letters, within the budget for one
-    # rotation, but enumeration would store two.
+    # Each relator is 2,000,000 letters, within the budget for one rotation,
+    # but enumeration would store two.  A power of one generator stays one
+    # term, so (a)^1999999 is not expanded before its b makes it mixed.
     tracemalloc.start()
     try:
-        with pytest.raises(PresentationSyntaxError, match="in its rotations"):
-            parse_presentation("< a, b | a^2, b^2, (a b)^1000000 >")
+        with pytest.raises(PresentationSyntaxError, match="in its rotations") as info:
+            parse_presentation(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert (info.value.line, info.value.column) == (1, column)
     assert peak < 2**20
+
+
+def test_a_power_of_one_term_is_one_term():
+    pres = parse_presentation("< a, b | (a)^5 b, (a^-2)^-3, ((b))^-2, (a b)^2 >")
+    assert pres.relators == (((0, 5), (1, 1)), ((0, 6),), ((1, -2),), ((0, 1), (1, 1)) * 2)
 
 
 def test_coset_enumeration_budgets_the_rotation_letters(monkeypatch):
@@ -452,7 +465,7 @@ def _check_against_reference(pres, max_cosets):
 ORACLE_CASES = {
     **{f"dihedral({m})": dihedral_presentation(m) for m in (1, 2, 3, 7, 40)},
     **{f"triangle({k},{l})": triangle_group(k, l)
-       for k, l in ((2, 3), (3, 3), (3, 5), (3, 7), (4, 4))},
+       for k, l in ((2, 3), (3, 3), (3, 5), (3, 7), (4, 4), (4, 5))},
     **{f"ebr_type({k},{l})": ebr_type_presentation(k, l) for k, l in ((2, 6), (4, 4), (4, 6))},
     **{text: parse_presentation(text) for text in (
         "< a, b | a^2, b^2, (a b)^5, (b a)^5, (a b)^10, a b a b a b a b a b >",
@@ -461,6 +474,14 @@ ORACLE_CASES = {
         "< a, b | a^2, b^3, a b a^-1 b^-1 >",
         "< a, b | a^3, b^3, (a b)^3, (a b^-1)^3 >",
         "< a | a >",
+        # a long relator that is no proper power, with a a adjacent
+        "< a, b | a^2, b^2, (a b)^7 a >",
+        # a relator that is not freely reduced, with rotations that start
+        # with the same letter next to each other
+        "< a, b | b^-3 a a^-1 a^-2 b^-3 >",
+        # relators that are rotations of others or of their inverses
+        "< a, b | a^4, a^2 b^-2, b^2 a^-2, b^-1 a b a, a b a b^-1 >",
+        "< a, b | a^3, b^3, (a b)^3, (b a)^3, (a b^-1)^3, (a^-1 b)^3 >",
     )},
     **{f"quotient{i}": pres for i, pres in enumerate(random_quotients(12))},
 }
@@ -484,3 +505,16 @@ def test_felsch_loop_defines_as_the_reference_on_random_presentations(
         tuple("abc"[:ngens]),
         tuple(tuple((idx % ngens, exp) for idx, exp in word) for word in relators))
     _check_against_reference(pres, max_cosets)
+
+
+@settings(max_examples=100)
+@given(ngens=st.integers(1, 3), relators=st.lists(_words, min_size=1, max_size=4))
+def test_closure_of_the_enumerated_generators_reaches_the_enumerated_order(ngens, relators):
+    pres = GroupPresentation(
+        tuple("abc"[:ngens]),
+        tuple(tuple((idx % ngens, exp) for idx, exp in word) for word in relators))
+    try:
+        group = coset_enumerate(pres, max_cosets=200)
+    except CosetLimitExceeded:
+        return
+    assert closure(list(group.generators)).order == group.order
