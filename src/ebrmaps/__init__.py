@@ -10,7 +10,6 @@ computes their topological invariants, and classifies them over small groups.
 
 from .constructions import (
     RegularMap,
-    are_regular_isomorphic,
     construction1,
     construction2,
     construction3,
@@ -59,7 +58,6 @@ from .perm_group import (
     Permutation,
     closure,
     extend_generator_map,
-    groups_isomorphic_on,
     is_dihedral,
 )
 from .presentation import (

@@ -17,72 +17,36 @@ surgery:
 from __future__ import annotations
 
 from .ebr_core import EdgeBiregularMap
-from .perm_group import ElementLike, FiniteGroup, groups_isomorphic_on
+from .perm_group import ElementLike, FiniteGroup
 
 
 class RegularMap:
     """A fully regular map ``(G; r0, r2, r1)``, each reflection given as an
-    element index or a permutation of ``G``; the map keeps the indices."""
+    element index or a permutation of ``G``; the map keeps the indices.
+
+    The map is held as its construction-3 map ``semi = (G; r0, r2, r1, r1)``,
+    whose checks are exactly a regular map's: each slot is an involution, r0
+    and r2 commute, and the slots generate.  An error about r1 names it
+    ``rho0``.  The facts come from ``semi.invariants()``: V, F and chi are the
+    regular map's, E is ``edges_shaded.count``, and the type (k, l) is halved.
+    """
 
     def __init__(self, group: FiniteGroup, r0: ElementLike, r2: ElementLike,
                  r1: ElementLike, name: str = ""):
         self.group = group
         self.name = name
-        idx = [group.index(p) for p in (r0, r2, r1)]
-        self.indices = tuple(idx)
-        for label, i in zip(("r0", "r2", "r1"), idx):
-            if group.element_order(i) != 2:
-                raise ValueError(f"{label} is not an involution")
-        prod = group.mul(idx[0], idx[1])
-        if group.mul(prod, prod) != 0:
-            raise ValueError("r0 and r2 do not commute")
-        if group.subgroup_order(idx) != group.order:
-            raise ValueError("r0, r2, r1 do not generate the group")
+        self.semi = EdgeBiregularMap(group, r0, r2, r1, r1)
+        self.indices = self.semi.slot_indices[:3]
 
     r0 = property(lambda self: self.group.element(self.indices[0]))
     r2 = property(lambda self: self.group.element(self.indices[1]))
     r1 = property(lambda self: self.group.element(self.indices[2]))
 
-    @property
-    def k(self) -> int:
-        """Vertex valency: the order of r1*r2."""
-        r0, r2, r1 = self.indices
-        return self.group.element_order(self.group.mul(r1, r2))
-
-    @property
-    def l(self) -> int:
-        """Face length: the order of r0*r1."""
-        r0, r2, r1 = self.indices
-        return self.group.element_order(self.group.mul(r0, r1))
-
-    def map_type(self) -> tuple[int, int]:
-        return (self.k, self.l)
-
-    @property
-    def vertex_count(self) -> int:
-        return self.group.order // (2 * self.k)
-
-    @property
-    def edge_count(self) -> int:
-        return self.group.order // 4
-
-    @property
-    def face_count(self) -> int:
-        return self.group.order // (2 * self.l)
-
-    @property
-    def chi(self) -> int:
-        return self.vertex_count - self.edge_count + self.face_count
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
+        inv = self.semi.invariants()
         return (f"RegularMap({label and label[1:] or 'unnamed'}, order={self.group.order}, "
-                f"type={self.map_type()})")
-
-
-def are_regular_isomorphic(a: RegularMap, b: RegularMap) -> bool:
-    """Whether (r0, r2, r1) -> (r0', r2', r1') extends to a group isomorphism."""
-    return groups_isomorphic_on(a.group, a.indices, b.group, b.indices)
+                f"type={(inv.k // 2, inv.l // 2)})")
 
 
 def construction1(r: RegularMap) -> EdgeBiregularMap:
@@ -101,13 +65,13 @@ def construction2(r: RegularMap) -> EdgeBiregularMap:
 def construction3(r: RegularMap) -> EdgeBiregularMap:
     """Attach an unshaded semi-edge in every corner: (H; r0, r2, rho, rho)
     with rho = r1.  Type doubles in both entries; chi is unchanged."""
-    return EdgeBiregularMap(r.group, *r.indices, r.indices[2])
+    return r.semi
 
 
 def construction4(r: RegularMap) -> EdgeBiregularMap:
     """Split each digonal face into two oppositely coloured digons:
     (H; rho, r2, rho, rho2) with rho = r0 and rho2 = r1."""
-    if r.l != 2:
+    if construction3(r).invariants().l != 4:
         raise ValueError("input faces are not digonal")
     r0, r2, r1 = r.indices
     return EdgeBiregularMap(r.group, r0, r2, r0, r1)

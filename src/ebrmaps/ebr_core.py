@@ -25,8 +25,8 @@ from .perm_group import (
     ElementLike,
     FiniteGroup,
     Permutation,
+    cayley_form,
     extend_generator_map,
-    groups_isomorphic_on,
 )
 
 SLOT_NAMES = ("r0", "r2", "rho0", "rho2")
@@ -271,11 +271,10 @@ def _bipartite_corners(group: FiniteGroup, slot_indices) -> bool:
 
 
 def are_isomorphic(m1: EdgeBiregularMap, m2: EdgeBiregularMap) -> bool:
-    """Whether the slot-wise correspondence extends to a group isomorphism."""
-    pattern1 = tuple(i is None for i in m1.slot_indices)
-    pattern2 = tuple(i is None for i in m2.slot_indices)
-    if pattern1 != pattern2:
+    """Whether the slot-wise correspondence extends to a group isomorphism:
+    whether the present slots of the two maps have equal Cayley forms."""
+    if [i is None for i in m1.slot_indices] != [i is None for i in m2.slot_indices]:
         raise ValueError("mismatched slot patterns")
-    src = [i for i in m1.slot_indices if i is not None]
-    dst = [i for i in m2.slot_indices if i is not None]
-    return groups_isomorphic_on(m1.group, src, m2.group, dst)
+    form1, form2 = (cayley_form(m.group, [i for i in m.slot_indices if i is not None])[1]
+                    for m in (m1, m2))
+    return form1 == form2

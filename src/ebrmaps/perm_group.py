@@ -336,37 +336,25 @@ def cayley_form(group: FiniteGroup, gens: Sequence[int]) -> tuple[list[int], tup
     return order, tuple(_walk(group, gens, order))
 
 
-def _isomorphism(src_group: FiniteGroup, src: Sequence[int],
-                 dst_group: FiniteGroup, dst: Sequence[int]) -> Optional[list[int]]:
-    """Pair off the visiting orders of ``src`` and ``dst`` if their Cayley forms,
-    walked in step up to the first difference, are equal; else None."""
-    if len(src) != len(dst):
-        raise ValueError("src and dst must have equal length")
-    src_order, dst_order = [0], [0]
-    if not all(map(eq, _walk(src_group, src, src_order), _walk(dst_group, dst, dst_order))):
-        return None
-    if len(src_order) != src_group.order:
-        raise ValueError("src does not generate the group")
-    images = [0] * len(src_order)
-    for x, y in zip(src_order, dst_order):
-        images[x] = y
-    return images
-
-
 def extend_generator_map(group: FiniteGroup, src: Sequence[int],
                          dst: Sequence[int]) -> Optional[list[int]]:
     """Extend ``src[i] -> dst[i]`` to an automorphism of ``group``, if one exists.
 
-    Returns the automorphism as its image list on element indices, or None.
+    The Cayley forms of ``src`` and ``dst`` are walked in step up to the first
+    difference; if they are equal, the automorphism pairs off their visiting
+    orders.  Returns it as its image list on element indices, or None.
     """
-    return _isomorphism(group, src, group, dst)
-
-
-def groups_isomorphic_on(src_group: FiniteGroup, src: Sequence[int],
-                         dst_group: FiniteGroup, dst: Sequence[int]) -> bool:
-    """Whether ``src[i] -> dst[i]`` extends to an isomorphism between the groups."""
-    return (src_group.order == dst_group.order
-            and _isomorphism(src_group, src, dst_group, dst) is not None)
+    if len(src) != len(dst):
+        raise ValueError("src and dst must have equal length")
+    src_order, dst_order = [0], [0]
+    if not all(map(eq, _walk(group, src, src_order), _walk(group, dst, dst_order))):
+        return None
+    if len(src_order) != group.order:
+        raise ValueError("src does not generate the group")
+    images = [0] * group.order
+    for x, y in zip(src_order, dst_order):
+        images[x] = y
+    return images
 
 
 def _order(translation: list[int]) -> int:

@@ -372,12 +372,14 @@ class _CosetTable:
         self.live_count += 1
         self.deductions.append((c, x, None))
 
-    def coincidence(self, a: int, b: int) -> int:
-        """Merge ``a`` and ``b``, and every pair of cosets that forces.
-        Returns the lowest live coset that lost an entry, or the number of
-        cosets if none did."""
+    def coincidence(self, a: int, b: int) -> None:
+        """Merge ``a`` and ``b``, and every pair of cosets that forces.  A live
+        coset ends with every entry it had, so the fill cursor needs no reset:
+        an entry taken out points to the dead coset being walked, whose walk
+        reinstalls it under representatives, finds the slot held in the
+        class, or merges the class with a holder (a dead one is walked in
+        turn), and at the end each class is its live coset alone."""
         columns, inv_col, parent = self.columns, self.inv_col, self.parent
-        low = len(parent)
         queue: list[int] = []
 
         def merge(u: int, v: int) -> None:
@@ -402,8 +404,6 @@ class _CosetTable:
                 # Detach the mirror entry, then reinstall under representatives.
                 mirror = columns[inv_col[x]]
                 mirror[d] = None
-                if parent[d] == d and d < low:
-                    low = d
                 u, v = self.find(dead), self.find(d)
                 if col[u] is not None:
                     merge(v, col[u])
@@ -413,7 +413,6 @@ class _CosetTable:
                     col[u] = v
                     mirror[v] = u
                     self.deductions.append((u, x, None))
-        return low
 
     def fill(self) -> None:
         """Complete the table.  Scan every relator cycle through each queued
@@ -457,7 +456,7 @@ class _CosetTable:
                         k += 1
                     if k == gap:
                         if f != b:
-                            cursor, slot = min(cursor, self.coincidence(f, b)), 0
+                            self.coincidence(f, b)
                             if parent[c] != c:
                                 break
                             d = columns[x][c]

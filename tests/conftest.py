@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -206,6 +207,23 @@ def translate_reference(src_group, src, dst_group, dst):
     if len(queue) != len(images):
         raise ValueError("src does not generate the group")
     return images if len(set(images)) == dst_group.order else None
+
+
+def regular_counts(r):
+    """Oracle for a fully regular map ``(G; r0, r2, r1)``: its type and
+    counts from element orders, k = order(r1 r2), l = order(r0 r1),
+    V = |G|/2k, E = |G|/4, F = |G|/2l and chi = V - E + F."""
+    n = r.group.order
+    k, l = (r.r1 * r.r2).order(), (r.r0 * r.r1).order()
+    V, E, F = n // (2 * k), n // 4, n // (2 * l)
+    return SimpleNamespace(k=k, l=l, V=V, E=E, F=F, chi=V - E + F)
+
+
+def regular_isomorphic_reference(a, b) -> bool:
+    """Oracle: whether (r0, r2, r1) -> (r0', r2', r1') extends to an
+    isomorphism of the two regular maps' groups, by word translation."""
+    return (a.group.order == b.group.order
+            and translate_reference(a.group, a.indices, b.group, b.indices) is not None)
 
 
 def orientable_by_even_subgroup(m) -> bool:

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebrmaps import (
+    EdgeBiregularMap,
     GroupPresentation,
+    are_isomorphic,
     catalog_group,
     catalog_names,
     classify_report,
@@ -23,7 +25,6 @@ from ebrmaps import (
     ebr_type_presentation,
     enumerate_ebr,
     extend_generator_map,
-    groups_isomorphic_on,
     klein,
     sphere_family,
     torus_rect,
@@ -236,7 +237,34 @@ def test_equal_cayley_forms_iff_the_reference_finds_an_isomorphism(data):
                  and translate_reference(src_group, src, dst_group, dst) is not None)
     assert cayley_form(src_group, src)[0] == src_group.subgroup_indices(src)
     assert (cayley_form(src_group, src)[1] == cayley_form(dst_group, dst)[1]) == reference
-    assert groups_isomorphic_on(src_group, src, dst_group, dst) == reference
+
+
+# The dihedral group of order 12 built twice, written down and coset-enumerated;
+# each copy's valid quadruples; and an isomorphism from each copy to each,
+# generator to generator, found by the word-translation reference.
+DIHEDRAL_COPIES = (catalog_group("dih:12"), coset_enumerate(dihedral_presentation(6)))
+COPY_QUADS = [all_valid_quadruples(group) for group in DIHEDRAL_COPIES]
+COPY_ISOMORPHISMS = [[translate_reference(g, [col[0] for col in g.columns],
+                                          h, [col[0] for col in h.columns])
+                      for h in DIHEDRAL_COPIES] for g in DIHEDRAL_COPIES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_are_isomorphic_matches_the_reference_across_copies_of_a_group(data):
+    i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    src_group, dst_group = DIHEDRAL_COPIES[i], DIHEDRAL_COPIES[j]
+    src = data.draw(st.sampled_from(COPY_QUADS[i]))
+    if data.draw(st.booleans()):
+        # The image under the isomorphism, then conjugation: isomorphic maps.
+        x = data.draw(st.integers(0, dst_group.order - 1))
+        dst = tuple(dst_group.mul(dst_group.mul(dst_group.inv(x), COPY_ISOMORPHISMS[i][j][s]), x)
+                    for s in src)
+    else:
+        dst = data.draw(st.sampled_from(COPY_QUADS[j]))
+    reference = translate_reference(src_group, src, dst_group, dst) is not None
+    assert are_isomorphic(EdgeBiregularMap(src_group, *src),
+                          EdgeBiregularMap(dst_group, *dst)) == reference
 
 
 def test_order_ten_thousand_torus_is_analysed_from_the_columns():

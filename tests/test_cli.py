@@ -259,6 +259,38 @@ def test_construct_cube_construction3(capsys):
     assert data["edges_unshaded"] == {"count": 24, "kind": "semi"}
 
 
+def test_construct_3_validates_the_map_once(capsys, monkeypatch):
+    # A regular map is held as its construction-3 map, so construction 3
+    # hands that map on: one map built, one generation check (a closure that
+    # reaches the whole group) and one invariants record.
+    from ebrmaps.ebr_core import EdgeBiregularMap
+    from ebrmaps.perm_group import FiniteGroup
+
+    calls = {"maps": 0, "generation": 0, "invariants": 0}
+    build, invariants, subgroup_order = (EdgeBiregularMap.__init__, EdgeBiregularMap.invariants,
+                                         FiniteGroup.subgroup_order)
+
+    def counting_build(self, *args):
+        calls["maps"] += 1
+        build(self, *args)
+
+    def counting_invariants(self):
+        calls["invariants"] += 1
+        return invariants(self)
+
+    def counting_order(self, gens):
+        order = subgroup_order(self, gens)
+        calls["generation"] += order == self.order
+        return order
+
+    monkeypatch.setattr(EdgeBiregularMap, "__init__", counting_build)
+    monkeypatch.setattr(EdgeBiregularMap, "invariants", counting_invariants)
+    monkeypatch.setattr(FiniteGroup, "subgroup_order", counting_order)
+    code, out, _ = run(capsys, "construct", "--catalog", "cube", "--construction", "3")
+    assert code == 0 and (json.loads(out)["k"], json.loads(out)["l"]) == (6, 8)
+    assert calls == {"maps": 1, "generation": 1, "invariants": 1}
+
+
 def test_construct_boundary_report(capsys):
     code, out, _ = run(capsys, "construct", "--catalog", "tetrahedron",
                        "--construction", "1")

@@ -16,7 +16,7 @@ from ebrmaps import (
     triangle_group,
 )
 from conftest import (dihedral_map_by_closure, euler_formula, family_presentation,
-                      sphere_family_by_closure, torus44_presentation)
+                      regular_counts, sphere_family_by_closure, torus44_presentation)
 
 
 # -- torus -----------------------------------------------------------------
@@ -326,16 +326,18 @@ def test_sphere_family_validation():
 ])
 def test_platonic_catalog(name, order, map_type):
     r = regular_catalog(name)
+    counts = regular_counts(r)
     assert r.group.order == order
-    assert r.map_type() == map_type
-    assert r.chi == 2
+    assert (counts.k, counts.l) == map_type
+    assert counts.chi == 2
 
 
 def test_hosohedron_and_dihedron():
     h = regular_catalog("hosohedron:3")
-    assert h.group.order == 12 and h.map_type() == (3, 2)
+    assert h.group.order == 12 and (regular_counts(h).k, regular_counts(h).l) == (3, 2)
     d = regular_catalog("dihedron:3")
-    assert d.group.order == 12 and d.map_type() == (2, 3)
+    assert d.group.order == 12 and (regular_counts(d).k, regular_counts(d).l) == (2, 3)
+    assert repr(h) == "RegularMap('hosohedron:3', order=12, type=(3, 2))"
 
 
 def test_hosohedron_and_dihedron_columns_match_coset_enumeration():
@@ -349,9 +351,10 @@ def test_hosohedron_and_dihedron_columns_match_coset_enumeration():
 
 def test_torus44_catalog():
     r = regular_catalog("torus44:3:3-rect")
+    counts = regular_counts(r)
     assert r.group.order == 72
-    assert r.map_type() == (4, 4)
-    assert r.chi == 0
+    assert (counts.k, counts.l) == (4, 4)
+    assert counts.chi == 0
     # mismatched translation lengths collapse to the gcd lattice
     assert regular_catalog("torus44:4:2-rect").group.order == 32
 

@@ -170,6 +170,13 @@ def test_extend_requires_generating_src():
         extend_generator_map(g, [g.index(s)], [g.index(s)])
 
 
+def test_extend_requires_equal_lengths():
+    g = square_symmetries()
+    s, t = g.index(g.generator("s")), g.index(g.generator("t"))
+    with pytest.raises(ValueError, match="equal length"):
+        extend_generator_map(g, [s, t], [s])
+
+
 def test_is_dihedral():
     assert is_dihedral(closure([Permutation((1, 0))]))          # C2
     assert is_dihedral(closure([Permutation((1, 0, 2, 3)),

@@ -120,20 +120,17 @@ def test_corner_monodromy_is_infinite_up_to_bound():
 
 
 def test_type_presentation_spherical_cases_are_the_cycle_groups():
-    from ebrmaps import ebr_type_presentation, groups_isomorphic_on, sphere_family
+    from ebrmaps import EdgeBiregularMap, are_isomorphic, ebr_type_presentation, sphere_family
 
-    universal = coset_enumerate(ebr_type_presentation(2, 6), max_cosets=500)
-    assert universal.order == 12
-    cycle = sphere_family("cycle", 3)
-    assert groups_isomorphic_on(
-        universal, [universal.generator_index(n) for n in ("r0", "r2", "rho0", "rho2")],
-        cycle.group, list(cycle.slot_indices))
-    dual_universal = coset_enumerate(ebr_type_presentation(6, 2), max_cosets=500)
-    dipole = sphere_family("dipole", 3)
-    assert groups_isomorphic_on(
-        dual_universal,
-        [dual_universal.generator_index(n) for n in ("r0", "r2", "rho0", "rho2")],
-        dipole.group, list(dipole.slot_indices))
+    def universal_map(k, l):
+        group = coset_enumerate(ebr_type_presentation(k, l), max_cosets=500)
+        return EdgeBiregularMap(group, *(group.generator_index(n)
+                                         for n in ("r0", "r2", "rho0", "rho2")))
+
+    universal = universal_map(2, 6)
+    assert universal.group.order == 12
+    assert are_isomorphic(universal, sphere_family("cycle", 3))
+    assert are_isomorphic(universal_map(6, 2), sphere_family("dipole", 3))
 
 
 def test_type_presentation_euclidean_and_hyperbolic_are_infinite():
