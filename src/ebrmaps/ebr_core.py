@@ -19,13 +19,14 @@ full regularity, which serialises itself as the CLI's JSON report.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import eq
 from typing import Optional
 
 from .perm_group import (
     ElementLike,
     FiniteGroup,
     Permutation,
-    cayley_form,
+    _walk,
     extend_generator_map,
 )
 
@@ -272,9 +273,9 @@ def _bipartite_corners(group: FiniteGroup, slot_indices) -> bool:
 
 def are_isomorphic(m1: EdgeBiregularMap, m2: EdgeBiregularMap) -> bool:
     """Whether the slot-wise correspondence extends to a group isomorphism:
-    whether the present slots of the two maps have equal Cayley forms."""
+    whether the present slots' Cayley forms agree, walked in step to the first
+    difference (while entries agree, both walks have listed equally many elements)."""
     if [i is None for i in m1.slot_indices] != [i is None for i in m2.slot_indices]:
         raise ValueError("mismatched slot patterns")
-    form1, form2 = (cayley_form(m.group, [i for i in m.slot_indices if i is not None])[1]
-                    for m in (m1, m2))
-    return form1 == form2
+    return all(map(eq, *(_walk(m.group, [i for i in m.slot_indices if i is not None], [0])
+                         for m in (m1, m2))))

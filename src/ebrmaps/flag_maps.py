@@ -10,14 +10,14 @@ An alternate-edge-colouring assigns two colours to the edges so that
 consecutive edges around every vertex and every face alternate.  It exists
 exactly when the medial graph, whose vertices are the map's edges with
 adjacency given by corner transitions, is bipartite.  The constructor walks
-that graph breadth-first once, to prove connectivity; the test below then
-compares the parity of the edges' depths across every corner transition.
+that graph breadth-first once; the walk proves connectivity and, as it meets
+every corner transition, decides colourability too.
 """
 
 from __future__ import annotations
 
 import json
-from operator import eq
+from operator import eq, itemgetter
 from typing import Optional, Sequence
 
 from .perm_group import Permutation
@@ -40,32 +40,43 @@ class FlagMap:
         n = s0.degree
         if s1.degree != n or s2.degree != n:
             raise ValueError("flag permutations must share one degree")
-        flags = list(range(n))
+        flags = tuple(range(n))
         along, corner, across = s0.images, s1.images, s2.images
         for name, p in (("s0", along), ("s1", corner), ("s2", across)):
-            if list(map(p.__getitem__, p)) != flags:
+            if _compose(p, p) != flags:
                 raise ValueError(f"{name} is not an involution")
-        cross = list(map(across.__getitem__, along))  # s0*s2
-        if list(map(cross.__getitem__, cross)) != flags:
+        cross = _compose(along, across)  # s0*s2
+        if _compose(cross, cross) != flags:
             raise ValueError("s0*s2 is not an involution")
         if any(map(eq, cross, flags)):
             raise ValueError("s0*s2 has fixed points (semi-edge or boundary)")
-        # <s0, s2> is now a Klein four-group: key each flag's edge by the least
-        # of its four images.  One breadth-first walk over the edges through
-        # s1, each edge's flags in increasing order, gives each edge's depth;
-        # the map is connected when the walk reaches every edge.
-        self._edge = edge = list(map(min, flags, along, across, cross))
-        self._depth = depth = {0: 0}
-        queue = [0] if n else []
-        for e in queue:
-            d = depth[e] + 1
-            for f in sorted((e, along[e], across[e], cross[e])):
+        # <s0, s2> is now a Klein four-group.  A breadth-first walk through s1
+        # sorts each edge's flags when it first reaches the edge, keys them by
+        # the least (``_edge``) and puts the edge on the side opposite its
+        # finder's; a transition within one side closes an odd medial cycle.
+        self._edge = edge = [-1] * n
+        self._side = side = bytearray(n)
+        queue = []
+        if n:  # the walk starts at the edge of flag 0, on side 0
+            queue.append(sorted((0, along[0], across[0], cross[0])))
+            edge[0] = edge[along[0]] = edge[across[0]] = edge[cross[0]] = 0
+        clash = False
+        for quad in queue:
+            s = side[quad[0]] ^ 1
+            for f in quad:
                 g = edge[corner[f]]
-                if g not in depth:
-                    depth[g] = d
-                    queue.append(g)
-        if not n or len(queue) != sum(map(eq, edge, flags)):
+                if g < 0:
+                    h = corner[f]
+                    a, b, c, d = reached = sorted((h, along[h], across[h], cross[h]))
+                    edge[a] = edge[b] = edge[c] = edge[d] = a
+                    side[a] = s
+                    queue.append(reached)
+                elif side[g] != s:
+                    clash = True
+        if not n or -1 in edge:
             raise ValueError("flag system is disconnected")
+        self._walk = [quad[0] for quad in queue]
+        self._colourable = not clash
         self.flag_count, self.s0, self.s1, self.s2 = n, s0, s1, s2
 
     def vertex_orbits(self) -> list[list[int]]:
@@ -90,12 +101,13 @@ class FlagMap:
         return [len(orbit) // 2 for orbit in self.face_orbits()]
 
     def to_json_dict(self) -> dict:
-        return {
-            "flag_count": self.flag_count,
-            "s0": list(self.s0.images),
-            "s1": list(self.s1.images),
-            "s2": list(self.s2.images),
-        }
+        return dict(flag_count=self.flag_count, s0=list(self.s0.images),
+                    s1=list(self.s1.images), s2=list(self.s2.images))
+
+
+def _compose(p: Sequence[int], q: Sequence[int]) -> tuple:
+    """The images ``q[p[f]]`` of every point ``f``, as a tuple."""
+    return itemgetter(*p)(q) if len(p) > 1 else tuple(map(q.__getitem__, p))
 
 
 def _orbits(n: int, images: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -124,13 +136,10 @@ def is_alternate_edge_colourable(m: FlagMap) -> Optional[dict[int, int]]:
     1, in the order the constructor's walk reached them.  Adjacency in the
     medial graph is realized by corner transitions: the edges of flags ``f``
     and ``f*s1`` are consecutive around both the common vertex and the common
-    face.
+    face.  This reads the sides the constructor's walk gave the edges.
     """
-    colour = {e: d & 1 for e, d in m._depth.items()}
-    side = list(map(colour.__getitem__, m._edge))
-    if any(map(eq, side, map(side.__getitem__, m.s1.images))):
-        return None
-    return colour
+    side = m._side
+    return {e: side[e] for e in m._walk} if m._colourable else None
 
 
 def ebr_to_flagmap(m) -> FlagMap:
@@ -142,8 +151,7 @@ def ebr_to_flagmap(m) -> FlagMap:
         raise ValueError("boundary maps have no closed flag system")
     if not m.is_proper:
         raise ValueError("semi-edge maps have no closed flag system")
-    group = m.group
-    n = group.order
+    group, n = m.group, m.group.order
     r0, r2, p0, p2 = m.slot_indices
     # Indexed by the colour bit: right multiplication by r0 or rho0 (along)
     # and by r2 or rho2 (across).
@@ -172,16 +180,12 @@ def rotation_system_to_flagmap(rotations: Sequence[Sequence[int]],
     side of the dart.
     """
     n_darts = len(edge_pairing)
-    seen = sorted(d for rot in rotations for d in rot)
-    if seen != list(range(n_darts)):
+    if sorted(d for rot in rotations for d in rot) != list(range(n_darts)):
         raise ValueError("rotations must cover each dart exactly once")
-    for d in range(n_darts):
-        e = edge_pairing[d]
-        if e == d or edge_pairing[e] != d:
-            raise ValueError("edge_pairing must be a fixed-point-free involution")
+    if any(e == d or edge_pairing[e] != d for d, e in enumerate(edge_pairing)):
+        raise ValueError("edge_pairing must be a fixed-point-free involution")
 
-    succ = [0] * n_darts  # next dart counterclockwise at the same vertex
-    pred = [0] * n_darts
+    succ, pred = [0] * n_darts, [0] * n_darts  # next and previous dart counterclockwise
     for rot in rotations:
         for a, b in zip(rot, list(rot[1:]) + list(rot[:1])):
             succ[a] = b
@@ -203,7 +207,7 @@ def load_flagmap(path: str) -> FlagMap:
         raise ValueError("flag map file must hold a JSON object")
     try:
         count = data["flag_count"]
-        s0, s1, s2 = (Permutation(_int_list(data, key)) for key in ("s0", "s1", "s2"))
+        s0, s1, s2 = (_flag_array(data, key) for key in ("s0", "s1", "s2"))
     except KeyError as exc:
         raise ValueError(f"flag map file missing key {exc}") from None
     if s0.degree != count:
@@ -211,17 +215,19 @@ def load_flagmap(path: str) -> FlagMap:
     return FlagMap(s0, s1, s2)
 
 
-def _int_list(data: dict, key: str) -> list:
+def _flag_array(data: dict, key: str) -> Permutation:
+    """The array under ``key`` if its entries are integers in 0..len-1; an
+    array in range is a bijection if it is an involution, as ``FlagMap`` checks."""
     row = data[key]
     if not isinstance(row, list) or set(map(type, row)) - {int}:
         raise ValueError(f"flag map key {key!r} must be a list of integers")
-    return row
+    if row and not (0 <= min(row) and max(row) < len(row)):
+        raise ValueError(f"flag map key {key!r} has an entry outside 0..{len(row) - 1}")
+    return Permutation._trusted(tuple(row))
 
 
 def save_flagmap(m: FlagMap, path: str, comment: Optional[str] = None) -> None:
-    data = m.to_json_dict()
-    if comment is not None:
-        data = {"comment": comment, **data}
+    data = m.to_json_dict() if comment is None else {"comment": comment, **m.to_json_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")

@@ -358,11 +358,25 @@ def test_colourable_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path_factory, do
         code = main(["colourable", "--flagmap", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
     if code == 0:
         assert err.getvalue() == "" and "colourable" in json.loads(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("s1, message", [
+    ([1, 0, 3, 4], "error: flag map key 's1' has an entry outside 0..3"),
+    ([1, 0, 3, -1], "error: flag map key 's1' has an entry outside 0..3"),
+    ([1, 1, 3, 2], "error: s1 is not an involution"),
+], ids=["entry-n", "entry-minus-1", "not-a-bijection"])
+def test_colourable_refuses_arrays_that_are_not_permutations(capsys, tmp_path, s1, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"flag_count": 4, "s0": [1, 0, 3, 2], "s1": s1,
+                                "s2": [2, 3, 0, 1]}))
+    code, out, err = run(capsys, "colourable", "--flagmap", str(path))
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 def test_colourable_deeply_nested_file_exits_1(capsys, tmp_path):

@@ -20,6 +20,7 @@ from ebrmaps import (
     regular_catalog,
     regular_to_flagmap,
     rotation_system_to_flagmap,
+    save_flagmap,
     sphere_family,
     torus_rect,
 )
@@ -183,8 +184,6 @@ def test_rotation_system_validation():
 
 
 def test_save_load_round_trip(tmp_path, sphere_flagmap):
-    from ebrmaps import save_flagmap
-
     path = tmp_path / "roundtrip.json"
     save_flagmap(sphere_flagmap, str(path), comment="round trip")
     loaded = load_flagmap(str(path))
@@ -237,6 +236,49 @@ def test_colouring_matches_flag_scan_oracle(torus_flagmap, sphere_flagmap, cube_
         assert fast == slow
         assert fast is None or list(fast.items()) == list(slow.items())
     assert any(is_alternate_edge_colourable(m) is None for m in maps)
+
+
+def torus_grid(p, q, diagonal):
+    """The p x q square grid on the torus as a rotation system: vertex (i, j)
+    holds darts 4v, 4v + 1, 4v + 2, 4v + 3 pointing east, north, west and
+    south.  With ``diagonal`` the face north-east of (p // 2, q // 2) is
+    split by one more edge, whose two ends then have valency 5."""
+    def dart(i, j, d):
+        return 4 * ((i % p) * q + j % q) + d
+
+    pairing = [0] * (4 * p * q)
+    for i in range(p):
+        for j in range(q):
+            for a, b in ((dart(i, j, 0), dart(i + 1, j, 2)),
+                         (dart(i, j, 1), dart(i, j + 1, 3))):
+                pairing[a], pairing[b] = b, a
+    rotations = [list(range(4 * v, 4 * v + 4)) for v in range(p * q)]
+    if diagonal:
+        a, b = len(pairing), len(pairing) + 1
+        i, j = p // 2, q // 2
+        rotations[dart(i, j, 0) // 4].insert(1, a)
+        rotations[dart(i + 1, j + 1, 0) // 4].insert(3, b)
+        pairing += [b, a]
+    return rotations, pairing
+
+
+@pytest.mark.parametrize("p, q", [(6, 8), (8, 12)])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["grid", "split"])
+def test_colouring_matches_flag_scan_oracle_on_torus_grids(tmp_path, p, q, diagonal):
+    m = rotation_system_to_flagmap(*torus_grid(p, q, diagonal))
+    assert m.flag_count == 8 * p * q + 4 * diagonal
+    assert m.chi() == 0
+    path = tmp_path / "grid.json"
+    save_flagmap(m, str(path))
+    loaded = load_flagmap(str(path))
+    assert loaded.to_json_dict() == m.to_json_dict()
+    slow = colouring_by_flag_scan(m)
+    assert (slow is None) == diagonal
+    for fm in (m, loaded):
+        fast = is_alternate_edge_colourable(fm)
+        assert fast == slow
+        assert fast is None or list(fast.items()) == list(slow.items())
+        assert fm.edge_orbits() == orbits_by_walk(fm.flag_count, (fm.s0, fm.s2))
 
 
 # -- the constructor's one-pass checks against composed permutations -----------
