@@ -13,22 +13,18 @@ and an absent slot puts the corresponding edge orbit on a surface boundary.
 Surface facts are defined only for a closed map, one with all four slots
 present, and come from ``invariants()`` alone: one ``MapInvariants`` record of
 type ``(k, l)``, ``V``, ``F``, edge counts, ``chi``, genus, orientability and
-full regularity, which serialises itself as the CLI's JSON report.
+full regularity, which serialises itself as the CLI's JSON report.  ``k`` and
+``l`` are read off two product orders (two involutions generate a dihedral
+group); one walk of the corners decides orientability and full regularity.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from operator import eq
+from dataclasses import dataclass
+from operator import eq, itemgetter
 from typing import Optional
 
-from .perm_group import (
-    ElementLike,
-    FiniteGroup,
-    Permutation,
-    _walk,
-    extend_generator_map,
-)
+from .perm_group import ElementLike, FiniteGroup, Permutation, _walk
 
 SLOT_NAMES = ("r0", "r2", "rho0", "rho2")
 
@@ -73,7 +69,9 @@ class MapInvariants:
     degeneracy_class: str
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, each ``EdgeCount`` as a dict."""
+        return {name: dict(vars(value)) if isinstance(value, EdgeCount) else value
+                for name, value in vars(self).items()}
 
 
 class EdgeBiregularMap:
@@ -99,7 +97,9 @@ class EdgeBiregularMap:
                 raise InvalidMapError(f"slot {name} is not an involution")
         self._check_commuting(0, 1)
         self._check_commuting(2, 3)
-        if group.subgroup_order(present) != group.order:
+        # Slots holding every generator generate the group; others need a closure.
+        if (any(col[0] not in present for col in group.columns)
+                and group.subgroup_order(present) != group.order):
             raise InvalidMapError("present slots do not generate the group")
 
         absent = [name for name, idx in zip(SLOT_NAMES, self.slot_indices)
@@ -171,30 +171,29 @@ class EdgeBiregularMap:
     # -- invariants ----------------------------------------------------------
 
     def invariants(self) -> MapInvariants:
-        """Every closed-surface fact of the map, computed once and cached."""
+        """Every closed-surface fact of the map, computed once and cached:
+        ``k`` and ``l`` from the orders of ``r2 rho2`` and ``r0 rho0``, and
+        orientability and full regularity from one walk of the corners."""
         self._require_closed()
         if self._invariants is not None:
             return self._invariants
         group, idx = self.group, self.slot_indices
         n = group.order
-        k = group.subgroup_order([idx[1], idx[3]])
-        l = group.subgroup_order([idx[0], idx[2]])
+        k = _dihedral_order(group, idx[1], idx[3])
+        l = _dihedral_order(group, idx[0], idx[2])
         # A colour class with coincident slots is |H|/2 semi-edges, which add
         # nothing to the Euler characteristic; a proper class is |H|/4 edges.
         shaded, unshaded = (EdgeCount(n // 2, "semi") if idx[i] == idx[i + 1]
                             else EdgeCount(n // 4, "proper") for i in (0, 2))
         proper_edges = sum(e.count for e in (shaded, unshaded) if e.kind == "proper")
         chi = n // k - proper_edges + n // l
-        orientable = _bipartite_corners(group, idx)
+        orientable, fully_regular = _corner_walk(group, idx)
         self._invariants = MapInvariants(
             order=n, k=k, l=l, V=n // k, F=n // l,
             edges_shaded=shaded, edges_unshaded=unshaded,
             chi=chi, orientable=orientable,
             genus=(2 - chi) // 2 if orientable else 2 - chi,
-            # Fully regular: swapping each r-slot with its rho-partner extends
-            # to a group automorphism, i.e. the map is isomorphic to its twin.
-            fully_regular=extend_generator_map(
-                group, list(idx), [idx[2], idx[3], idx[0], idx[1]]) is not None,
+            fully_regular=fully_regular,
             proper=self.is_proper,
             distinct_generators=len(set(idx)) == 4,
             degeneracy_class=self.degeneracy_class,
@@ -207,9 +206,9 @@ class EdgeBiregularMap:
         if not self.has_boundary:
             raise InvalidMapError("not a boundary map")
         idx = self.slot_indices
-        k = (self.group.subgroup_order([idx[1], idx[3]])
+        k = (_dihedral_order(self.group, idx[1], idx[3])
              if idx[1] is not None and idx[3] is not None else None)
-        l = (self.group.subgroup_order([idx[0], idx[2]])
+        l = (_dihedral_order(self.group, idx[0], idx[2])
              if idx[0] is not None and idx[2] is not None else None)
         return {
             "order": self.group.order,
@@ -250,25 +249,42 @@ class EdgeBiregularMap:
         return tuple(Permutation(self.group.left_translation(s)) for s in self.slot_indices)
 
 
-def _bipartite_corners(group: FiniteGroup, slot_indices) -> bool:
-    """Orientability: whether the corner graph on the distinct slot elements
-    is bipartite, i.e. no odd word in the slot elements is the identity."""
-    rights = [group.right_translation(g) for g in sorted(set(slot_indices))]
-    colour: list[Optional[int]] = [None] * group.order
-    colour[0] = 0
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        e = queue[pos]
-        pos += 1
-        for right in rights:
-            f = right[e]
-            if colour[f] is None:
-                colour[f] = 1 - colour[e]
-                queue.append(f)
-            elif colour[f] == colour[e]:
-                return False
-    return True
+def _dihedral_order(group: FiniteGroup, a: int, b: int) -> int:
+    """``|<a, b>|`` for involutions ``a`` and ``b``: the dihedral group of order
+    twice the order of ``a b`` (2 when ``a == b``), stepped off from 1."""
+    right_a, right_b = group.right_translation(a), group.right_translation(b)
+    x, steps = right_b[a], 1
+    while x:
+        x, steps = right_b[right_a[x]], steps + 1
+    return 2 * steps
+
+
+def _corner_walk(group: FiniteGroup, slot_indices) -> tuple[bool, bool]:
+    """Orientability and full regularity, from one breadth-first walk of the
+    corners that colours each corner off its tree parent and maps it to the
+    corner the twin quad ``(rho0, rho2, r0, r2)`` reaches by the same word.
+    Orientable: each slot flips the colour (no odd word is the identity).
+    Fully regular: the twin map commutes with the slots, so it is an
+    automorphism and the twin's Cayley form equals this one."""
+    rights = [group.right_translation(g) for g in slot_indices]
+    pairs = list(zip(rights, rights[2:] + rights[:2]))  # each slot with its twin's
+    n = group.order
+    twin, colour = [-1] * n, [0] * n
+    twin[0] = 0
+    order = [0]
+    for x in order:  # grows while it is walked
+        for right, twin_right in pairs:
+            y = right[x]
+            if twin[y] < 0:
+                twin[y] = twin_right[twin[x]]
+                colour[y] = 1 - colour[x]
+                order.append(y)
+    through = [itemgetter(*right) for right in rights]  # n >= 2: tuples out
+    flipped = tuple([1 - c for c in colour])
+    orientable = all(get(colour) == flipped for get in through)
+    regular = all(get(twin) == itemgetter(*twin)(twin_right)
+                  for get, (_, twin_right) in zip(through, pairs))
+    return orientable, regular
 
 
 def are_isomorphic(m1: EdgeBiregularMap, m2: EdgeBiregularMap) -> bool:

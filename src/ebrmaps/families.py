@@ -84,7 +84,8 @@ def affine_quotient(names: Sequence[str], generators: Sequence[Affine],
         for m in kept:
             image = _matmul(mat, m)
             if image in kept:
-                column += [kept.index(image) * size + x for x in shift]
+                base = kept.index(image) * size
+                column += [base + x for x in shift]
             else:  # h*g*z is kept instead of h*g
                 base = kept.index(_matmul(central[0], image)) * size
                 column += [base + through_central[x] for x in shift]

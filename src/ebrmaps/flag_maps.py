@@ -182,6 +182,8 @@ def rotation_system_to_flagmap(rotations: Sequence[Sequence[int]],
     n_darts = len(edge_pairing)
     if sorted(d for rot in rotations for d in rot) != list(range(n_darts)):
         raise ValueError("rotations must cover each dart exactly once")
+    if any(not 0 <= e < n_darts for e in edge_pairing):
+        raise ValueError(f"edge_pairing entries must lie in 0..{n_darts - 1}")
     if any(e == d or edge_pairing[e] != d for d, e in enumerate(edge_pairing)):
         raise ValueError("edge_pairing must be a fixed-point-free involution")
 

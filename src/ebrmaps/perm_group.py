@@ -143,8 +143,9 @@ class FiniteGroup:
         n = len(columns[0])
         found, number = [0], [0] + [-1] * (n - 1)
         self._parent, self._via = [0], [0]
+        numbered = list(enumerate(columns))  # one list, not an enumerate per element
         for e, x in enumerate(found):
-            for g, col in enumerate(columns):
+            for g, col in numbered:
                 y = col[x]
                 if number[y] < 0:
                     number[y] = len(found)
@@ -155,6 +156,8 @@ class FiniteGroup:
             raise ValueError("the generators do not reach every element")
         self.columns = tuple([number[col[x]] for x in found] for col in columns)
         self._right: list[Optional[list[int]]] = [list(range(n))] + [None] * (n - 1)
+        for col in self.columns:  # a generator's right translation is its column
+            self._right[col[0]] = col
         self._elements = None if elements is None else tuple(elements[x] for x in found)
         self.degree = n if elements is None else elements[0].degree
         self._index: Optional[dict[Permutation, int]] = None
@@ -212,8 +215,8 @@ class FiniteGroup:
         return p in self._index
 
     def right_translation(self, j: int) -> list[int]:
-        """The array ``x -> x*j`` (do not modify): the tree parent's array
-        read through one generator column, memoised along the path."""
+        """The array ``x -> x*j`` (do not modify): a generator's column, else
+        the tree parent's array read through one column, memoised along the path."""
         path = []
         while self._right[j] is None:
             path.append(j)

@@ -111,6 +111,18 @@ def test_analyze_slots_naming_no_generator_exits_1(capsys):
     assert (code, out, err) == (1, "", "error: no generator named 'c'\n")
 
 
+@pytest.mark.parametrize("slots,code", [("a,b,a,b", 1), ("a,b,c,c", 0)])
+def test_analyze_checks_generation_of_slots_that_omit_a_generator(capsys, slots, code):
+    text = "< a, b, c | a^2, b^2, c^2, (a b)^2, (a c)^2, (b c)^2 >"
+    got, out, err = run(capsys, "analyze", "--presentation", text, "--slots", slots)
+    assert got == code
+    if code:
+        assert (out, err) == ("", "error: present slots do not generate the group\n")
+    else:
+        assert (json.loads(out)["order"], json.loads(out)["degeneracy_class"]) == (
+            8, "unshaded_semi")
+
+
 def test_analyze_rejects_unknown_family(capsys):
     code, _, err = run(capsys, "analyze", "--family", "moebius", "--params", "m=1")
     assert code == 1
@@ -261,8 +273,8 @@ def test_construct_cube_construction3(capsys):
 
 def test_construct_3_validates_the_map_once(capsys, monkeypatch):
     # A regular map is held as its construction-3 map, so construction 3
-    # hands that map on: one map built, one generation check (a closure that
-    # reaches the whole group) and one invariants record.
+    # hands that map on: one map built and one invariants record.  Its slots
+    # hold every generator of the group, so no closure checks generation.
     from ebrmaps.ebr_core import EdgeBiregularMap
     from ebrmaps.perm_group import FiniteGroup
 
@@ -288,7 +300,7 @@ def test_construct_3_validates_the_map_once(capsys, monkeypatch):
     monkeypatch.setattr(FiniteGroup, "subgroup_order", counting_order)
     code, out, _ = run(capsys, "construct", "--catalog", "cube", "--construction", "3")
     assert code == 0 and (json.loads(out)["k"], json.loads(out)["l"]) == (6, 8)
-    assert calls == {"maps": 1, "generation": 1, "invariants": 1}
+    assert calls == {"maps": 1, "generation": 0, "invariants": 1}
 
 
 def test_construct_boundary_report(capsys):

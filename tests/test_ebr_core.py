@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,15 +14,22 @@ from ebrmaps import (
     Permutation,
     are_isomorphic,
     catalog_group,
+    catalog_names,
     closure,
+    coset_enumerate,
     construction1,
+    construction2,
     construction3,
     dihedral_map,
     ebr_to_flagmap,
+    enumerate_ebr,
+    extend_generator_map,
     klein,
+    parse_presentation,
     regular_catalog,
     sphere_family,
     torus_rect,
+    torus_rhombic,
 )
 from conftest import (all_valid_quadruples, automorphism_by_full_table, euler_formula,
                       orientable_by_even_subgroup)
@@ -102,6 +111,28 @@ def test_non_generating_slots_rejected():
         EdgeBiregularMap(g, s, s * z, s, s * z)
 
 
+ELEMENTARY_ABELIAN_8 = "< a, b, c | a^2, b^2, c^2, (a b)^2, (a c)^2, (b c)^2 >"
+
+
+def test_generation_is_closed_only_for_slots_that_omit_a_generator(monkeypatch):
+    group = coset_enumerate(parse_presentation(ELEMENTARY_ABELIAN_8), max_cosets=100)
+    a, b, c = (group.generator_index(name) for name in "abc")
+    calls = []
+    subgroup_order = FiniteGroup.subgroup_order
+
+    def counted(self, gens):
+        calls.append(list(gens))
+        return subgroup_order(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_order", counted)
+    with pytest.raises(InvalidMapError, match="present slots do not generate the group"):
+        EdgeBiregularMap(group, a, b, a, b)  # c is omitted: the closure runs and fails
+    assert len(calls) == 1
+    inv = EdgeBiregularMap(group, a, b, c, c).invariants()
+    assert len(calls) == 1  # every generator is a slot: no closure
+    assert (inv.order, inv.k, inv.l, inv.chi) == (8, 4, 4, 2)
+
+
 def test_fewer_than_two_slots_rejected():
     g, x, y = klein_four()
     with pytest.raises(InvalidMapError, match="fewer than two"):
@@ -161,7 +192,9 @@ def test_euler_identity_for_proper_maps():
             assert Fraction(inv.chi) == euler_formula(inv.order, inv.k, inv.l)
 
 
-def test_invariants_close_each_stabiliser_once(monkeypatch):
+def test_invariants_run_no_closure(monkeypatch):
+    # k and l are product orders and one corner walk decides the rest, so no
+    # subgroup is closed.
     m = torus_rect(4, 3)
     calls = []
     subgroup_order = FiniteGroup.subgroup_order
@@ -173,7 +206,61 @@ def test_invariants_close_each_stabiliser_once(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "subgroup_order", counted)
     first = m.invariants()
     assert m.invariants() is first
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+# -- the fast paths against closures ---------------------------------------------
+
+def family_maps_to_order(max_order):
+    """Every family map of order at most ``max_order``."""
+    maps = [torus_rect(a, c) for a in range(1, max_order // 4 + 1)
+            for c in range(1, max_order // (4 * a) + 1)]
+    maps += [torus_rhombic(b, c) for b in range(1, max_order // 8 + 1)
+             for c in range(1, max_order // (8 * b) + 1)]
+    maps += [klein(a, b) for b in (1, 2) for a in range(1, max_order // (4 * b) + 1)]
+    maps += [dihedral_map(m, row) for m in range(4, max_order // 2 + 1, 2)
+             for row in ((1, 2, 3, 4) if (m // 2) % 2 else (1, 3))]
+    maps += [sphere_family(kind, m) for kind in ("cycle", "dipole")
+             for m in range(1, max_order // 4 + 1)]
+    maps += [sphere_family("semistar", m) for m in range(1, max_order // 2 + 1)]
+    maps += [sphere_family("dipole", m, rpp=True) for m in range(2, max_order // 2 + 1, 2)]
+    return maps
+
+
+def catalog_sweep_maps():
+    """Every map ``enumerate`` reports over the catalog, under each filter set
+    the benchmark sweeps."""
+    flag_sets = ({"require_proper": True},
+                 {"require_proper": True, "require_distinct": True, "chi_max": -1}, {})
+    return [m for name in catalog_names() for flags in flag_sets
+            for m in enumerate_ebr(catalog_group(name), **flags)]
+
+
+def test_invariants_fast_paths_agree_with_closures():
+    maps = family_maps_to_order(160) + catalog_sweep_maps()
+    assert len(maps) > 1000
+    for m in maps:
+        group, (r0, r2, rho0, rho2) = m.group, m.slot_indices
+        inv = m.invariants()
+        assert (inv.k, inv.l) == (group.subgroup_order([r2, rho2]),
+                                  group.subgroup_order([r0, rho0])), m
+        assert inv.orientable == orientable_by_even_subgroup(m), m
+        assert inv.fully_regular == (extend_generator_map(
+            group, [r0, r2, rho0, rho2], [rho0, rho2, r0, r2]) is not None), m
+        # Equal JSON text: the same keys in the same order, nested ones too.
+        assert json.dumps(inv.to_json_dict()) == json.dumps(dataclasses.asdict(inv)), m
+
+
+def test_boundary_report_type_agrees_with_closures():
+    names = ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
+             "hosohedron:4", "dihedron:5", "torus44:3:3-rect"]
+    for name in names:
+        for m in (construction1(regular_catalog(name)), construction2(regular_catalog(name))):
+            group, (r0, r2, rho0, rho2) = m.group, m.slot_indices
+            report = m.boundary_report()
+            assert report["k"] == (None if rho2 is None else group.subgroup_order([r2, rho2]))
+            assert report["l"] == (None if rho0 is None else group.subgroup_order([r0, rho0]))
+            assert report["k"] is not None or report["l"] is not None
 
 
 PROPERTY_GROUPS = {

@@ -181,6 +181,9 @@ def test_rotation_system_validation():
         rotation_system_to_flagmap([[0, 1], [1]], [1, 0])
     with pytest.raises(ValueError, match="fixed-point-free"):
         rotation_system_to_flagmap([[0], [1]], [0, 1])
+    for pairing in ([2, 0], [5, 0], [1, -1], [-1, 0]):
+        with pytest.raises(ValueError, match=r"edge_pairing entries must lie in 0\.\.1"):
+            rotation_system_to_flagmap([[0, 1]], pairing)
 
 
 def test_save_load_round_trip(tmp_path, sphere_flagmap):

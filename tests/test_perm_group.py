@@ -266,3 +266,12 @@ def test_membership_agrees_with_the_element_list():
         with pytest.raises(ValueError):
             g.index(Permutation.identity(g.degree + 1))
         assert [g.index(p) for p in g.elements] == list(range(g.order))
+
+
+def test_right_translations_are_products_of_elements():
+    # A generator's translation is its column; every other one is built up
+    # along the tree.  Both must read x -> x*j off the permutations.
+    for g in membership_groups():
+        elements = g.elements
+        for j in range(g.order):
+            assert g.right_translation(j) == [g.index(x * elements[j]) for x in elements], j
