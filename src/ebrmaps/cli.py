@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-max", type=int, default=None,
                    help="keep maps with chi at most this value")
     p.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_BUDGET,
-                   help="most candidate quadruples to join: the (r0, r2) pairs least "
-                        "under conjugation times all (rho0, rho2) pairs")
+                   help="most candidate quadruples to join; counted as the sweep joins "
+                        "them, so a refusal comes after that much work")
     p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
                    help="coset enumeration budget for --group FILE")
     p.set_defaults(func=_cmd_enumerate)

@@ -102,23 +102,30 @@ class EdgeBiregularMap:
                 and group.subgroup_order(present) != group.order):
             raise InvalidMapError("present slots do not generate the group")
 
-        absent = [name for name, idx in zip(SLOT_NAMES, self.slot_indices)
-                  if idx is None]
-        if absent:
-            self.degeneracy_class = "boundary"
-            self.boundary_type = "".join(sorted(_BOUNDARY_LETTER[n] for n in absent))
-        else:
-            self.boundary_type = None
-            shaded_semi = self.slot_indices[0] == self.slot_indices[1]
-            unshaded_semi = self.slot_indices[2] == self.slot_indices[3]
-            if shaded_semi and unshaded_semi:
-                self.degeneracy_class = "semistar"
-            elif shaded_semi:
-                self.degeneracy_class = "shaded_semi"
-            elif unshaded_semi:
-                self.degeneracy_class = "unshaded_semi"
-            else:
-                self.degeneracy_class = "proper"
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, quad: tuple[int, int, int, int],
+                 form: tuple) -> "EdgeBiregularMap":
+        """The closed map on ``quad``, two commuting involution pairs known to
+        generate ``group``, with ``form`` its Cayley form: nothing is checked."""
+        m = cls.__new__(cls)
+        m.group, m.slot_indices, m._invariants, m._form = group, quad, None, form
+        return m
+
+    @property
+    def degeneracy_class(self) -> str:
+        """``boundary`` if a slot is absent, else which colours are semi-edges."""
+        if None in self.slot_indices:
+            return "boundary"
+        r0, r2, rho0, rho2 = self.slot_indices
+        if r0 == r2:
+            return "semistar" if rho0 == rho2 else "shaded_semi"
+        return "unshaded_semi" if rho0 == rho2 else "proper"
+
+    @property
+    def boundary_type(self) -> Optional[str]:
+        """The letters of the absent slots, None for a closed map."""
+        absent = [n for n, i in zip(SLOT_NAMES, self.slot_indices) if i is None]
+        return "".join(sorted(_BOUNDARY_LETTER[n] for n in absent)) if absent else None
 
     def _checked_index(self, p: ElementLike) -> int:
         try:

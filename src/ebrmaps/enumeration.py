@@ -11,24 +11,27 @@ pairs off the two visiting orders, and the sweep prunes with every one it
 finds, as nauty does (McKay and Piperno, "Practical graph isomorphism II",
 2014).  Two union-finds over the sorted pairs, each rooted at its least
 index, hold the orbits seen so far: one over first pairs, seeded with
-conjugation by the generators and fed every automorphism found, and one over
-second pairs, reset for each first pair and fed the automorphisms from forms
-repeated under it, which fix it.  A merge walks only the pairs the sweep
-has not reached, as only their roots are read again.  A pair that is not a
-root is skipped, as it is the image of an earlier one, and so is the rest of
-a first pair once a form keyed under an earlier first pair shows it to be
-that pair's image.  The least quadruple of a class is never skipped: its
-first pair is least in its Aut(H)-orbit, and its second pair is least in its
-orbit under that pair's stabiliser.  The classification report looks each
-map's own form up among the forms of the classes found so far; a map that
-opens a class adds the forms of its twin, dual and twin-of-dual quadruples.
-The groups to sweep come from ``families.catalog_group`` or a presentation.
+conjugation by the generators, and one over second pairs, reset for each
+first pair and fed the automorphisms from forms repeated under it, which fix
+it.  Inn(H) is normal in Aut(H), so an automorphism permutes the conjugacy
+classes of pairs, and each one found glues only the roots of the classes the
+sweep has not reached; a second-pair merge walks only the pairs not reached.
+A pair that is not a root is skipped, as it is the image of an earlier one,
+and so is the rest of a first pair once a form keyed under an earlier first
+pair shows it to be that pair's image.  The least quadruple of a class is
+never skipped: its first pair is least in its Aut(H)-orbit, and its second
+pair is least in its orbit under that pair's stabiliser.  Each proper
+subgroup a closure ends in is kept, and a quadruple inside one is rejected
+with no closure.  The classification report looks each map's own form up
+among the forms of the classes found so far; a map that opens a class adds
+the forms of its twin, dual and twin-of-dual quadruples.  The groups to
+sweep come from ``families.catalog_group`` or a presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap
 from .perm_group import FiniteGroup, cayley_form, is_dihedral
@@ -65,12 +68,14 @@ def _find(parent: list[int], i: int) -> int:
 
 def _merge_images(parent: list[int], pairs: list[tuple[int, int]],
                   index: dict[tuple[int, int], int], aut: Sequence[int],
-                  start: int = 0) -> None:
-    """Merge each pair from ``start`` on with its image under the automorphism
-    ``aut``.  A pair from ``start`` on is then a root exactly when it would be
-    had every pair been merged: a cycle of ``aut`` that reaches below ``start``
-    joins each of its pairs from ``start`` on to one below it."""
-    for i, (x, y) in enumerate(pairs[start:], start):
+                  among: Iterable[int]) -> None:
+    """Merge each pair index of ``among`` with its image under the
+    automorphism ``aut``.  With ``among`` the pairs from ``start`` on, each of
+    them is then a root exactly when it would be had every pair been merged:
+    a cycle of ``aut`` that reaches below ``start`` joins each of its pairs
+    from ``start`` on to one below it."""
+    for i in among:
+        x, y = pairs[i]
         j = index[aut[x], aut[y]]
         if i != j:
             a, b = _find(parent, i), _find(parent, j)
@@ -88,7 +93,7 @@ def _seeded_firsts(group: FiniteGroup, pairs: list[tuple[int, int]],
     for col in group.columns:
         right = group.right_translation(col[0])
         conjugation = [right[x] for x in group.left_translation(group.inv(col[0]))]
-        _merge_images(parent, pairs, index, conjugation)
+        _merge_images(parent, pairs, index, conjugation, range(len(pairs)))
     return parent
 
 
@@ -97,21 +102,22 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
                   max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> list[EdgeBiregularMap]:
     """All edge-biregular structures on ``group`` up to automorphism.
 
-    Returns validated maps for the lexicographically least quadruple of each
-    automorphism class, sorted by slot indices.  ``chi_max`` keeps only maps
-    with Euler characteristic at most that value.  ``max_candidates`` bounds
-    the quadruples joined: first pairs least under conjugation times all pairs.
+    Returns maps, valid by construction, for the lexicographically least
+    quadruple of each automorphism class, sorted by slot indices.
+    ``chi_max`` keeps only maps with Euler characteristic at most that value.
+    ``max_candidates`` bounds the quadruples that reach the generation test,
+    counted as the sweep reaches them.
 
     Two union-finds over indices into the sorted pair list skip every pair
     that is not the root (least index) of its set.  The first-pair one starts
     from conjugation by the generators; the second-pair one starts afresh for
     each first pair.  A form met again gives the automorphism taking the
-    quadruple first keyed under it to the current one, and every pair after
-    the current first pair is merged with its image in the first-pair
-    union-find.  If the form was keyed under an earlier first pair, the
-    current first pair is that pair's image and is done; otherwise the
-    automorphism fixes it, and the pairs after the current second pair are
-    merged in the second-pair union-find too.  The filters are
+    quadruple first keyed under it to the current one, and each conjugacy
+    class after the current first pair is glued to its image in the
+    first-pair union-find.  If the form was keyed under an earlier first
+    pair, the current first pair is that pair's image and is done; otherwise
+    the automorphism fixes it, and the pairs after the current second pair
+    are merged in the second-pair union-find too.  The filters are
     Aut(H)-invariant and forms are keyed before ``chi_max`` applies, so the
     output is that of the full sweep.
     """
@@ -120,36 +126,48 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     pairs = _commuting_involution_pairs(group, require_proper)
     index = {pair: i for i, pair in enumerate(pairs)}
     firsts = _seeded_firsts(group, pairs, index)
-    joined = sum(root == i for i, root in enumerate(firsts)) * len(pairs)
-    if joined > max_candidates:
-        raise CandidateBudgetExceeded(
-            f"{joined} candidate quadruples exceed the budget {max_candidates}")
+    roots = [i for i, root in enumerate(firsts) if root == i]  # one per conjugacy class
     # A commuting pair (x, y) spans {1, x, y, xy}, so whether a quadruple
     # generates depends only on its two spans; a span joined with itself is itself.
     spans = [frozenset((0, x, y, group.mul(x, y))) for x, y in pairs]
     joins = {frozenset((s,)): len(s) == group.order for s in spans}  # {span, span} -> generates
     maps = []
     keyed: dict[tuple, tuple[int, list[int]]] = {}  # form -> first pair, visiting order
+    # Bit b of inside[e]: e is in the b-th proper subgroup a closure ended in.
+    inside, bit, joined = [0] * group.order, 1, 0
     # Quadruples come in lex order and the first of each Cayley form is the
     # least of its class; chi is constant on a class.
-    for ri, r_pair in enumerate(pairs):
+    for k, ri in enumerate(roots):
         if firsts[ri] != ri:
             continue
+        r_pair = pairs[ri]
         seconds = list(range(len(pairs)))
+        around = inside[r_pair[0]] & inside[r_pair[1]]  # the kept subgroups holding r_pair
         for pi, p_pair in enumerate(pairs):
             quad = r_pair + p_pair
             if seconds[pi] != pi or require_distinct and len(set(quad)) < 4:
                 continue
+            joined += 1
+            if joined > max_candidates:
+                raise CandidateBudgetExceeded(
+                    f"{joined} candidate quadruples exceed the budget {max_candidates}")
+            if around & inside[p_pair[0]] & inside[p_pair[1]]:
+                continue
             join = frozenset((spans[ri], spans[pi]))
             if join not in joins:
-                joins[join] = group.subgroup_order(set(quad)) == group.order
+                subgroup = group.subgroup_indices(set(quad))
+                joins[join] = len(subgroup) == group.order
+                if not joins[join]:
+                    for e in subgroup:
+                        inside[e] |= bit
+                    around |= bit
+                    bit <<= 1
             if not joins[join]:
                 continue
             order, key = cayley_form(group, quad)
             if key not in keyed:
                 keyed[key] = ri, order
-                m = EdgeBiregularMap(group, *quad)
-                m._form = key  # the report classes each map by its own form
+                m = EdgeBiregularMap._trusted(group, quad, key)
                 if chi_max is None or m.invariants().chi <= chi_max:
                     maps.append(m)
                 continue
@@ -157,10 +175,10 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
             aut = [0] * group.order
             for x, y in zip(earlier, order):
                 aut[x] = y
-            _merge_images(firsts, pairs, index, aut, ri + 1)
+            _merge_images(firsts, pairs, index, aut, roots[k + 1:])
             if rj != ri:
                 break  # an automorphism takes an earlier pair to r_pair
-            _merge_images(seconds, pairs, index, aut, pi + 1)
+            _merge_images(seconds, pairs, index, aut, range(pi + 1, len(pairs)))
     return maps
 
 

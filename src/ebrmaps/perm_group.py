@@ -160,7 +160,9 @@ class FiniteGroup:
             self._right[col[0]] = col
         self._elements = None if elements is None else tuple(elements[x] for x in found)
         self.degree = n if elements is None else elements[0].degree
-        self._index: Optional[dict[Permutation, int]] = None
+        # A closure's permutations are looked up; any other element is its
+        # right translation, which moves 0 to its index.
+        self._index = None if elements is None else {q: i for i, q in enumerate(self._elements)}
 
     @property
     def order(self) -> int:
@@ -207,12 +209,13 @@ class FiniteGroup:
             return p
         if p not in self:
             raise ValueError("permutation is not an element of this group")
-        return self._index[p]  # type: ignore[index]
+        return p(0) if self._index is None else self._index[p]
 
     def __contains__(self, p: object) -> bool:
-        if self._index is None:
-            self._index = {q: i for i, q in enumerate(self.elements)}
-        return p in self._index
+        if self._index is not None:
+            return p in self._index
+        return (isinstance(p, Permutation) and p.degree == self.order
+                and self.right_translation(p(0)) == list(p.images))
 
     def right_translation(self, j: int) -> list[int]:
         """The array ``x -> x*j`` (do not modify): a generator's column, else

@@ -4,6 +4,8 @@ import ebrmaps.enumeration as enumeration
 from ebrmaps import (
     BoundaryMapError,
     CandidateBudgetExceeded,
+    EdgeBiregularMap,
+    FiniteGroup,
     catalog_group,
     catalog_names,
     classify_report,
@@ -17,6 +19,7 @@ from ebrmaps import (
     torus_rect,
     torus_rhombic,
 )
+from ebrmaps.perm_group import cayley_form
 from conftest import (_automorphisms, _least_under_conjugation, all_valid_quadruples,
                       aut_orbit_representatives, commuting_pairs_by_products,
                       dihedral_by_closure, merge_every_pair, pair_generation_memo,
@@ -165,12 +168,13 @@ def test_commuting_pairs_match_the_product_reference(name, proper):
 
 
 def _merged_automorphisms(monkeypatch, group, **flags):
-    """Every automorphism the sweep merges, conjugations by the generators first."""
+    """Every automorphism the sweep merges, conjugations by the generators
+    first, whether it glues first-pair roots or merges second pairs."""
     auts, merge = [], enumeration._merge_images
 
-    def recording(parent, pairs, index, aut, start=0):
+    def recording(parent, pairs, index, aut, among):
         auts.append(aut)
-        merge(parent, pairs, index, aut, start)
+        merge(parent, pairs, index, aut, among)
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_merge_images", recording)
@@ -193,7 +197,7 @@ def test_a_merge_from_start_keeps_every_root_from_start_on(monkeypatch, name, pr
         whole, short = list(range(len(pairs))), list(range(len(pairs)))
         for aut in auts:
             merge_every_pair(whole, pairs, index, aut)
-            enumeration._merge_images(short, pairs, index, aut, start)
+            enumeration._merge_images(short, pairs, index, aut, range(start, len(pairs)))
             assert ([whole[i] == i for i in range(start, len(pairs))]
                     == [short[i] == i for i in range(start, len(pairs))]), start
 
@@ -216,10 +220,144 @@ def test_sweep_forms_the_quads_it_forms_with_whole_merges(monkeypatch, name, fla
             enumerate_ebr(group, **FLAG_SETS[flags])
         return quads
 
-    def whole(parent, pairs, index, aut, start=0):
+    def whole(parent, pairs, index, aut, among):
         merge_every_pair(parent, pairs, index, aut)
 
     assert formed_quads(enumeration._merge_images) == formed_quads(whole)
+
+
+def _swept_pairs(group, flags):
+    return enumeration._commuting_involution_pairs(
+        group, FLAG_SETS[flags].get("require_proper", False))
+
+
+@pytest.mark.parametrize("name, flags", [case for case in SWEEP_CASES
+                                         if case[0] != "torus_rect(6,6)"])
+def test_first_pairs_visited_are_the_roots_whole_merges_leave(monkeypatch, name, flags):
+    """The sweep glues only first pairs least under conjugation, yet the
+    first pairs it forms quadruples under are exactly the pairs that generate
+    with some second pair and are still roots once every pair is merged with
+    its image under each automorphism found before the sweep reached it."""
+    group = SWEEP_GROUPS[name]()
+    events, firsts = [], []  # formed first pairs and first-pair automorphisms, in order
+    form, merge = enumeration.cayley_form, enumeration._merge_images
+
+    def counted(group, quad):
+        events.append(quad[:2])
+        return form(group, quad)
+
+    def recording(parent, pairs, index, aut, among):
+        if not firsts:  # the seeding is the first merge, into the first-pair union-find
+            firsts.append(parent)
+        if parent is firsts[0]:
+            events.append(aut)
+        merge(parent, pairs, index, aut, among)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "cayley_form", counted)
+        patch.setattr(enumeration, "_merge_images", recording)
+        enumerate_ebr(group, **FLAG_SETS[flags])
+
+    tagged, current = [], ()  # (first pair the automorphism was found under, automorphism)
+    for event in events:
+        if isinstance(event, tuple):
+            current = event
+        else:
+            tagged.append((current, event))
+    pairs = _swept_pairs(group, flags)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    generates = pair_generation_memo(group)
+    distinct = FLAG_SETS[flags].get("require_distinct", False)
+    whole, merged, expected = list(range(len(pairs))), 0, []
+    for i, r in enumerate(pairs):
+        while merged < len(tagged) and tagged[merged][0] < r:
+            merge_every_pair(whole, pairs, index, tagged[merged][1])
+            merged += 1
+        if whole[i] == i and any(generates(r, p) for p in pairs
+                                 if not (distinct and len(set(r + p)) < 4)):
+            expected.append(r)
+    assert list(dict.fromkeys(e for e in events if isinstance(e, tuple))) == expected
+
+
+@pytest.mark.parametrize("name, flags", [case for case in SWEEP_CASES
+                                         if case[0] != "torus_rect(6,6)"])
+def test_second_pairs_inside_a_kept_subgroup_do_not_generate(monkeypatch, name, flags):
+    """Each closure that ends in a proper subgroup K is kept, and the sweep
+    then rejects every quadruple inside a kept K with no closure.  Every
+    second pair inside K fails ``subgroup_order`` with each visited first
+    pair inside K, and the sweep forms the same quadruples keeping nothing."""
+    group = SWEEP_GROUPS[name]()
+    indices, form = FiniteGroup.subgroup_indices, enumeration.cayley_form
+
+    def swept(keep):
+        kept, quads = [], []
+
+        def closing(self, gens):
+            elements = indices(self, gens)
+            if len(elements) == self.order:
+                return elements
+            kept.append(set(elements))
+            return elements if keep else []  # an empty closure marks nothing
+
+        def counted(group, quad):
+            quads.append(quad)
+            return form(group, quad)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteGroup, "subgroup_indices", closing)
+            patch.setattr(enumeration, "cayley_form", counted)
+            enumerate_ebr(group, **FLAG_SETS[flags])
+        return kept, quads
+
+    kept, quads = swept(True)
+    assert quads == swept(False)[1]
+    visited = {quad[:2] for quad in quads}
+    for subgroup in kept:
+        inside = [p for p in _swept_pairs(group, flags) if set(p) <= subgroup]
+        for r in visited.intersection(inside):
+            for p in inside:
+                assert group.subgroup_order(r + p) < group.order, (r, p)
+
+
+@pytest.mark.parametrize("name", ["dih:12", "dihxc2:8", "c2^3", "torus_rect(4,4)"])
+def test_sweep_builds_its_representatives_without_revalidating(monkeypatch, name):
+    group = SWEEP_GROUPS[name]()
+
+    def refuse(*args):
+        raise AssertionError("the sweep validated a representative again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EdgeBiregularMap, "__init__", refuse)
+        maps = enumerate_ebr(group)
+    assert maps
+    for m in maps:
+        checked = EdgeBiregularMap(group, *m.slot_indices)
+        assert (m.group, m.degeneracy_class, m.boundary_type) == (
+            checked.group, checked.degeneracy_class, checked.boundary_type)
+        assert m.invariants() == checked.invariants()
+        assert m._form == cayley_form(group, m.slot_indices)[1]
+
+
+# The output of the sweep before kept subgroups and glued roots, which ran
+# 12,319 closures here.
+TORUS_16_PROPER = [
+    (1, 2, 3, 4), (1, 2, 3, 11), (1, 2, 4, 3), (1, 2, 4, 11), (1, 2, 11, 3), (1, 2, 11, 4),
+    (1, 5, 3, 4), (1, 5, 3, 11), (1, 5, 4, 3), (1, 5, 4, 11), (1, 5, 11, 3), (1, 5, 11, 4),
+    (5, 1, 3, 4), (5, 1, 3, 11), (5, 1, 4, 3), (5, 1, 4, 11), (5, 1, 11, 3), (5, 1, 11, 4)]
+
+
+def test_sweep_of_an_order_1024_torus_runs_few_closures(monkeypatch):
+    group = torus_rect(16, 16).group
+    calls, indices = [], FiniteGroup.subgroup_indices
+
+    def counted(self, gens):
+        calls.append(gens)
+        return indices(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_indices", counted)
+    maps = enumerate_ebr(group, require_proper=True)
+    assert [m.slot_indices for m in maps] == TORUS_16_PROPER
+    assert len(calls) <= 1000
 
 
 def test_enumerated_quadruples_are_valid():
@@ -263,12 +401,28 @@ def test_negative_candidate_budget_is_bad_input():
         enumerate_ebr(catalog_group("dih:8"), max_candidates=-1)
 
 
-def test_candidate_budget_counts_first_pairs_least_under_conjugation():
+def test_candidate_budget_counts_the_quadruples_joined(monkeypatch):
+    """The budget counts quadruples as they reach the generation test, so a
+    sweep is refused after it has joined one more than the budget."""
     g = catalog_group("dihxc2:24")
+    joined, form, forms = 1871, enumeration.cayley_form, []
+
+    def counted(group, quad):
+        forms.append(quad)
+        return form(group, quad)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "cayley_form", counted)
+        maps = enumerate_ebr(g, max_candidates=joined)
+    assert [m.slot_indices for m in maps] == [m.slot_indices for m in enumerate_ebr(g)]
     pairs = enumeration._commuting_involution_pairs(g, False)
-    joined = len(_least_under_conjugation(g, pairs)) * len(pairs)
-    assert joined == 12201
-    with pytest.raises(CandidateBudgetExceeded, match=f"^{joined} candidate quadruples"):
+    # Each form was joined first; the bound counted before the sweep was 12,201.
+    assert len(forms) < joined < len(_least_under_conjugation(g, pairs)) * len(pairs) == 12201
+    with pytest.raises(CandidateBudgetExceeded,
+                       match=f"^{joined} candidate quadruples exceed the budget {joined - 1}$"):
+        enumerate_ebr(g, max_candidates=joined - 1)
+    with pytest.raises(CandidateBudgetExceeded,
+                       match="^2 candidate quadruples exceed the budget 1$"):
         enumerate_ebr(g, max_candidates=1)
 
 
@@ -374,7 +528,6 @@ def test_report_rejects_mixed_groups():
 
 
 def test_report_compares_groups_by_columns_not_elements(monkeypatch):
-    from ebrmaps import EdgeBiregularMap, FiniteGroup
 
     def unlisted(self):
         raise AssertionError("elements listed")

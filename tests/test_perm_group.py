@@ -1,9 +1,11 @@
 import pytest
 
 from ebrmaps import (
+    FiniteGroup,
     GroupTooLargeError,
     Permutation,
     catalog_group,
+    catalog_names,
     closure,
     extend_generator_map,
     is_dihedral,
@@ -266,6 +268,29 @@ def test_membership_agrees_with_the_element_list():
         with pytest.raises(ValueError):
             g.index(Permutation.identity(g.degree + 1))
         assert [g.index(p) for p in g.elements] == list(range(g.order))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_membership_reads_one_row_and_lists_no_elements(monkeypatch, name):
+    """A permutation is an element of a column-built group exactly when it is
+    the right translation of its image of 0, which is then its index."""
+    g = catalog_group(name)
+    listed = closure(list(g.generators)).elements  # the same breadth-first numbering
+
+    def unlisted(group):
+        raise AssertionError("membership listed the elements")
+
+    monkeypatch.setattr(FiniteGroup, "elements", property(unlisted))
+    assert [g.index(p) for p in listed] == list(range(g.order))
+    row = list(g.right_translation(g.order - 1))
+    strangers = [Permutation.identity(g.order + 1)]
+    if g.order > 2:  # a row with two entries swapped is a bijection but no element
+        row[1], row[2] = row[2], row[1]
+        strangers.append(Permutation(row))
+    for p in strangers:
+        assert p not in g and p not in listed
+        with pytest.raises(ValueError):
+            g.index(p)
 
 
 def test_right_translations_are_products_of_elements():
