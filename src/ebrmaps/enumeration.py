@@ -21,10 +21,10 @@ and so is the rest of a first pair once a form keyed under an earlier first
 pair shows it to be that pair's image.  The least quadruple of a class is
 never skipped: its first pair is least in its Aut(H)-orbit, and its second
 pair is least in its orbit under that pair's stabiliser.  Each proper
-subgroup a closure ends in is kept, and a quadruple inside one is rejected
-with no closure.  The classification report looks each map's own form up
-among the forms of the classes found so far; a map that opens a class adds
-the forms of its twin, dual and twin-of-dual quadruples.  The groups to
+subgroup a Cayley-form walk ends in is kept, and a quadruple inside one is
+rejected with no walk.  The classification report looks each map's own form
+up among the forms of the classes found so far; a map that opens a class
+adds the forms of its twin, dual and twin-of-dual quadruples.  The groups to
 sweep come from ``families.catalog_group`` or a presentation.
 """
 
@@ -105,8 +105,8 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     Returns maps, valid by construction, for the lexicographically least
     quadruple of each automorphism class, sorted by slot indices.
     ``chi_max`` keeps only maps with Euler characteristic at most that value.
-    ``max_candidates`` bounds the quadruples that reach the generation test,
-    counted as the sweep reaches them.
+    ``max_candidates`` bounds the quadruples tested for generation (by kept
+    subgroups, then by ``cayley_form``), counted as the sweep reaches them.
 
     Two union-finds over indices into the sorted pair list skip every pair
     that is not the root (least index) of its set.  The first-pair one starts
@@ -127,13 +127,9 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     index = {pair: i for i, pair in enumerate(pairs)}
     firsts = _seeded_firsts(group, pairs, index)
     roots = [i for i, root in enumerate(firsts) if root == i]  # one per conjugacy class
-    # A commuting pair (x, y) spans {1, x, y, xy}, so whether a quadruple
-    # generates depends only on its two spans; a span joined with itself is itself.
-    spans = [frozenset((0, x, y, group.mul(x, y))) for x, y in pairs]
-    joins = {frozenset((s,)): len(s) == group.order for s in spans}  # {span, span} -> generates
     maps = []
     keyed: dict[tuple, tuple[int, list[int]]] = {}  # form -> first pair, visiting order
-    # Bit b of inside[e]: e is in the b-th proper subgroup a closure ended in.
+    # Bit b of inside[e]: e is in the b-th proper subgroup a walk ended in.
     inside, bit, joined = [0] * group.order, 1, 0
     # Quadruples come in lex order and the first of each Cayley form is the
     # least of its class; chi is constant on a class.
@@ -153,18 +149,13 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
                     f"{joined} candidate quadruples exceed the budget {max_candidates}")
             if around & inside[p_pair[0]] & inside[p_pair[1]]:
                 continue
-            join = frozenset((spans[ri], spans[pi]))
-            if join not in joins:
-                subgroup = group.subgroup_indices(set(quad))
-                joins[join] = len(subgroup) == group.order
-                if not joins[join]:
-                    for e in subgroup:
-                        inside[e] |= bit
-                    around |= bit
-                    bit <<= 1
-            if not joins[join]:
-                continue
             order, key = cayley_form(group, quad)
+            if len(order) < group.order:  # quad generates a proper subgroup: keep it
+                for e in order:
+                    inside[e] |= bit
+                around |= bit
+                bit <<= 1
+                continue
             if key not in keyed:
                 keyed[key] = ri, order
                 m = EdgeBiregularMap._trusted(group, quad, key)

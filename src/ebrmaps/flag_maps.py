@@ -20,8 +20,6 @@ import json
 from operator import eq, itemgetter
 from typing import Optional, Sequence
 
-from .perm_group import Permutation
-
 __all__ = [
     "FlagMap",
     "is_alternate_edge_colourable",
@@ -34,15 +32,19 @@ __all__ = [
 
 
 class FlagMap:
-    """A connected map on a closed surface, given by flag involutions."""
+    """A connected map on a closed surface, given by flag involutions as image tuples."""
 
-    def __init__(self, s0: Permutation, s1: Permutation, s2: Permutation):
-        n = s0.degree
-        if s1.degree != n or s2.degree != n:
+    def __init__(self, s0: Sequence[int], s1: Sequence[int], s2: Sequence[int]):
+        along, corner, across = tuple(s0), tuple(s1), tuple(s2)
+        n = len(along)
+        if len(corner) != n or len(across) != n:
             raise ValueError("flag permutations must share one degree")
+        named = (("s0", along), ("s1", corner), ("s2", across))
+        for name, p in named:
+            if p and not (0 <= min(p) and max(p) < n):
+                raise ValueError(f"flag map key {name!r} has an entry outside 0..{n - 1}")
         flags = tuple(range(n))
-        along, corner, across = s0.images, s1.images, s2.images
-        for name, p in (("s0", along), ("s1", corner), ("s2", across)):
+        for name, p in named:
             if _compose(p, p) != flags:
                 raise ValueError(f"{name} is not an involution")
         cross = _compose(along, across)  # s0*s2
@@ -77,18 +79,18 @@ class FlagMap:
             raise ValueError("flag system is disconnected")
         self._walk = [quad[0] for quad in queue]
         self._colourable = not clash
-        self.flag_count, self.s0, self.s1, self.s2 = n, s0, s1, s2
+        self.flag_count, self.s0, self.s1, self.s2 = n, along, corner, across
 
     def vertex_orbits(self) -> list[list[int]]:
-        return _orbits(self.flag_count, (self.s1.images, self.s2.images))
+        return _orbits(self.flag_count, (self.s1, self.s2))
 
     def edge_orbits(self) -> list[list[int]]:
-        along, across = self.s0.images, self.s2.images
+        along, across = self.s0, self.s2
         return [list(dict.fromkeys((e, along[e], across[e], across[along[e]])))
                 for e, least in enumerate(self._edge) if e == least]
 
     def face_orbits(self) -> list[list[int]]:
-        return _orbits(self.flag_count, (self.s0.images, self.s1.images))
+        return _orbits(self.flag_count, (self.s0, self.s1))
 
     def chi(self) -> int:
         return len(self.vertex_orbits()) - len(self.edge_orbits()) + len(self.face_orbits())
@@ -101,8 +103,8 @@ class FlagMap:
         return [len(orbit) // 2 for orbit in self.face_orbits()]
 
     def to_json_dict(self) -> dict:
-        return dict(flag_count=self.flag_count, s0=list(self.s0.images),
-                    s1=list(self.s1.images), s2=list(self.s2.images))
+        return dict(flag_count=self.flag_count, s0=list(self.s0),
+                    s1=list(self.s1), s2=list(self.s2))
 
 
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple:
@@ -157,16 +159,16 @@ def ebr_to_flagmap(m) -> FlagMap:
     # and by r2 or rho2 (across).
     along = (group.right_translation(r0), group.right_translation(p0))
     across = (group.right_translation(r2), group.right_translation(p2))
-    s0 = Permutation(2 * along[f % 2][f // 2] + f % 2 for f in range(2 * n))
-    s1 = Permutation(f ^ 1 for f in range(2 * n))
-    s2 = Permutation(2 * across[f % 2][f // 2] + f % 2 for f in range(2 * n))
+    s0 = [2 * along[f % 2][f // 2] + f % 2 for f in range(2 * n)]
+    s1 = [f ^ 1 for f in range(2 * n)]
+    s2 = [2 * across[f % 2][f // 2] + f % 2 for f in range(2 * n)]
     return FlagMap(s0, s1, s2)
 
 
 def regular_to_flagmap(r) -> FlagMap:
     """Flags of a fully regular map are its group elements; the three flag
     involutions are right multiplication by the distinguished reflections."""
-    s0, s2, s1 = (Permutation(r.group.right_translation(i)) for i in r.indices)
+    s0, s2, s1 = (r.group.right_translation(i) for i in r.indices)
     return FlagMap(s0, s1, s2)
 
 
@@ -193,10 +195,10 @@ def rotation_system_to_flagmap(rotations: Sequence[Sequence[int]],
             succ[a] = b
             pred[b] = a
 
-    s0 = Permutation(2 * edge_pairing[f // 2] + (1 - f % 2) for f in range(2 * n_darts))
-    s1 = Permutation((2 * succ[f // 2] + 1) if f % 2 == 0 else 2 * pred[f // 2]
-                     for f in range(2 * n_darts))
-    s2 = Permutation(f ^ 1 for f in range(2 * n_darts))
+    s0 = [2 * edge_pairing[f // 2] + (1 - f % 2) for f in range(2 * n_darts)]
+    s1 = [(2 * succ[f // 2] + 1) if f % 2 == 0 else 2 * pred[f // 2]
+          for f in range(2 * n_darts)]
+    s2 = [f ^ 1 for f in range(2 * n_darts)]
     return FlagMap(s0, s1, s2)
 
 
@@ -212,20 +214,17 @@ def load_flagmap(path: str) -> FlagMap:
         s0, s1, s2 = (_flag_array(data, key) for key in ("s0", "s1", "s2"))
     except KeyError as exc:
         raise ValueError(f"flag map file missing key {exc}") from None
-    if s0.degree != count:
+    if len(s0) != count:
         raise ValueError("flag_count does not match the permutation arrays")
     return FlagMap(s0, s1, s2)
 
 
-def _flag_array(data: dict, key: str) -> Permutation:
-    """The array under ``key`` if its entries are integers in 0..len-1; an
-    array in range is a bijection if it is an involution, as ``FlagMap`` checks."""
+def _flag_array(data: dict, key: str) -> list[int]:
+    """The array under ``key`` if its entries are integers; ``FlagMap`` checks the rest."""
     row = data[key]
     if not isinstance(row, list) or set(map(type, row)) - {int}:
         raise ValueError(f"flag map key {key!r} must be a list of integers")
-    if row and not (0 <= min(row) and max(row) < len(row)):
-        raise ValueError(f"flag map key {key!r} has an entry outside 0..{len(row) - 1}")
-    return Permutation._trusted(tuple(row))
+    return row
 
 
 def save_flagmap(m: FlagMap, path: str, comment: Optional[str] = None) -> None:

@@ -10,6 +10,7 @@ order; every downstream "first representative" tie-break inherits this order.
 
 from __future__ import annotations
 
+from collections import deque
 from math import lcm
 from operator import eq
 from typing import Iterable, Optional, Sequence, Union
@@ -256,20 +257,10 @@ class FiniteGroup:
         return [f for f in range(1, self.order) if inverse[f] == f]
 
     def subgroup_indices(self, gens: Sequence[int]) -> list[int]:
-        """Elements of the generated subgroup, in BFS discovery order."""
-        rights = [self.right_translation(g) for g in gens]
-        seen = {0}
-        out = [0]
-        pos = 0
-        while pos < len(out):
-            e = out[pos]
-            pos += 1
-            for right in rights:
-                f = right[e]
-                if f not in seen:
-                    seen.add(f)
-                    out.append(f)
-        return out
+        """Elements of the generated subgroup: the visiting order of its Cayley form."""
+        order = [0]
+        deque(_walk(self, gens, order), 0)
+        return order
 
     def subgroup_order(self, gens: Sequence[int]) -> int:
         """Order of the subgroup generated by ``gens`` (1 for no generators)."""

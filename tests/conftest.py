@@ -105,6 +105,24 @@ def involutions_by_scan(group):
     return out
 
 
+def subgroup_reference(group, gens):
+    """Oracle: the subgroup generated by ``gens``, in breadth-first discovery
+    order, found with a set of the elements seen and no Cayley-form walk."""
+    rights = [group.right_translation(g) for g in gens]
+    seen = {0}
+    out = [0]
+    pos = 0
+    while pos < len(out):
+        e = out[pos]
+        pos += 1
+        for right in rights:
+            f = right[e]
+            if f not in seen:
+                seen.add(f)
+                out.append(f)
+    return out
+
+
 def dihedral_by_rotation(group) -> bool:
     """Oracle: the group is dihedral of its order when some element of order
     n/2 is inverted by an involution, and the two of them generate.  Every
@@ -119,7 +137,7 @@ def dihedral_by_rotation(group) -> bool:
         xinv = group.inv(x)
         for y in invs:
             if group.mul(group.mul(y, x), y) == xinv:
-                if group.subgroup_order([x, y]) == n:
+                if len(subgroup_reference(group, [x, y])) == n:
                     return True
     return False
 
@@ -232,7 +250,7 @@ def orientable_by_even_subgroup(m) -> bool:
     group = m.group
     slots = [i for i in m.slot_indices if i is not None]
     products = [group.mul(a, b) for a in slots for b in slots]
-    return 2 * group.subgroup_order(products) == group.order
+    return 2 * len(subgroup_reference(group, products)) == group.order
 
 
 def pairwise_representatives(group, quads):
@@ -294,7 +312,7 @@ def all_valid_quadruples(group, require_proper=False, require_distinct=False):
                     quad = (r0, r2, p0, p2)
                     if require_distinct and len(set(quad)) < 4:
                         continue
-                    if group.subgroup_order(list(set(quad))) != order:
+                    if len(subgroup_reference(group, quad)) != order:
                         continue
                     quads.append(quad)
     return quads
@@ -374,13 +392,13 @@ def pair_generation_memo(group):
 
     def span(pair):
         if pair not in spans:
-            spans[pair] = frozenset(group.subgroup_indices(pair))
+            spans[pair] = frozenset(subgroup_reference(group, pair))
         return spans[pair]
 
     def generates(r_pair, p_pair):
         key = frozenset((span(r_pair), span(p_pair)))
         if key not in joins:
-            joins[key] = group.subgroup_order(r_pair + p_pair) == group.order
+            joins[key] = len(subgroup_reference(group, r_pair + p_pair)) == group.order
         return joins[key]
 
     return generates
@@ -659,9 +677,8 @@ def sphere_family_by_closure(kind, m, rpp=False):
 # ---------------------------------------------------------------------------
 
 def orbits_by_walk(n, perms):
-    """Orbits of ``<perms>`` on 0..n-1 by breadth-first search through
-    ``Permutation.__call__``, each listed from its least point, in order of
-    that point."""
+    """Orbits of ``<perms>``, image arrays on 0..n-1, by breadth-first
+    search, each listed from its least point, in order of that point."""
     seen = [False] * n
     orbits = []
     for start in range(n):
@@ -674,7 +691,7 @@ def orbits_by_walk(n, perms):
             f = orbit[pos]
             pos += 1
             for p in perms:
-                g = p(f)
+                g = p[f]
                 if not seen[g]:
                     seen[g] = True
                     orbit.append(g)
@@ -683,12 +700,15 @@ def orbits_by_walk(n, perms):
 
 
 def flagmap_error_reference(s0, s1, s2):
-    """The message ``FlagMap(s0, s1, s2)`` must raise, or None when it must
-    accept: composed permutations for the involution and fixed-point checks
-    and one orbit walk of <s0, s1, s2> for connectivity."""
-    n = s0.degree
-    if s1.degree != n or s2.degree != n:
+    """The message ``FlagMap(s0, s1, s2)`` must raise on the image arrays of
+    three bijections, or None when it must accept: composed permutations for
+    the involution and fixed-point checks and one orbit walk of <s0, s1, s2>
+    for connectivity."""
+    n = len(s0)
+    if len(s1) != n or len(s2) != n:
         return "flag permutations must share one degree"
+    arrays = (s0, s1, s2)
+    s0, s1, s2 = map(Permutation, arrays)
     for name, p in (("s0", s0), ("s1", s1), ("s2", s2)):
         if not (p * p).is_identity():
             return f"{name} is not an involution"
@@ -697,7 +717,7 @@ def flagmap_error_reference(s0, s1, s2):
         return "s0*s2 is not an involution"
     if any(cross(i) == i for i in range(n)):
         return "s0*s2 has fixed points (semi-edge or boundary)"
-    if len(orbits_by_walk(n, (s0, s1, s2))) != 1:
+    if len(orbits_by_walk(n, arrays)) != 1:
         return "flag system is disconnected"
     return None
 
@@ -716,7 +736,7 @@ def colouring_by_flag_scan(m):
         for f in range(m.flag_count):
             if orbit_of[f] != e:
                 continue
-            g = orbit_of[m.s1(f)]
+            g = orbit_of[m.s1[f]]
             if g == e or colour.get(g) == colour[e]:
                 return None
             if g not in colour:
@@ -726,7 +746,7 @@ def colouring_by_flag_scan(m):
 
 
 def flag_involutions(convert, *args):
-    """The (s0, s1, s2) that ``convert`` hands to ``FlagMap``."""
+    """The (s0, s1, s2) image arrays that ``convert`` hands to ``FlagMap``."""
     with mock.patch.object(flag_maps, "FlagMap", lambda *perms: perms):
         return convert(*args)
 

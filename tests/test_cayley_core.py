@@ -33,7 +33,7 @@ from ebrmaps import (
 )
 from ebrmaps.perm_group import cayley_form
 from conftest import (all_valid_quadruples, pairwise_class_sizes, random_quotients,
-                      translate_reference)
+                      subgroup_reference, translate_reference)
 
 
 def assert_matches_permutations(group):
@@ -235,7 +235,7 @@ def test_equal_cayley_forms_iff_the_reference_finds_an_isomorphism(data):
                                  min_size=len(src), max_size=len(src)))
     reference = (src_group.order == dst_group.order
                  and translate_reference(src_group, src, dst_group, dst) is not None)
-    assert cayley_form(src_group, src)[0] == src_group.subgroup_indices(src)
+    assert cayley_form(src_group, src)[0] == subgroup_reference(src_group, src)
     assert (cayley_form(src_group, src)[1] == cayley_form(dst_group, dst)[1]) == reference
 
 

@@ -350,8 +350,8 @@ def flagmap_documents(draw):
         return draw(JSON_VALUES)
     if kind == "rotations":
         perms = flag_involutions(rotation_system_to_flagmap, *draw(rotation_systems()))
-        doc = {key: list(p.images) for key, p in zip(("s0", "s1", "s2"), perms)}
-        return dict(flag_count=len(perms[0].images), **doc)
+        doc = {key: list(p) for key, p in zip(("s0", "s1", "s2"), perms)}
+        return dict(flag_count=len(perms[0]), **doc)
     n = draw(st.integers(0, 8))
     arrays = st.lists(st.integers(-1, n + 1), min_size=n, max_size=n)
     doc = {"flag_count": draw(st.just(n) | JSON_VALUES)}

@@ -23,7 +23,7 @@ from ebrmaps.perm_group import cayley_form
 from conftest import (_automorphisms, _least_under_conjugation, all_valid_quadruples,
                       aut_orbit_representatives, commuting_pairs_by_products,
                       dihedral_by_closure, merge_every_pair, pair_generation_memo,
-                      pairwise_class_sizes, pairwise_representatives)
+                      pairwise_class_sizes, pairwise_representatives, subgroup_reference)
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -105,8 +105,10 @@ def test_sweep_keys_one_form_on_a_first_pair_an_automorphism_reaches(
     form, formed = enumeration.cayley_form, {}
 
     def counted(group, quad):
-        formed.setdefault(quad[:2], []).append(quad[2:])
-        return form(group, quad)
+        order, key = form(group, quad)
+        if len(order) == group.order:
+            formed.setdefault(quad[:2], []).append(quad[2:])
+        return order, key
 
     monkeypatch.setattr(enumeration, "cayley_form", counted)
     maps = enumerate_ebr(group, **FLAG_SETS[flags])
@@ -151,7 +153,7 @@ SPAN_GROUPS = {**SWEEP_GROUPS, "torus_rhombic(2,3)": lambda: torus_rhombic(2, 3)
 
 @pytest.mark.parametrize("name", SPAN_GROUPS)
 def test_a_commuting_involution_pair_spans_one_x_y_and_xy(name):
-    """The sweep reads each pair's subgroup off the pair as {1, x, y, xy}."""
+    """A commuting pair of involutions generates exactly {1, x, y, xy}."""
     group = SPAN_GROUPS[name]()
     pairs = commuting_pairs_by_products(group, False)
     assert pairs
@@ -211,8 +213,10 @@ def test_sweep_forms_the_quads_it_forms_with_whole_merges(monkeypatch, name, fla
         quads, form = [], enumeration.cayley_form
 
         def counted(group, quad):
-            quads.append(quad)
-            return form(group, quad)
+            order, key = form(group, quad)
+            if len(order) == group.order:
+                quads.append(quad)
+            return order, key
 
         with monkeypatch.context() as patch:
             patch.setattr(enumeration, "cayley_form", counted)
@@ -243,8 +247,10 @@ def test_first_pairs_visited_are_the_roots_whole_merges_leave(monkeypatch, name,
     form, merge = enumeration.cayley_form, enumeration._merge_images
 
     def counted(group, quad):
-        events.append(quad[:2])
-        return form(group, quad)
+        order, key = form(group, quad)
+        if len(order) == group.order:
+            events.append(quad[:2])
+        return order, key
 
     def recording(parent, pairs, index, aut, among):
         if not firsts:  # the seeding is the first merge, into the first-pair union-find
@@ -282,30 +288,26 @@ def test_first_pairs_visited_are_the_roots_whole_merges_leave(monkeypatch, name,
 @pytest.mark.parametrize("name, flags", [case for case in SWEEP_CASES
                                          if case[0] != "torus_rect(6,6)"])
 def test_second_pairs_inside_a_kept_subgroup_do_not_generate(monkeypatch, name, flags):
-    """Each closure that ends in a proper subgroup K is kept, and the sweep
-    then rejects every quadruple inside a kept K with no closure.  Every
-    second pair inside K fails ``subgroup_order`` with each visited first
-    pair inside K, and the sweep forms the same quadruples keeping nothing."""
+    """Each walk that ends in a proper subgroup K is kept, and the sweep then
+    rejects every quadruple inside a kept K with no walk.  Every second pair
+    inside K generates a proper subgroup with each visited first pair inside
+    K, and the sweep walks the same generating quadruples keeping nothing."""
     group = SWEEP_GROUPS[name]()
-    indices, form = FiniteGroup.subgroup_indices, enumeration.cayley_form
+    form = enumeration.cayley_form
 
     def swept(keep):
         kept, quads = [], []
 
-        def closing(self, gens):
-            elements = indices(self, gens)
-            if len(elements) == self.order:
-                return elements
-            kept.append(set(elements))
-            return elements if keep else []  # an empty closure marks nothing
-
-        def counted(group, quad):
-            quads.append(quad)
-            return form(group, quad)
+        def walked(group, quad):
+            order, key = form(group, quad)
+            if len(order) == group.order:
+                quads.append(quad)
+                return order, key
+            kept.append(set(order))
+            return (order if keep else []), key  # an empty visiting order marks nothing
 
         with monkeypatch.context() as patch:
-            patch.setattr(FiniteGroup, "subgroup_indices", closing)
-            patch.setattr(enumeration, "cayley_form", counted)
+            patch.setattr(enumeration, "cayley_form", walked)
             enumerate_ebr(group, **FLAG_SETS[flags])
         return kept, quads
 
@@ -316,7 +318,7 @@ def test_second_pairs_inside_a_kept_subgroup_do_not_generate(monkeypatch, name, 
         inside = [p for p in _swept_pairs(group, flags) if set(p) <= subgroup]
         for r in visited.intersection(inside):
             for p in inside:
-                assert group.subgroup_order(r + p) < group.order, (r, p)
+                assert len(subgroup_reference(group, r + p)) < group.order, (r, p)
 
 
 @pytest.mark.parametrize("name", ["dih:12", "dihxc2:8", "c2^3", "torus_rect(4,4)"])
@@ -347,17 +349,20 @@ TORUS_16_PROPER = [
 
 
 def test_sweep_of_an_order_1024_torus_runs_few_closures(monkeypatch):
+    """Each quadruple the sweep walks either keys a form or ends in a proper
+    subgroup; only 39 walks end short, against 12,319 closures once."""
     group = torus_rect(16, 16).group
-    calls, indices = [], FiniteGroup.subgroup_indices
+    short, full, form = [], [], enumeration.cayley_form
 
-    def counted(self, gens):
-        calls.append(gens)
-        return indices(self, gens)
+    def counted(group, quad):
+        order, key = form(group, quad)
+        (full if len(order) == group.order else short).append(quad)
+        return order, key
 
-    monkeypatch.setattr(FiniteGroup, "subgroup_indices", counted)
+    monkeypatch.setattr(enumeration, "cayley_form", counted)
     maps = enumerate_ebr(group, require_proper=True)
     assert [m.slot_indices for m in maps] == TORUS_16_PROPER
-    assert len(calls) <= 1000
+    assert (len(short), len(full)) == (39, 38)
 
 
 def test_enumerated_quadruples_are_valid():
@@ -408,8 +413,10 @@ def test_candidate_budget_counts_the_quadruples_joined(monkeypatch):
     joined, form, forms = 1871, enumeration.cayley_form, []
 
     def counted(group, quad):
-        forms.append(quad)
-        return form(group, quad)
+        order, key = form(group, quad)
+        if len(order) == group.order:
+            forms.append(quad)
+        return order, key
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "cayley_form", counted)
@@ -492,8 +499,10 @@ def test_report_forms_three_quads_per_class_and_none_of_a_swept_map(monkeypatch)
     form, formed = enumeration.cayley_form, []
 
     def counted(group, quad):
-        formed.append(tuple(quad))
-        return form(group, quad)
+        order, key = form(group, quad)
+        if len(order) == group.order:
+            formed.append(tuple(quad))
+        return order, key
 
     monkeypatch.setattr(enumeration, "cayley_form", counted)
     report = classify_report(maps)

@@ -100,7 +100,7 @@ def test_cube_rotation_system_flag_count_and_chi(cube_flagmap):
     assert m.flag_count == 48
     assert m.chi() == 2
     assert sorted(set(m.face_lengths())) == [4]
-    assert closure([m.s0, m.s1, m.s2]).order == 48
+    assert closure([Permutation(m.s0), Permutation(m.s1), Permutation(m.s2)]).order == 48
 
 
 # -- conversion from edge-biregular maps ------------------------------------------
@@ -163,17 +163,25 @@ def test_ebr_to_flagmap_rejects_semi_edge_and_boundary_maps():
 # -- validation ---------------------------------------------------------------
 
 def test_flagmap_validation():
-    swap = Permutation((1, 0, 3, 2))
-    three_cycle = Permutation((1, 2, 0, 3))
+    swap = (1, 0, 3, 2)
+    three_cycle = (1, 2, 0, 3)
     with pytest.raises(ValueError, match="involution"):
         FlagMap(three_cycle, swap, swap)
     # s0 == s2 makes s0*s2 the identity, which has fixed points
     with pytest.raises(ValueError, match="fixed points"):
         FlagMap(swap, swap, swap)
     with pytest.raises(ValueError, match="disconnected"):
-        FlagMap(Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
-                Permutation.identity(8),
-                Permutation.from_cycles(8, [(0, 3), (1, 2), (4, 7), (5, 6)]))
+        FlagMap(Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)]).images,
+                tuple(range(8)),
+                Permutation.from_cycles(8, [(0, 3), (1, 2), (4, 7), (5, 6)]).images)
+
+
+@pytest.mark.parametrize("entry", [-1, 4])
+def test_flagmap_refuses_an_entry_out_of_range(entry):
+    """An entry of -1 would index the last flag, so it is refused, as n is."""
+    swap = (1, 0, 3, 2)
+    with pytest.raises(ValueError, match=r"^flag map key 's2' has an entry outside 0\.\.3$"):
+        FlagMap(swap, swap, (2, 3, entry, 1))
 
 
 def test_rotation_system_validation():
@@ -194,9 +202,8 @@ def test_save_load_round_trip(tmp_path, sphere_flagmap):
 
 
 def test_empty_flag_map_is_refused():
-    empty = Permutation(())
     with pytest.raises(ValueError, match="^flag system is disconnected$"):
-        FlagMap(empty, empty, empty)
+        FlagMap((), (), ())
 
 
 @pytest.mark.parametrize("text, message", [
@@ -299,20 +306,21 @@ def rotation_system_flags(draw):
 
 @st.composite
 def arbitrary_flags(draw):
-    """Three permutations, mostly involutions, of degrees that mostly agree:
-    they reach every refusal of the constructor, the empty map included."""
+    """The image arrays of three permutations, mostly involutions, of
+    degrees that mostly agree: they reach every refusal of the constructor,
+    the empty map included."""
     n = draw(st.integers(0, 8))
 
     def perm():
         degree = draw(st.sampled_from([n] * 5 + [n + 1]))
         points = draw(st.permutations(range(degree)))
         if draw(st.integers(0, 5)) == 0:
-            return Permutation(points)
+            return tuple(points)
         images = list(range(degree))
         pairs = draw(st.integers(0, degree // 2))
         for a, b in zip(points[:2 * pairs:2], points[1:2 * pairs:2]):
             images[a], images[b] = b, a
-        return Permutation(images)
+        return tuple(images)
 
     return perm(), perm(), perm()
 

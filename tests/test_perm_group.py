@@ -10,7 +10,7 @@ from ebrmaps import (
     extend_generator_map,
     is_dihedral,
 )
-from conftest import dihedral_by_rotation, involutions_by_scan
+from conftest import dihedral_by_rotation, involutions_by_scan, subgroup_reference
 
 
 def square_symmetries():
@@ -123,6 +123,17 @@ def test_subgroup_order_is_twice_product_order():
     for x in invs:
         for y in invs:
             assert g.subgroup_order([g.index(x), g.index(y)]) == 2 * (x * y).order()
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_group(n).order <= 24])
+def test_subgroup_indices_matches_the_set_based_reference(name):
+    """The visiting order of the Cayley-form walk is the breadth-first
+    discovery order, element for element."""
+    g = catalog_group(name)
+    invs = g.involution_indices()
+    tuples = [[], [col[0] for col in g.columns]] + [[x, y] for x in invs for y in invs]
+    for gens in tuples:
+        assert g.subgroup_indices(gens) == subgroup_reference(g, gens), gens
 
 
 def test_extend_identity_map():

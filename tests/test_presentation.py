@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from ebrmaps import (
     CosetLimitExceeded,
     GroupPresentation,
+    Permutation,
     PresentationSyntaxError,
     closure,
     coset_enumerate,
@@ -103,7 +104,7 @@ def test_triangle_3_4_matches_cube_flag_closure():
     # Independent oracle: the closure of the cube's explicit flag
     # permutations has the same order as the (3,4) triangle group.
     cube = rotation_system_to_flagmap(*cube_rotation_system())
-    flag_group = closure([cube.s0, cube.s1, cube.s2])
+    flag_group = closure([Permutation(cube.s0), Permutation(cube.s1), Permutation(cube.s2)])
     enumerated = coset_enumerate(triangle_group(3, 4), max_cosets=1000)
     assert flag_group.order == 48
     assert enumerated.order == 48
