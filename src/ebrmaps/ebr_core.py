@@ -186,14 +186,9 @@ class EdgeBiregularMap:
             return self._invariants
         group, idx = self.group, self.slot_indices
         n = group.order
-        k = _dihedral_order(group, idx[1], idx[3])
-        l = _dihedral_order(group, idx[0], idx[2])
-        # A colour class with coincident slots is |H|/2 semi-edges, which add
-        # nothing to the Euler characteristic; a proper class is |H|/4 edges.
+        k, l, chi = _type_and_chi(group, idx)
         shaded, unshaded = (EdgeCount(n // 2, "semi") if idx[i] == idx[i + 1]
                             else EdgeCount(n // 4, "proper") for i in (0, 2))
-        proper_edges = sum(e.count for e in (shaded, unshaded) if e.kind == "proper")
-        chi = n // k - proper_edges + n // l
         orientable, fully_regular = _corner_walk(group, idx)
         self._invariants = MapInvariants(
             order=n, k=k, l=l, V=n // k, F=n // l,
@@ -264,6 +259,18 @@ def _dihedral_order(group: FiniteGroup, a: int, b: int) -> int:
     while x:
         x, steps = right_b[right_a[x]], steps + 1
     return 2 * steps
+
+
+def _type_and_chi(group: FiniteGroup, idx) -> tuple[int, int, int]:
+    """``k``, ``l`` and the Euler characteristic of the closed map on the
+    slot indices ``idx``.  A colour class with coincident slots is |H|/2
+    semi-edges, which add nothing to the Euler characteristic; a proper class
+    is |H|/4 edges."""
+    n = group.order
+    k = _dihedral_order(group, idx[1], idx[3])
+    l = _dihedral_order(group, idx[0], idx[2])
+    edges = sum(n // 4 for i in (0, 2) if idx[i] != idx[i + 1])
+    return k, l, n // k - edges + n // l
 
 
 def _corner_walk(group: FiniteGroup, slot_indices) -> tuple[bool, bool]:

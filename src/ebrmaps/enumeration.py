@@ -22,10 +22,14 @@ pair shows it to be that pair's image.  The least quadruple of a class is
 never skipped: its first pair is least in its Aut(H)-orbit, and its second
 pair is least in its orbit under that pair's stabiliser.  Each proper
 subgroup a Cayley-form walk ends in is kept, and a quadruple inside one is
-rejected with no walk.  The classification report looks each map's own form
-up among the forms of the classes found so far; a map that opens a class
-adds the forms of its twin, dual and twin-of-dual quadruples.  The groups to
-sweep come from ``families.catalog_group`` or a presentation.
+rejected with no walk.  The ``chi_max`` filter reads the Euler
+characteristic off two product orders, with no corner walk.  The
+classification report looks each map's own form up among the forms of the
+classes found so far; a map that opens a class adds the forms of its twin,
+dual and twin-of-dual quadruples, and walks only those it cannot infer: a
+fully regular map's twin form is its own, and when two of the own, twin and
+dual forms agree, the twin-of-dual form is the third.  The groups to sweep
+come from ``families.catalog_group`` or a presentation.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .ebr_core import EdgeBiregularMap
+from .ebr_core import EdgeBiregularMap, _type_and_chi
 from .perm_group import FiniteGroup, cayley_form, is_dihedral
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
@@ -104,7 +108,9 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
 
     Returns maps, valid by construction, for the lexicographically least
     quadruple of each automorphism class, sorted by slot indices.
-    ``chi_max`` keeps only maps with Euler characteristic at most that value.
+    ``chi_max`` keeps only maps with Euler characteristic at most that value,
+    read off the orders of ``r2 rho2`` and ``r0 rho0``: only the quadruples
+    it keeps become maps, and none gets a ``MapInvariants`` record.
     ``max_candidates`` bounds the quadruples tested for generation (by kept
     subgroups, then by ``cayley_form``), counted as the sweep reaches them.
 
@@ -158,9 +164,8 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
                 continue
             if key not in keyed:
                 keyed[key] = ri, order
-                m = EdgeBiregularMap._trusted(group, quad, key)
-                if chi_max is None or m.invariants().chi <= chi_max:
-                    maps.append(m)
+                if chi_max is None or _type_and_chi(group, quad)[2] <= chi_max:
+                    maps.append(EdgeBiregularMap._trusted(group, quad, key))
                 continue
             rj, earlier = keyed[key]
             aut = [0] * group.order
@@ -254,7 +259,13 @@ def dihedral_table_row(order: int, k: int, l: int, V: int, F: int, chi: int,
 def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
     """Partition closed-surface maps over one group into classes under
     identity, twin, dual and twin-of-dual, then report per-class data and the
-    classification row matched by each dihedral class with chi < 0."""
+    classification row matched by each dihedral class with chi < 0.
+
+    Each map's own form is kept from the sweep or walked once.  The first
+    map of a class reads its ``invariants()``, which the report prints, and
+    walks its dual quad; it walks its twin quad only when it is not fully
+    regular, and its twin-of-dual quad only when the own, twin and dual forms
+    are pairwise distinct."""
     maps = sorted(maps, key=lambda m: m.slot_indices)
     if not maps:
         return ClassReport(())
@@ -267,6 +278,10 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
     # Classes are orbits of Aut(H) x {identity, twin, dual, twin-of-dual} on
     # quads, and equal forms are one Aut(H)-orbit: a map joins the class that
     # holds its own form, or opens one under all four forms of its quad.
+    # A fully regular map's twin is an automorphic image, so its twin form is
+    # its own.  If two of the own, twin and dual forms agree, the automorphism
+    # behind them takes the twin-of-dual quad to the third quad, so only three
+    # distinct forms leave a fourth to walk.
     members: list[list[EdgeBiregularMap]] = []
     by_form: dict[tuple, list[EdgeBiregularMap]] = {}  # any of the four forms -> class
     for m in maps:
@@ -275,9 +290,13 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
         if m._form not in by_form:
             members.append([])
             r0, r2, p0, p2 = m.slot_indices
-            for quad in ((p0, p2, r0, r2), (r2, r0, p2, p0), (p2, p0, r2, r0)):
-                by_form[cayley_form(m.group, quad)[1]] = members[-1]
-            by_form[m._form] = members[-1]
+            twin = (m._form if m.invariants().fully_regular
+                    else cayley_form(m.group, (p0, p2, r0, r2))[1])
+            forms = {m._form, twin, cayley_form(m.group, (r2, r0, p2, p0))[1]}
+            if len(forms) == 3:
+                forms.add(cayley_form(m.group, (p2, p0, r2, r0))[1])
+            for form in forms:
+                by_form[form] = members[-1]
         by_form[m._form].append(m)
 
     dihedral = is_dihedral(group)

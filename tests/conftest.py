@@ -15,7 +15,8 @@ import ebrmaps.flag_maps as flag_maps
 from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, GroupPresentation, Permutation,
                      closure, ebr_type_presentation, extend_generator_map,
                      rotation_system_to_flagmap, triangle_group)
-from ebrmaps.perm_group import cayley_form
+from ebrmaps.enumeration import ClassReport, MapClass, dihedral_table_row
+from ebrmaps.perm_group import cayley_form, is_dihedral
 
 # Derandomized, so that a property failure reproduces from the test log.
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -290,6 +291,34 @@ def pairwise_class_sizes(maps):
         sizes.append(1 + len(unassigned) - len(remaining))
         unassigned = remaining
     return sizes
+
+
+def classify_report_by_all_images(maps):
+    """Reference for ``classify_report`` that infers no form: every map that
+    opens a class walks its own, twin, dual and twin-of-dual quads, and each
+    map joins the class that holds its own form."""
+    maps = sorted(maps, key=lambda m: m.slot_indices)
+    if not maps:
+        return ClassReport(())
+    members, by_form = [], {}
+    for m in maps:
+        own = cayley_form(m.group, m.slot_indices)[1]
+        if own not in by_form:
+            members.append([])
+            r0, r2, p0, p2 = m.slot_indices
+            for quad in ((r0, r2, p0, p2), (p0, p2, r0, r2), (r2, r0, p2, p0), (p2, p0, r2, r0)):
+                by_form[cayley_form(m.group, quad)[1]] = members[-1]
+        by_form[own].append(m)
+    dihedral = is_dihedral(maps[0].group)
+    classes = []
+    for cls in members:
+        inv = cls[0].invariants()
+        row = (dihedral_table_row(inv.order, inv.k, inv.l, inv.V, inv.F, inv.chi,
+                                  inv.fully_regular) if dihedral and inv.chi < 0 else None)
+        classes.append(MapClass(
+            class_size=len(cls), map_type=(inv.k, inv.l), chi=inv.chi, V=inv.V, F=inv.F,
+            orientable=inv.orientable, fully_regular=inv.fully_regular, table_row=row))
+    return ClassReport(tuple(classes), group_is_dihedral=dihedral)
 
 
 def all_valid_quadruples(group, require_proper=False, require_distinct=False):

@@ -277,3 +277,31 @@ def test_criterion_12_chi_zero_maps_of_order_to_128_are_family_maps():
     assert {order: set(forms) for order, forms in found.items()} == family_forms
     _report(12, "every closed chi = 0 map up to order 128 is a torus or Klein-bottle "
                 f"family map ({sum(map(len, family_forms.values()))} classes up to twin and dual)")
+
+
+def test_criterion_13_positive_chi_maps_of_order_to_256_are_sphere_family_maps():
+    families = ([sphere_family(kind, m) for kind in ("cycle", "dipole") for m in range(1, 65)]
+                + [sphere_family("dipole", m, rpp=True) for m in range(2, 129, 2)]
+                + [sphere_family("semistar", m) for m in range(1, 129)])
+    groups = [family.group for family in families] + [catalog_group(n) for n in catalog_names()]
+    assert len(groups) == 359 and max(g.order for g in groups) == 256
+    family_forms, found, unmatched, swept = {}, {}, [], 0
+    for family in families:
+        if family.is_proper:
+            family_forms.setdefault(family.group.order, set()).add(twin_dual_least_form(family))
+    for group in groups:
+        for m in enumerate_ebr(group, require_proper=True):
+            if m.invariants().chi <= 0:
+                continue
+            form, swept = twin_dual_least_form(m), swept + 1
+            found.setdefault(group.order, set()).add(form)
+            if form not in family_forms.get(group.order, ()):
+                unmatched.append(m)
+    assert unmatched == []
+    assert swept == 839
+    # The converse: every proper family map turns up in the sweep.  The
+    # semistars are not proper, so the proper sweep cannot find them.
+    assert found == family_forms
+    _report(13, "every closed proper chi > 0 map up to order 256 is a cycle or dipole "
+                f"sphere-family map ({sum(map(len, family_forms.values()))} classes up to "
+                "twin and dual)")

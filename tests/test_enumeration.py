@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+import ebrmaps.ebr_core as ebr_core
 import ebrmaps.enumeration as enumeration
 from ebrmaps import (
     BoundaryMapError,
@@ -16,12 +19,15 @@ from ebrmaps import (
     is_dihedral,
     klein,
     regular_catalog,
+    sphere_family,
     torus_rect,
     torus_rhombic,
 )
+from ebrmaps.ebr_core import _type_and_chi
 from ebrmaps.perm_group import cayley_form
 from conftest import (_automorphisms, _least_under_conjugation, all_valid_quadruples,
-                      aut_orbit_representatives, commuting_pairs_by_products,
+                      aut_orbit_representatives, classify_report_by_all_images,
+                      commuting_pairs_by_products,
                       dihedral_by_closure, merge_every_pair, pair_generation_memo,
                       pairwise_class_sizes, pairwise_representatives, subgroup_reference)
 
@@ -492,10 +498,18 @@ def test_classification_matches_pairwise_oracle(name, flags):
     assert sizes == pairwise_class_sizes(maps)
 
 
-def test_report_forms_three_quads_per_class_and_none_of_a_swept_map(monkeypatch):
-    """The sweep keeps each map's own form; the report forms the twin, dual
-    and twin-of-dual quads of the first map of each class only."""
-    maps = enumerate_ebr(catalog_group("dihxc2:20"), require_proper=True)
+@pytest.mark.parametrize("name, flags, walks", [
+    ("dihxc2:20", "proper", 34), ("dih:24", "none", 13), ("c2^3", "none", 9),
+    ("torus_rect(4,4)", "proper", 14)])
+def test_report_walks_the_images_it_cannot_infer_and_none_of_a_swept_map(
+        monkeypatch, name, flags, walks):
+    """The sweep keeps each map's own form.  Of the first map of each class
+    the report walks the twin quad unless the map is fully regular, then the
+    dual quad, then the twin-of-dual quad only when the own, twin and dual
+    forms are pairwise distinct; it walks no other quad.  Three walks per
+    class would be 48, 21, 15 and 24 here."""
+    group = SWEEP_GROUPS[name]()
+    maps = enumerate_ebr(group, **FLAG_SETS[flags])
     form, formed = enumeration.cayley_form, []
 
     def counted(group, quad):
@@ -504,17 +518,110 @@ def test_report_forms_three_quads_per_class_and_none_of_a_swept_map(monkeypatch)
             formed.append(tuple(quad))
         return order, key
 
-    monkeypatch.setattr(enumeration, "cayley_form", counted)
-    report = classify_report(maps)
-    assert len(report.classes) > 1
-    assert len(formed) == 3 * len(report.classes)
-    openers = []
-    for twin, dual, twin_of_dual in zip(formed[::3], formed[1::3], formed[2::3]):
-        p0, p2, r0, r2 = twin
-        assert (dual, twin_of_dual) == ((r2, r0, p2, p0), (p2, p0, r2, r0))
-        openers.append((r0, r2, p0, p2))
-    assert openers == sorted(openers)
-    assert set(openers) <= {m.slot_indices for m in maps}
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "cayley_form", counted)
+        report = classify_report(maps)
+    expected, known, openers = [], set(), []
+    for m in sorted(maps, key=lambda m: m.slot_indices):
+        if m._form in known:
+            continue
+        openers.append(m.slot_indices)
+        r0, r2, p0, p2 = m.slot_indices
+        twin, dual, twin_of_dual = (p0, p2, r0, r2), (r2, r0, p2, p0), (p2, p0, r2, r0)
+        own, twin_form, dual_form, twin_of_dual_form = (
+            form(group, quad)[1] for quad in (m.slot_indices, twin, dual, twin_of_dual))
+        if not m.invariants().fully_regular:
+            expected.append(twin)
+        expected.append(dual)
+        if len({own, twin_form, dual_form}) == 3:
+            expected.append(twin_of_dual)
+        known |= {own, twin_form, dual_form, twin_of_dual_form}
+    assert len(openers) == len(report.classes) > 1
+    assert formed == expected
+    assert len(formed) == walks
+
+
+ORACLE_GROUPS = dict(SWEEP_GROUPS)
+ORACLE_CASES = [(name, flags) for name in catalog_names() for flags in FLAG_SETS]
+for a in range(1, 17):
+    for c in range(1, 16 // a + 1):
+        ORACLE_GROUPS[f"torus_rect({a},{c})"] = lambda a=a, c=c: torus_rect(a, c).group
+        ORACLE_CASES.append((f"torus_rect({a},{c})", "proper"))
+for b in (1, 2):
+    for a in range(1, 16 // b + 1):
+        ORACLE_GROUPS[f"klein({a},{b})"] = lambda a=a, b=b: klein(a, b).group
+        ORACLE_CASES.append((f"klein({a},{b})", "proper"))
+
+
+def _chi_by_counting(m):
+    """``(k, l, chi)`` of a closed map from the orders of ``r2 rho2`` and
+    ``r0 rho0`` and V - E + F, with no shared helper."""
+    group, (r0, r2, p0, p2) = m.group, m.slot_indices
+    n = group.order
+    k = 2 * group.element_order(group.mul(r2, p2))
+    l = 2 * group.element_order(group.mul(r0, p0))
+    edges = (n // 4 if r0 != r2 else 0) + (n // 4 if p0 != p2 else 0)
+    return k, l, n // k - edges + n // l
+
+
+@pytest.mark.parametrize("name, flags", ORACLE_CASES)
+def test_report_matches_the_reference_that_walks_every_image(name, flags):
+    """The inferred images give the report that walking all three images of
+    every class opener gives; full regularity is the twin form being the map's
+    own; and the sweep's chi filter reads the chi ``invariants()`` reports."""
+    group = ORACLE_GROUPS[name]()
+    maps = enumerate_ebr(group, **FLAG_SETS[flags])
+    report, reference = classify_report(maps), classify_report_by_all_images(maps)
+    assert (json.dumps([report.group_is_dihedral, report.to_json()])
+            == json.dumps([reference.group_is_dihedral, reference.to_json()]))
+    for m in maps:
+        r0, r2, p0, p2 = m.slot_indices
+        inv = m.invariants()
+        assert inv.fully_regular == (cayley_form(group, (p0, p2, r0, r2))[1] == m._form)
+        assert _type_and_chi(group, m.slot_indices) == (inv.k, inv.l, inv.chi)
+        assert _chi_by_counting(m) == (inv.k, inv.l, inv.chi)
+
+
+def _family_maps_to_order_160():
+    yield from (torus_rect(a, c) for a in range(1, 41) for c in range(1, 40 // a + 1))
+    yield from (torus_rhombic(b, c) for b in range(1, 21) for c in range(1, 20 // b + 1))
+    yield from (klein(a, b) for b in (1, 2) for a in range(1, 40 // b + 1))
+    for m in range(4, 81, 2):
+        yield from (dihedral_map(m, row) for row in ((1, 2, 3, 4) if m // 2 % 2 else (1, 3)))
+    for m in range(1, 41):
+        yield from (sphere_family(kind, m) for kind in ("cycle", "dipole"))
+    for m in range(1, 81):
+        yield sphere_family("semistar", m)
+        if m % 2 == 0:
+            yield sphere_family("dipole", m, rpp=True)
+
+
+def test_chi_helper_matches_invariants_on_every_family_map_to_order_160():
+    checked = 0
+    for m in _family_maps_to_order_160():
+        assert m.group.order <= 160, m
+        inv = m.invariants()
+        assert _type_and_chi(m.group, m.slot_indices) == (inv.k, inv.l, inv.chi), m
+        assert _chi_by_counting(m) == (inv.k, inv.l, inv.chi), m
+        checked += 1
+    assert checked > 500
+
+
+def test_chi_filter_runs_no_corner_walk(monkeypatch):
+    """The sweep's chi filter reads k, l and chi off two product orders: it
+    walks no corners and builds no ``MapInvariants``."""
+    walks, walk = [], ebr_core._corner_walk
+
+    def counted(group, slot_indices):
+        walks.append(tuple(slot_indices))
+        return walk(group, slot_indices)
+
+    monkeypatch.setattr(ebr_core, "_corner_walk", counted)
+    maps = enumerate_ebr(catalog_group("dihxc2:24"), require_proper=True,
+                         require_distinct=True, chi_max=-1)
+    assert maps and walks == []
+    assert all(m._invariants is None for m in maps)
+    assert all(m.invariants().chi <= -1 for m in maps) and len(walks) == len(maps)
 
 
 def test_classification_of_non_representatives_matches_pairwise_oracle():
