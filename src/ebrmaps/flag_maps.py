@@ -32,7 +32,8 @@ __all__ = [
 
 
 class FlagMap:
-    """A connected map on a closed surface, given by flag involutions as image tuples."""
+    """A connected map on a closed surface, given by flag involutions as image tuples;
+    the involution test proves their range, which is scanned only to name a fault."""
 
     def __init__(self, s0: Sequence[int], s1: Sequence[int], s2: Sequence[int]):
         along, corner, across = tuple(s0), tuple(s1), tuple(s2)
@@ -40,13 +41,21 @@ class FlagMap:
         if len(corner) != n or len(across) != n:
             raise ValueError("flag permutations must share one degree")
         named = (("s0", along), ("s1", corner), ("s2", across))
-        for name, p in named:
-            if p and not (0 <= min(p) and max(p) < n):
-                raise ValueError(f"flag map key {name!r} has an entry outside 0..{n - 1}")
         flags = tuple(range(n))
-        for name, p in named:
-            if _compose(p, p) != flags:
-                raise ValueError(f"{name} is not an involution")
+        # Passing proves every entry in 0..n-1: one >= n or < -n raises IndexError,
+        # and a wrapped p[i] = -k needs p[n - k] == i, so p[p[n - k]] == -k != n - k.
+        # The range scan runs only to name a fault; its message still comes first.
+        try:
+            involutions = all(_compose(p, p) == flags for _, p in named)
+        except (IndexError, TypeError):
+            involutions = False
+        if not involutions:
+            for name, p in named:
+                if p and not (0 <= min(p) and max(p) < n):
+                    raise ValueError(f"flag map key {name!r} has an entry outside 0..{n - 1}")
+            for name, p in named:
+                if _compose(p, p) != flags:
+                    raise ValueError(f"{name} is not an involution")
         cross = _compose(along, across)  # s0*s2
         if _compose(cross, cross) != flags:
             raise ValueError("s0*s2 is not an involution")
@@ -204,9 +213,20 @@ def rotation_system_to_flagmap(rotations: Sequence[Sequence[int]],
 
 def load_flagmap(path: str) -> FlagMap:
     """Read a flag map from JSON ({flag_count, s0, s1, s2}; extra keys such
-    as a comment are ignored)."""
+    as a comment are ignored).  A valid file needs only ``FlagMap`` and the
+    count: a non-int entry fails the involution test unless it is a boolean,
+    which equals 0 or 1 and so sits at ``p[p[0]]`` or ``p[p[1]]``.  Any other
+    file goes through the checks in order, which name its first fault."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("s0", "s1", "s2")):
+        try:
+            m = FlagMap(data["s0"], data["s1"], data["s2"])
+        except (ValueError, TypeError):
+            m = None
+        if m and data.get("flag_count") == m.flag_count and all(
+                type(p[p[f]]) is int for p in (m.s0, m.s1, m.s2) for f in (0, 1)):
+            return m
     if not isinstance(data, dict):
         raise ValueError("flag map file must hold a JSON object")
     try:
@@ -220,7 +240,7 @@ def load_flagmap(path: str) -> FlagMap:
 
 
 def _flag_array(data: dict, key: str) -> list[int]:
-    """The array under ``key`` if its entries are integers; ``FlagMap`` checks the rest."""
+    """The array under ``key`` if its entries are integers; only a refused file is scanned."""
     row = data[key]
     if not isinstance(row, list) or set(map(type, row)) - {int}:
         raise ValueError(f"flag map key {key!r} must be a list of integers")

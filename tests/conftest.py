@@ -3,6 +3,7 @@ independent oracles used to cross-check the library's fast paths."""
 
 from __future__ import annotations
 
+import json
 import os
 from fractions import Fraction
 from types import SimpleNamespace
@@ -751,6 +752,65 @@ def flagmap_error_reference(s0, s1, s2):
     return None
 
 
+def flagmap_refusal_reference(s0, s1, s2):
+    """The exception ``FlagMap(s0, s1, s2)`` must raise, or None when it must
+    accept, from the constructor's checks run in their documented order over
+    any entries: one degree, every entry in ``0..n-1`` by ``min`` and ``max``,
+    the involution test by indexing, then ``flagmap_error_reference``."""
+    arrays = tuple(map(tuple, (s0, s1, s2)))
+    n = len(arrays[0])
+    named = list(zip(("s0", "s1", "s2"), arrays))
+    try:
+        if any(len(p) != n for p in arrays):
+            raise ValueError("flag permutations must share one degree")
+        for name, p in named:
+            if p and not (0 <= min(p) and max(p) < n):
+                raise ValueError(f"flag map key {name!r} has an entry outside 0..{n - 1}")
+        for name, p in named:
+            if tuple(p[p[f]] for f in range(n)) != tuple(range(n)):
+                raise ValueError(f"{name} is not an involution")
+    except (ValueError, TypeError) as exc:
+        return exc
+    message = flagmap_error_reference(*arrays)
+    return None if message is None else ValueError(message)
+
+
+def load_flagmap_reference(path):
+    """``load_flagmap`` by its documented checks in order, each run over the
+    whole file: a JSON object, the keys, integer arrays (booleans refused),
+    the count, then ``flagmap_refusal_reference``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("flag map file must hold a JSON object")
+    try:
+        count = data["flag_count"]
+        arrays = []
+        for key in ("s0", "s1", "s2"):
+            row = data[key]
+            if not isinstance(row, list) or any(type(x) is not int for x in row):
+                raise ValueError(f"flag map key {key!r} must be a list of integers")
+            arrays.append(row)
+    except KeyError as exc:
+        raise ValueError(f"flag map file missing key {exc}") from None
+    if len(arrays[0]) != count:
+        raise ValueError("flag_count does not match the permutation arrays")
+    refusal = flagmap_refusal_reference(*arrays)
+    if refusal is not None:
+        raise refusal
+    return flag_maps.FlagMap(*arrays)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` gives, for comparing two implementations: the
+    accepted flag map's image tuples, or the exception's type and message."""
+    try:
+        m = call(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return m.s0, m.s1, m.s2
+
+
 def colouring_by_flag_scan(m):
     """Oracle: the medial-graph 2-colouring that rescans every flag for each
     dequeued edge, O(edges x flags), over edge orbits found by
@@ -793,3 +853,30 @@ def rotation_systems(draw, max_edges=6):
     cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
     rotations = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
     return rotations, pairing
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def flagmap_documents(draw):
+    """Flag-map JSON of every kind: any JSON value; objects whose arrays are
+    of the wrong type, out of range or not involutions, with keys dropped;
+    and the flag systems of random rotation systems, often disconnected."""
+    kind = draw(st.sampled_from(["any", "arrays", "rotations"]))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    if kind == "rotations":
+        perms = flag_involutions(rotation_system_to_flagmap, *draw(rotation_systems()))
+        doc = {key: list(p) for key, p in zip(("s0", "s1", "s2"), perms)}
+        return dict(flag_count=len(perms[0]), **doc)
+    n = draw(st.integers(0, 8))
+    arrays = st.lists(st.integers(-1, n + 1), min_size=n, max_size=n)
+    doc = {"flag_count": draw(st.just(n) | JSON_VALUES)}
+    doc.update({key: draw(arrays | st.permutations(range(n)) | JSON_VALUES)
+                for key in ("s0", "s1", "s2")})
+    return {key: value for key, value in doc.items() if draw(st.integers(0, 7))}

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import ebrmaps.families as families
 from ebrmaps import (PresentationSyntaxError, catalog_names, dihedral_presentation,
-                     parse_presentation, rotation_system_to_flagmap)
+                     parse_presentation)
 from ebrmaps.cli import build_parser, main
-from conftest import FIXTURE_DIR, flag_involutions, rotation_systems
+from conftest import FIXTURE_DIR, flagmap_documents
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
@@ -331,33 +331,6 @@ def test_colourable_missing_file(capsys):
     code, _, err = run(capsys, "colourable", "--flagmap", "no_such_file.json")
     assert code == 1
     assert err
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids,
-                                                              max_size=3),
-    max_leaves=8)
-
-
-@st.composite
-def flagmap_documents(draw):
-    """Flag-map JSON of every kind: any JSON value; objects whose arrays are
-    of the wrong type, out of range or not involutions, with keys dropped;
-    and the flag systems of random rotation systems, often disconnected."""
-    kind = draw(st.sampled_from(["any", "arrays", "rotations"]))
-    if kind == "any":
-        return draw(JSON_VALUES)
-    if kind == "rotations":
-        perms = flag_involutions(rotation_system_to_flagmap, *draw(rotation_systems()))
-        doc = {key: list(p) for key, p in zip(("s0", "s1", "s2"), perms)}
-        return dict(flag_count=len(perms[0]), **doc)
-    n = draw(st.integers(0, 8))
-    arrays = st.lists(st.integers(-1, n + 1), min_size=n, max_size=n)
-    doc = {"flag_count": draw(st.just(n) | JSON_VALUES)}
-    doc.update({key: draw(arrays | st.permutations(range(n)) | JSON_VALUES)
-                for key in ("s0", "s1", "s2")})
-    return {key: value for key, value in doc.items() if draw(st.integers(0, 7))}
 
 
 @settings(max_examples=300)

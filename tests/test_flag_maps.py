@@ -1,9 +1,12 @@
 import json
 import os
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ebrmaps.flag_maps as flag_maps
 from ebrmaps import (
     EdgeBiregularMap,
     FlagMap,
@@ -25,8 +28,9 @@ from ebrmaps import (
     torus_rect,
 )
 from conftest import (FIXTURE_DIR, all_valid_quadruples, colouring_by_flag_scan,
-                      flag_involutions, flagmap_error_reference, orbits_by_walk,
-                      rotation_systems)
+                      flag_involutions, flagmap_documents, flagmap_error_reference,
+                      flagmap_refusal_reference, load_flagmap_reference, orbits_by_walk,
+                      outcome, rotation_systems)
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
@@ -176,12 +180,19 @@ def test_flagmap_validation():
                 Permutation.from_cycles(8, [(0, 3), (1, 2), (4, 7), (5, 6)]).images)
 
 
-@pytest.mark.parametrize("entry", [-1, 4])
+@pytest.mark.parametrize("entry", [-1, 4, -4, 2 ** 70])
 def test_flagmap_refuses_an_entry_out_of_range(entry):
-    """An entry of -1 would index the last flag, so it is refused, as n is."""
+    """An entry of -1 would index the last flag, so it is refused, as n is;
+    so are -4, which wraps to flag 0, and an entry too large for an index."""
     swap = (1, 0, 3, 2)
     with pytest.raises(ValueError, match=r"^flag map key 's2' has an entry outside 0\.\.3$"):
         FlagMap(swap, swap, (2, 3, entry, 1))
+
+
+def test_flagmap_refuses_an_in_range_float_with_type_error():
+    swap = (1, 0, 3, 2)
+    with pytest.raises(TypeError):
+        FlagMap((1.0, 0, 3, 2), swap, (2, 3, 0, 1))
 
 
 def test_rotation_system_validation():
@@ -218,6 +229,26 @@ def test_empty_flag_map_is_refused():
 def test_load_rejects_non_integer_arrays(tmp_path, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_flagmap(str(path))
+
+
+FOUR_FLAGS = {"flag_count": 4, "s0": [1, 0, 3, 2], "s1": [1, 0, 3, 2], "s2": [2, 3, 0, 1]}
+RANGE_S2 = r"^flag map key 's2' has an entry outside 0\.\.3$"
+
+
+@pytest.mark.parametrize("key, row, message", [
+    ("s0", [True, False, 3, 2], "^flag map key 's0' must be a list of integers$"),
+    ("s2", [2, 3, -4, 1], RANGE_S2),
+    ("s2", [2, 3, 2 ** 70, 1], RANGE_S2),
+    ("s1", [1, 2, 3, 0], "^s1 is not an involution$"),
+], ids=["booleans-pass-the-involution-test", "wraps-to-flag-0", "too-large-to-index",
+        "in-range-non-involution"])
+def test_load_names_the_one_fault_of_a_four_flag_file(tmp_path, key, row, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(FOUR_FLAGS))
+    assert load_flagmap(str(path)).to_json_dict() == FOUR_FLAGS
+    path.write_text(json.dumps({**FOUR_FLAGS, key: row}))
     with pytest.raises(ValueError, match=message):
         load_flagmap(str(path))
 
@@ -385,3 +416,122 @@ def test_flagmap_property_inputs_reach_every_verdict():
                         "s2 is not an involution", "s0*s2 is not an involution",
                         "s0*s2 has fixed points (semi-edge or boundary)",
                         "flag system is disconnected"}
+
+
+# -- the loader and the constructor against their range-first references -------
+
+@st.composite
+def mutated_grids(draw):
+    """The files of small torus grids, valid or with faults: booleans on the
+    entries 0 and 1 of an array; entries moved to ``p[i] - n`` (a wrapped
+    index), ``n``, ``2**70``, a float, null or any int in -n-1..n+1; a wrong
+    count; a key dropped."""
+    p, q, diagonal = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.booleans())
+    perms = flag_involutions(rotation_system_to_flagmap, *torus_grid(p, q, diagonal))
+    n = len(perms[0])
+    doc = {key: list(perm) for key, perm in zip(("s0", "s1", "s2"), perms)}
+    if draw(st.booleans()):  # booleans where the values 0 and 1 sit in one array
+        row = doc[draw(st.sampled_from(["s0", "s1", "s2"]))]
+        for value in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+            row[row.index(value)] = bool(value)
+    for _ in range(draw(st.integers(0, 2))):
+        row = doc[draw(st.sampled_from(["s0", "s1", "s2"]))]
+        i = draw(st.sampled_from([j for j, x in enumerate(row) if type(x) is int]))
+        fault = draw(st.sampled_from(["int"] * 4 + ["wrap", "n", "huge", "float", "null"]))
+        row[i] = {"int": draw(st.integers(-n - 1, n + 1)), "wrap": row[i] - n, "n": n,
+                  "huge": 2 ** 70, "float": float(row[i]), "null": None}[fault]
+    doc["flag_count"] = draw(st.sampled_from([n] * 12 + [n + 1, float(n), None, True]))
+    return {key: value for key, value in doc.items() if draw(st.sampled_from([1] * 15 + [0]))}
+
+
+@settings(max_examples=300)
+@given(st.one_of(flagmap_documents(), mutated_grids()))
+def test_load_agrees_with_the_range_first_reference(tmp_path_factory, doc):
+    path = str(tmp_path_factory.getbasetemp() / "doc.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert outcome(load_flagmap, path) == outcome(load_flagmap_reference, path)
+
+
+def test_mutated_grids_reach_every_verdict_of_the_loader(tmp_path_factory):
+    """The grid strategy is not vacuous: valid files, every fault the loader
+    names, and booleans in arrays that the constructor accepts all occur
+    among examples drawn the same way."""
+    verdicts = set()
+    path = str(tmp_path_factory.getbasetemp() / "verdict.json")
+
+    @settings(max_examples=300, database=None)
+    @given(mutated_grids())
+    def collect(doc):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        result = outcome(load_flagmap_reference, path)
+        verdicts.add(re.sub(r"\d+", "N", result[1]) if result[0] is ValueError else "accepted")
+        arrays = [doc.get(key) for key in ("s0", "s1", "s2")]
+        if (all(isinstance(row, list) for row in arrays) and bool in map(type, sum(arrays, []))
+                and flagmap_refusal_reference(*arrays) is None):
+            verdicts.add("booleans in a flag map")
+
+    collect()
+    assert {"accepted", "booleans in a flag map",
+            "flag map key 'sN' must be a list of integers",
+            "flag map key 'sN' has an entry outside N..N", "sN is not an involution",
+            "flag map file missing key 'sN'", "flag map file missing key 'flag_count'",
+            "flag_count does not match the permutation arrays"} <= verdicts
+
+
+@st.composite
+def entry_mutated_flags(draw):
+    """Constructor arguments: ``FLAG_INPUTS`` with a few entries replaced by
+    ints in -n-1..n+1, booleans, floats or None, or booleans put on the
+    entries 0 and 1; or three sequences of such entries."""
+    perms = [list(perm) for perm in draw(FLAG_INPUTS)]
+    n = len(perms[0])
+    entry = st.integers(-n - 1, n + 1) | st.booleans() | st.floats(-n - 1, n + 1) | st.none()
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return tuple(draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(3))
+    if kind == 1:
+        return tuple([bool(x) if x in (0, 1) else x for x in row] for row in perms)
+    for _ in range(draw(st.integers(0, 3))):
+        row = perms[draw(st.integers(0, 2))]
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(entry)
+    return tuple(perms)
+
+
+@settings(max_examples=400)
+@given(entry_mutated_flags())
+def test_flagmap_agrees_with_the_range_first_reference(perms):
+    refusal = flagmap_refusal_reference(*perms)
+    expected = tuple(map(tuple, perms)) if refusal is None else (type(refusal), str(refusal))
+    assert outcome(FlagMap, *perms) == expected
+
+
+def test_a_valid_file_is_accepted_without_the_scans_that_name_faults(tmp_path, monkeypatch):
+    """Loading a valid 8,272-flag grid calls neither the range scan (``min``,
+    ``max``) nor the per-entry type scan (``_flag_array``); a file with one
+    entry out of range calls them to name its fault."""
+    m = rotation_system_to_flagmap(*torus_grid(22, 47, False))
+    assert m.flag_count == 8272
+    path = tmp_path / "grid.json"
+    save_flagmap(m, str(path))
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(flag_maps, "min", counted("min", min), raising=False)
+    monkeypatch.setattr(flag_maps, "max", counted("max", max), raising=False)
+    monkeypatch.setattr(flag_maps, "_flag_array", counted("_flag_array", flag_maps._flag_array))
+    assert load_flagmap(str(path)).to_json_dict() == m.to_json_dict()
+    assert calls == Counter()
+    data = m.to_json_dict()
+    data["s1"][5] = m.flag_count
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"^flag map key 's1' has an entry outside 0\.\.8271$"):
+        load_flagmap(str(path))
+    assert calls["min"] > 0 and calls["max"] > 0 and calls["_flag_array"] == 3
