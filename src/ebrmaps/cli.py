@@ -22,7 +22,7 @@ from .enumeration import (
     enumerate_ebr,
 )
 from .flag_maps import is_alternate_edge_colourable, load_flagmap
-from .perm_group import GroupTooLargeError
+from .perm_group import GroupTooLargeError, orbits
 from .presentation import (
     DEFAULT_MAX_COSETS,
     CosetLimitExceeded,
@@ -201,40 +201,30 @@ def corners_dot(m: EdgeBiregularMap) -> str:
 
 def underlying_dot(m: EdgeBiregularMap) -> str:
     """The map's vertex/edge graph: solid for shaded edges, dashed for
-    unshaded; semi-edges end in an unlabelled point."""
+    unshaded; semi-edges end in an unlabelled point.  Vertices and edges are
+    the corner orbits of two slots' right translations; a vertex is named by
+    its least corner."""
     if m.has_boundary:
         raise ValueError("underlying export needs a closed map")
-    group = m.group
+    n, right = m.group.order, m.group.right_translation
     r0, r2, p0, p2 = m.slot_indices
 
-    vertex_stabiliser = group.subgroup_indices([r2, p2])
-    vertex_of = {}
-    for c in range(group.order):
-        if c not in vertex_of:
-            members = sorted(group.mul(c, w) for w in vertex_stabiliser)
-            for member in members:
-                vertex_of[member] = members[0]
+    vertex_of = [0] * n
+    for vertex in orbits(n, (right(r2), right(p2))):
+        for c in vertex:
+            vertex_of[c] = vertex[0]
 
     lines = ["graph underlying {", "  node [shape=circle, label=\"\"];"]
     free_end = 0
     for along, across, style in ((r0, r2, "solid"), (p0, p2, "dashed")):
-        seen = set()
-        semi = along == across
-        stabiliser = group.subgroup_indices([along] if semi else [along, across])
-        for c in range(group.order):
-            if c in seen:
-                continue
-            members = [group.mul(c, w) for w in stabiliser]
-            seen.update(members)
-            ends = sorted({vertex_of[x] for x in members})
-            if semi:
+        for edge in orbits(n, (right(along), right(across))):
+            ends = sorted({vertex_of[c] for c in edge})
+            if along == across:  # a semi-edge
                 lines.append(f"  f{free_end} [shape=point];")
                 lines.append(f"  v{ends[0]} -- f{free_end} [style={style}];")
                 free_end += 1
-            elif len(ends) == 1:
-                lines.append(f"  v{ends[0]} -- v{ends[0]} [style={style}];")
-            else:
-                lines.append(f"  v{ends[0]} -- v{ends[1]} [style={style}];")
+            else:  # a loop when both ends are one vertex
+                lines.append(f"  v{ends[0]} -- v{ends[-1]} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -3,14 +3,14 @@ built-in catalogs of regular maps and of groups to sweep.
 
 Each family group, and each catalog entry with a parameter, is written down
 as the right Cayley graph of a quotient (Z²/L) ⋊ P of affine maps, in
-O(order), by ``affine_quotient``, after ``within_max_order`` has accepted its
-order.  For type (4,4) the four slot involutions generate D∞ × D∞ = Z² ⋊ C2²,
-the reflections in the sides of a rectangle, so the torus and Klein-bottle
-maps are quotients (Z²/L) ⋊ C2² and the square-grid catalog map is
-(Z²/gZ²) ⋊ D4.  The dihedral and sphere families, the hosohedra, the
-dihedra and the dihedral catalog groups are quotients of Z ⋊ C2, some times
-C2.  Only the five platonic solids are built by coset enumeration of
-triangle-group quotients.  The tests check the columns against coset
+O(order), by ``affine_quotient``, which refuses an order above
+``DEFAULT_MAX_ORDER`` before it writes anything.  For type (4,4) the four
+slot involutions generate D∞ × D∞ = Z² ⋊ C2², the reflections in the sides
+of a rectangle, so the torus and Klein-bottle maps are quotients
+(Z²/L) ⋊ C2² and the square-grid catalog map is (Z²/gZ²) ⋊ D4.  The
+dihedral and sphere families, the hosohedra, the dihedra and the dihedral
+catalog groups are quotients of Z ⋊ C2, some times C2.  Only the five
+platonic solids are built by coset enumeration of triangle-group quotients.  The tests check the columns against coset
 enumeration of the defining relators and against closure of explicit
 permutations.
 """
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .constructions import RegularMap
 from .ebr_core import SLOT_NAMES, EdgeBiregularMap
-from .perm_group import FiniteGroup, within_max_order
+from .perm_group import DEFAULT_MAX_ORDER, FiniteGroup, GroupTooLargeError
 from .presentation import GroupPresentation, coset_enumerate, triangle_group
 
 # An affine map (x, y) -> (a x + b y + s, c x + d y + t) of Z², held as
@@ -75,6 +75,9 @@ def affine_quotient(names: Sequence[str], generators: Sequence[Affine],
     for m in linear[1:]:
         if central is None or _matmul(central[0], m) not in kept:
             kept.append(m)
+    if len(kept) * size > DEFAULT_MAX_ORDER:  # refused before any list of that size
+        raise GroupTooLargeError(f"group too large: order {len(kept) * size} is above "
+                                 f"max_order={DEFAULT_MAX_ORDER}")
 
     through_central = None if central is None else moved(*central)
     columns = []
@@ -112,7 +115,6 @@ def torus_rect(a: int, c: int) -> EdgeBiregularMap:
     (a == c)."""
     if a < 1 or c < 1:
         raise ValueError("torus_rect parameters must be positive")
-    within_max_order(4 * a * c)
     return _slot_map(affine_quotient(SLOT_NAMES, _RECTANGLE, (a, 0, c)))
 
 
@@ -122,7 +124,6 @@ def torus_rhombic(b: int, c: int) -> EdgeBiregularMap:
     8bc; fully regular when b == c."""
     if b < 1 or c < 1:
         raise ValueError("torus_rhombic parameters must be positive")
-    within_max_order(8 * b * c)
     return _slot_map(affine_quotient(SLOT_NAMES, _RECTANGLE, (2 * b, b, c)))
 
 
@@ -136,7 +137,6 @@ def klein(a: int, b: int) -> EdgeBiregularMap:
         raise ValueError("klein parameter a must be positive")
     if b not in (1, 2):
         raise ValueError("klein parameter b must be 1 or 2")
-    within_max_order(4 * a * b)
     glide = (_FLIP_X, (0, a))
     return _slot_map(affine_quotient(SLOT_NAMES, _RECTANGLE, (b, 0, 2 * a), glide))
 
@@ -165,7 +165,6 @@ def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
         raise ValueError("row must be 1..4")
     if row in (2, 4) and (m // 2) % 2 == 0:
         raise ValueError(f"row {row} requires m/2 odd")
-    within_max_order(2 * m)
     # Rows 1 and 3 act on Z/m, with z the half turn x -> x + m/2; rows 2 and
     # 4 on Z/(m/2) x Z/2, with z the layer swap.  z is central: r z = z r.
     lattice, z = ((m, 0, 1), (m // 2, 0)) if row in (1, 3) else ((m // 2, 0, 2), (0, 1))
@@ -202,7 +201,6 @@ def sphere_family(kind: str, m: int, rpp: bool = False) -> EdgeBiregularMap:
         slots, lattice = (_REFLECT_0, _REFLECT_0, _REFLECT_1, _REFLECT_1), (m, 0, 1)
     else:
         raise ValueError(f"unknown sphere family kind {kind!r}")
-    within_max_order(2 * lattice[0] * lattice[2])
     return _slot_map(affine_quotient(SLOT_NAMES, slots, lattice))
 
 
@@ -259,7 +257,6 @@ def regular_catalog(name: str) -> RegularMap:
         if min(a, b) < 1:
             raise ValueError(f"catalog parameter must be positive in {name!r}")
         g = gcd(a, b)
-        within_max_order(8 * g * g)
         group = affine_quotient(("R0", "R2", "R1"), _SQUARE_GRID, (g, 0, g))
     elif base in _LAYERED:
         m = _parameter(arg, unknown)
@@ -267,7 +264,6 @@ def regular_catalog(name: str) -> RegularMap:
             raise ValueError(f"catalog parameter must be positive in {name!r}")
         if m < 2:
             raise ValueError("triangle group parameters must be at least 2")
-        within_max_order(4 * m)
         group = affine_quotient(("R0", "R2", "R1"), (*_LAYERED[base], _REFLECT_1), (m, 0, 2))
     else:
         raise ValueError(unknown)
@@ -303,6 +299,5 @@ def catalog_group(name: str) -> FiniteGroup:
     if n < 2 or n % 2 != 0:
         raise ValueError("dihedral order must be even and at least 2")
     layers = 1 if prefix == "dih:" else 2
-    within_max_order(layers * n)
     gens = (_REFLECT_0, _REFLECT_1, _SWAP_LAYERS)[:layers + 1]
     return affine_quotient(("a", "b", "z")[:layers + 1], gens, (n // 2, 0, layers))

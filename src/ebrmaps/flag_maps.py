@@ -20,6 +20,8 @@ import json
 from operator import eq, itemgetter
 from typing import Optional, Sequence
 
+from .perm_group import orbits
+
 __all__ = [
     "FlagMap",
     "is_alternate_edge_colourable",
@@ -63,9 +65,9 @@ class FlagMap:
             raise ValueError("s0*s2 has fixed points (semi-edge or boundary)")
         # <s0, s2> is now a Klein four-group.  A breadth-first walk through s1
         # sorts each edge's flags when it first reaches the edge, keys them by
-        # the least (``_edge``) and puts the edge on the side opposite its
+        # the least (``edge``) and puts the edge on the side opposite its
         # finder's; a transition within one side closes an odd medial cycle.
-        self._edge = edge = [-1] * n
+        edge = [-1] * n
         self._side = side = bytearray(n)
         queue = []
         if n:  # the walk starts at the edge of flag 0, on side 0
@@ -91,15 +93,13 @@ class FlagMap:
         self.flag_count, self.s0, self.s1, self.s2 = n, along, corner, across
 
     def vertex_orbits(self) -> list[list[int]]:
-        return _orbits(self.flag_count, (self.s1, self.s2))
+        return orbits(self.flag_count, (self.s1, self.s2))
 
     def edge_orbits(self) -> list[list[int]]:
-        along, across = self.s0, self.s2
-        return [list(dict.fromkeys((e, along[e], across[e], across[along[e]])))
-                for e, least in enumerate(self._edge) if e == least]
+        return orbits(self.flag_count, (self.s0, self.s2))
 
     def face_orbits(self) -> list[list[int]]:
-        return _orbits(self.flag_count, (self.s0, self.s1))
+        return orbits(self.flag_count, (self.s0, self.s1))
 
     def chi(self) -> int:
         return len(self.vertex_orbits()) - len(self.edge_orbits()) + len(self.face_orbits())
@@ -119,24 +119,6 @@ class FlagMap:
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple:
     """The images ``q[p[f]]`` of every point ``f``, as a tuple."""
     return itemgetter(*p)(q) if len(p) > 1 else tuple(map(q.__getitem__, p))
-
-
-def _orbits(n: int, images: Sequence[Sequence[int]]) -> list[list[int]]:
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        for f in orbit:
-            for p in images:
-                g = p[f]
-                if not seen[g]:
-                    seen[g] = True
-                    orbit.append(g)
-        orbits.append(orbit)
-    return orbits
 
 
 def is_alternate_edge_colourable(m: FlagMap) -> Optional[dict[int, int]]:

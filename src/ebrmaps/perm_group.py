@@ -22,14 +22,6 @@ class GroupTooLargeError(RuntimeError):
     """Raised when a closure exceeds the configured element bound."""
 
 
-def within_max_order(order: int) -> None:
-    """Refuse an order above ``DEFAULT_MAX_ORDER``.  Constructors that write a
-    group down check it before they build anything of that size."""
-    if order > DEFAULT_MAX_ORDER:
-        raise GroupTooLargeError(f"group too large: order {order} is above "
-                                 f"max_order={DEFAULT_MAX_ORDER}")
-
-
 class Permutation:
     """An immutable bijection of ``{0, ..., degree-1}``."""
 
@@ -156,7 +148,9 @@ class FiniteGroup:
         if len(found) != n:
             raise ValueError("the generators do not reach every element")
         self.columns = tuple([number[col[x]] for x in found] for col in columns)
-        self._right: list[Optional[list[int]]] = [list(range(n))] + [None] * (n - 1)
+        # Rows are memoised on demand, the identity's too: every other tree
+        # path ends at a generator's column.
+        self._right: list[Optional[list[int]]] = [None] * n
         for col in self.columns:  # a generator's right translation is its column
             self._right[col[0]] = col
         self._elements = None if elements is None else tuple(elements[x] for x in found)
@@ -221,6 +215,8 @@ class FiniteGroup:
     def right_translation(self, j: int) -> list[int]:
         """The array ``x -> x*j`` (do not modify): a generator's column, else
         the tree parent's array read through one column, memoised along the path."""
+        if j == 0 and self._right[0] is None:
+            self._right[0] = list(range(self.order))
         path = []
         while self._right[j] is None:
             path.append(j)
@@ -307,6 +303,26 @@ def closure(generators: Sequence[Permutation], names: Optional[Sequence[str]] = 
                 elements.append(f)
             col.append(j)
     return FiniteGroup(names, columns, elements)
+
+
+def orbits(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits of the permutations ``rows`` (image arrays on 0..n-1), each
+    walked breadth-first from its least point, listed in order of that point."""
+    seen = bytearray(n)
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = [start]
+        seen[start] = 1
+        for f in orbit:  # grows while it is walked
+            for row in rows:
+                g = row[f]
+                if not seen[g]:
+                    seen[g] = 1
+                    orbit.append(g)
+        out.append(orbit)
+    return out
 
 
 def _walk(group: FiniteGroup, gens: Sequence[int], order: list[int]) -> Iterable[int]:

@@ -729,6 +729,74 @@ def orbits_by_walk(n, perms):
     return orbits
 
 
+def orbits_by_union_find(n, perms):
+    """Orbits of ``<perms>``, image arrays on 0..n-1, by union-find over the
+    pairs f, p[f]: each orbit as a sorted list, in order of its least point."""
+    parent = list(range(n))
+
+    def root(f):
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]
+        return f
+
+    for p in perms:
+        for f in range(n):
+            a, b = root(f), root(p[f])
+            parent[max(a, b)] = min(a, b)
+    classes = {}
+    for f in range(n):
+        classes.setdefault(root(f), []).append(f)
+    return list(classes.values())
+
+
+def edge_orbits_by_listing(m):
+    """``FlagMap.edge_orbits`` as it was once listed: for each flag least in
+    its edge, the edge's flags e, e*s0, e*s2, e*s0*s2, each once."""
+    along, across = m.s0, m.s2
+    quads = [(e, along[e], across[e], across[along[e]]) for e in range(m.flag_count)]
+    return [list(dict.fromkeys(quad)) for quad in quads if quad[0] == min(quad)]
+
+
+def underlying_dot_reference(m):
+    """The underlying DOT graph by cosets: each corner times every element of
+    a vertex or edge stabiliser, listed with ``subgroup_indices``."""
+    if m.has_boundary:
+        raise ValueError("underlying export needs a closed map")
+    group = m.group
+    r0, r2, p0, p2 = m.slot_indices
+
+    vertex_stabiliser = group.subgroup_indices([r2, p2])
+    vertex_of = {}
+    for c in range(group.order):
+        if c not in vertex_of:
+            members = sorted(group.mul(c, w) for w in vertex_stabiliser)
+            for member in members:
+                vertex_of[member] = members[0]
+
+    lines = ["graph underlying {", "  node [shape=circle, label=\"\"];"]
+    free_end = 0
+    for along, across, style in ((r0, r2, "solid"), (p0, p2, "dashed")):
+        seen = set()
+        semi = along == across
+        stabiliser = group.subgroup_indices([along] if semi else [along, across])
+        for c in range(group.order):
+            if c in seen:
+                continue
+            members = [group.mul(c, w) for w in stabiliser]
+            seen.update(members)
+            ends = sorted({vertex_of[x] for x in members})
+            if semi:
+                lines.append(f"  f{free_end} [shape=point];")
+                lines.append(f"  v{ends[0]} -- f{free_end} [style={style}];")
+                free_end += 1
+            elif len(ends) == 1:
+                lines.append(f"  v{ends[0]} -- v{ends[0]} [style={style}];")
+            else:
+                lines.append(f"  v{ends[0]} -- v{ends[1]} [style={style}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def flagmap_error_reference(s0, s1, s2):
     """The message ``FlagMap(s0, s1, s2)`` must raise on the image arrays of
     three bijections, or None when it must accept: composed permutations for

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ebrmaps.families as families
-from ebrmaps import (PresentationSyntaxError, catalog_names, dihedral_presentation,
-                     parse_presentation)
-from ebrmaps.cli import build_parser, main
-from conftest import FIXTURE_DIR, flagmap_documents
+from ebrmaps import (PresentationSyntaxError, catalog_names, construction3, construction4,
+                     dihedral_map, dihedral_presentation, klein, parse_presentation,
+                     regular_catalog, sphere_family, torus_rect, torus_rhombic)
+from ebrmaps.cli import build_parser, main, underlying_dot
+from conftest import FIXTURE_DIR, flagmap_documents, underlying_dot_reference
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
@@ -402,6 +403,58 @@ def test_export_underlying_semistar_free_ends(capsys, tmp_path):
                      "--dot", "underlying", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().count("shape=point") == 4
+
+
+def underlying_export_maps():
+    """Closed maps of every family, and constructions 3 and 4 (where it
+    applies) of regular catalog maps, with loops, multiple and semi-edges."""
+    maps = [build(x, y) for build in (torus_rect, torus_rhombic)
+            for x in range(1, 6) for y in range(1, 6)]
+    maps += [klein(a, b) for a in range(1, 8) for b in (1, 2)]
+    maps += [dihedral_map(m, row) for m in range(4, 41, 2) for row in (1, 2, 3, 4)
+             if row in (1, 3) or (m // 2) % 2]
+    maps += [sphere_family(kind, m) for kind in ("cycle", "dipole", "semistar")
+             for m in range(1, 20)]
+    maps += [sphere_family("dipole", m, rpp=True) for m in range(2, 20, 2)]
+    for name in ("cube", "tetrahedron", "octahedron", "dodecahedron", "icosahedron",
+                 "hosohedron:5", "dihedron:4", "torus44:3:3-rect"):
+        regular = regular_catalog(name)
+        maps.append(construction3(regular))
+        with contextlib.suppress(ValueError):
+            maps.append(construction4(regular))
+    return maps
+
+
+def test_underlying_dot_matches_the_coset_reference():
+    maps = underlying_export_maps()
+    assert len(maps) == 195
+    for m in maps:
+        assert underlying_dot(m) == underlying_dot_reference(m), m
+
+
+def test_underlying_dot_is_linear_in_the_order():
+    import tracemalloc
+
+    # Order 4,000 and one vertex, whose stabiliser is the group: the reference
+    # memoises a row of 4,000 corners for each of its elements.
+    m = dihedral_map(2000, 1)
+    tracemalloc.start()
+    try:
+        text = underlying_dot(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("  v0 -- v0 ") == 2000  # |H|/4 loops of each colour
+    assert peak < 8 * 2**20
+
+
+def test_export_underlying_refuses_a_boundary_map(capsys, tmp_path):
+    out_path = tmp_path / "boundary.dot"
+    code, out, err = run(capsys, "export", "--presentation",
+                         "< a, b, c | a^2, b^2, c^2, (a b)^2, (a c)^3, (b c)^4 >",
+                         "--slots", "a,b,c,-", "--dot", "underlying", "--out", str(out_path))
+    assert (code, out, err) == (1, "", "error: underlying export needs a closed map\n")
+    assert not out_path.exists()
 
 
 def test_missing_subcommand_is_input_error(capsys):

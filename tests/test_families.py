@@ -395,6 +395,8 @@ def test_unknown_catalog_name():
 
 
 def test_constructors_refuse_orders_above_the_order_budget(monkeypatch):
+    import tracemalloc
+
     import ebrmaps.families as families
     from ebrmaps import GroupTooLargeError
     from ebrmaps.perm_group import DEFAULT_MAX_ORDER
@@ -403,8 +405,8 @@ def test_constructors_refuse_orders_above_the_order_budget(monkeypatch):
         raise AssertionError("group construction called")
 
     # The affine writer builds every family and every parametrised catalog
-    # entry, so they all answer to the order budget before anything is built.
-    monkeypatch.setattr(families, "affine_quotient", unreachable)
+    # entry, and refuses an order above the budget before it writes a column.
+    monkeypatch.setattr(families, "FiniteGroup", unreachable)
     monkeypatch.setattr(families, "coset_enumerate", unreachable)
     written = [lambda: torus_rect(1000, 1000), lambda: torus_rhombic(500, 251),
                lambda: klein(250001, 1), lambda: dihedral_map(500002, 1),
@@ -412,10 +414,17 @@ def test_constructors_refuse_orders_above_the_order_budget(monkeypatch):
                lambda: regular_catalog("torus44:354:708-rect"),  # 8 * 354**2
                lambda: regular_catalog("hosohedron:250001"),
                lambda: regular_catalog("dihedron:250001")]
-    for build in written:
-        with pytest.raises(GroupTooLargeError,
-                           match=f"^group too large: order \\d+ is above max_order={DEFAULT_MAX_ORDER}$"):
-            build()
+    tracemalloc.start()
+    try:
+        for build in written:
+            with pytest.raises(GroupTooLargeError,
+                               match=f"^group too large: order \\d+ is above "
+                                     f"max_order={DEFAULT_MAX_ORDER}$"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before anything of that size is built
     # An order at the budget itself goes on to build the group.
     with pytest.raises(AssertionError, match="group construction called"):
         torus_rect(500, 500)

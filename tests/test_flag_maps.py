@@ -28,7 +28,7 @@ from ebrmaps import (
     torus_rect,
 )
 from conftest import (FIXTURE_DIR, all_valid_quadruples, colouring_by_flag_scan,
-                      flag_involutions, flagmap_documents, flagmap_error_reference,
+                      edge_orbits_by_listing, flag_involutions, flagmap_documents, flagmap_error_reference,
                       flagmap_refusal_reference, load_flagmap_reference, orbits_by_walk,
                       outcome, rotation_systems)
 
@@ -535,3 +535,15 @@ def test_a_valid_file_is_accepted_without_the_scans_that_name_faults(tmp_path, m
     with pytest.raises(ValueError, match=r"^flag map key 's1' has an entry outside 0\.\.8271$"):
         load_flagmap(str(path))
     assert calls["min"] > 0 and calls["max"] > 0 and calls["_flag_array"] == 3
+
+
+def test_edge_orbits_keep_their_listing(torus_flagmap, sphere_flagmap, cube_flagmap):
+    """Edges come out of the shared orbit walk as the constructor once listed
+    them: from each least flag, then along, across, and along-then-across."""
+    family = [torus_rect(3, 4), klein(3, 2), dihedral_map(12, 3),
+              sphere_family("dipole", 4), sphere_family("dipole", 4, rpp=True)]
+    flagmaps = [torus_flagmap, sphere_flagmap, cube_flagmap]
+    flagmaps += [ebr_to_flagmap(m) for m in family]
+    flagmaps += [load_flagmap(path) for path in (TORUS_FIXTURE, SPHERE_FIXTURE)]
+    for fm in flagmaps:
+        assert fm.edge_orbits() == edge_orbits_by_listing(fm)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from ebrmaps import (
     FiniteGroup,
@@ -10,7 +11,9 @@ from ebrmaps import (
     extend_generator_map,
     is_dihedral,
 )
-from conftest import dihedral_by_rotation, involutions_by_scan, subgroup_reference
+from ebrmaps.perm_group import orbits
+from conftest import (dihedral_by_rotation, involutions_by_scan, orbits_by_union_find,
+                      orbits_by_walk, subgroup_reference)
 
 
 def square_symmetries():
@@ -311,3 +314,38 @@ def test_right_translations_are_products_of_elements():
         elements = g.elements
         for j in range(g.order):
             assert g.right_translation(j) == [g.index(x * elements[j]) for x in elements], j
+
+
+def test_the_identity_row_is_built_when_first_asked_for():
+    g = catalog_group("dihxc2:12")  # a column group: none of its generators is 0
+    assert g._right[0] is None
+    identity = g.right_translation(0)
+    assert identity == list(range(g.order)) and g._right[0] is identity
+    assert [g.mul(i, 0) for i in range(g.order)] == identity
+    assert (g.inv(0), g.element_order(0)) == (0, 1)
+    assert Permutation.identity(g.order) in g
+    assert g.index(Permutation.identity(g.order)) == 0
+
+
+@st.composite
+def orbit_rows(draw):
+    """Image arrays on 0..n-1, n >= 1: permutations with and without fixed
+    points, and identity rows among them."""
+    n = draw(st.integers(1, 24))
+    perm = st.permutations(range(n)).map(list)
+    rows = draw(st.lists(st.one_of(perm, st.just(list(range(n)))), max_size=3))
+    return n, rows
+
+
+@given(orbit_rows())
+def test_orbits_match_union_find(case):
+    n, rows = case
+    out = orbits(n, rows)
+    assert [sorted(orbit) for orbit in out] == orbits_by_union_find(n, rows)
+    assert out == orbits_by_walk(n, rows)  # breadth-first from the least point
+
+
+def test_orbits_of_no_rows_and_of_one_point():
+    assert orbits(1, []) == orbits(1, [[0]]) == [[0]]
+    assert orbits(3, []) == orbits(3, [[0, 1, 2]]) == [[0], [1], [2]]
+    assert orbits(5, [[1, 0, 2, 4, 3], [0, 3, 2, 1, 4]]) == [[0, 1, 3, 4], [2]]
