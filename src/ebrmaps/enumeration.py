@@ -35,6 +35,7 @@ come from ``families.catalog_group`` or a presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap, _type_and_chi
@@ -49,16 +50,14 @@ class CandidateBudgetExceeded(RuntimeError):
 
 def _commuting_involution_pairs(group: FiniteGroup, proper: bool) -> list[tuple[int, int]]:
     """The ordered pairs of commuting involutions, sorted.  Involutions x and
-    y commute exactly when y*x is 1 or an involution, so each x reads one row."""
+    y commute exactly when x*y is 1 or an involution z, that is when y = x*z,
+    so each x reads its left translation at 1 and the involutions, and keeps none."""
     invs = group.involution_indices()
-    one_or_inv = bytearray(group.order)
-    one_or_inv[0] = 1
-    for x in invs:
-        one_or_inv[x] = 1
+    inv_set, one_or_inv = set(invs), itemgetter(0, *invs)
     pairs = []
     for x in invs:
-        right = group.right_translation(x)
-        pairs.extend((x, y) for y in invs if one_or_inv[right[y]] and not (proper and x == y))
+        partners = inv_set.intersection(one_or_inv(group.left_translation(x)))
+        pairs.extend((x, y) for y in sorted(partners) if not (proper and x == y))
     return pairs
 
 
@@ -94,9 +93,8 @@ def _seeded_firsts(group: FiniteGroup, pairs: list[tuple[int, int]],
     """The first-pair union-find merged under conjugation by each generator:
     its roots are the pairs least under conjugation by the group."""
     parent = list(range(len(pairs)))
-    for col in group.columns:
-        right = group.right_translation(col[0])
-        conjugation = [right[x] for x in group.left_translation(group.inv(col[0]))]
+    for col in group.columns:  # a generator's right translation is its column
+        conjugation = [col[x] for x in group.left_translation(group.inv(col[0]))]
         _merge_images(parent, pairs, index, conjugation, range(len(pairs)))
     return parent
 

@@ -11,6 +11,7 @@ order; every downstream "first representative" tie-break inherits this order.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from math import lcm
 from operator import eq
 from typing import Iterable, Optional, Sequence, Union
@@ -123,9 +124,11 @@ class FiniteGroup:
     Elements are numbered 0 (the identity) upward in breadth-first order over
     the declared generators, which keeps reports and canonical forms stable;
     the constructor renumbers columns (and ``elements``) given in any order
-    with the identity at 0.  Permutations are derived on request only: element
-    ``i`` reads as its right translation ``x -> x*i``, unless ``closure``
-    passed the ``elements`` it was closed under.
+    with the identity at 0.  A generator's row ``x -> x*j`` is its column; any
+    other is one left translation read through the inverse array, memoised
+    only for the ``j`` asked.  Permutations are derived on request only:
+    element ``i`` reads as its right translation ``x -> x*i``, unless
+    ``closure`` passed the ``elements`` it was closed under.
     """
 
     def __init__(self, generator_names: Sequence[str], columns: Sequence[Sequence[int]],
@@ -148,11 +151,11 @@ class FiniteGroup:
         if len(found) != n:
             raise ValueError("the generators do not reach every element")
         self.columns = tuple([number[col[x]] for x in found] for col in columns)
-        # Rows are memoised on demand, the identity's too: every other tree
-        # path ends at a generator's column.
+        # The rows asked for, memoised; a generator's right translation is its column.
         self._right: list[Optional[list[int]]] = [None] * n
-        for col in self.columns:  # a generator's right translation is its column
+        for col in self.columns:
             self._right[col[0]] = col
+        self._inverse: Optional[list[int]] = None
         self._elements = None if elements is None else tuple(elements[x] for x in found)
         self.degree = n if elements is None else elements[0].degree
         # A closure's permutations are looked up; any other element is its
@@ -181,21 +184,13 @@ class FiniteGroup:
     def elements(self) -> tuple[Permutation, ...]:
         """Every element as a permutation, in element order."""
         if self._elements is None:
-            els = [Permutation.identity(self.degree)]
-            for f in range(1, self.order):
-                col = self.columns[self._via[f]]
-                els.append(Permutation([col[x] for x in els[self._parent[f]].images]))
-            self._elements = tuple(els)
+            self._elements = tuple(map(self.element, range(self.order)))
         return self._elements
 
     def element(self, i: int) -> Permutation:
         if self._elements is not None:
             return self._elements[i]
-        images: Sequence[int] = range(self.order)
-        while i:  # prepend generators along the tree path back to 0
-            images = [images[x] for x in self.columns[self._via[i]]]
-            i = self._parent[i]
-        return Permutation(images)
+        return Permutation._trusted(tuple(self._row(i)))
 
     def index(self, p: ElementLike) -> int:
         if isinstance(p, int):
@@ -210,47 +205,52 @@ class FiniteGroup:
         if self._index is not None:
             return p in self._index
         return (isinstance(p, Permutation) and p.degree == self.order
-                and self.right_translation(p(0)) == list(p.images))
+                and self._row(p(0)) == list(p.images))
+
+    def _inverses(self) -> list[int]:
+        """Every element's inverse, built once: (p*g)^-1 is g^-1 * p^-1."""
+        if self._inverse is None:
+            undo = [self.left_translation(col.index(0)) for col in self.columns]
+            self._inverse = inverse = [0]
+            for p, g in zip(islice(self._parent, 1, None), islice(self._via, 1, None)):
+                inverse.append(undo[g][inverse[p]])
+        return self._inverse
+
+    def _row(self, j: int) -> list[int]:
+        """``x -> x*j``, not memoised: a generator's column, else ``(j^-1 * x^-1)^-1``,
+        one left translation read through the inverse array."""
+        row = self._right[j]
+        if row is None:
+            inverse = self._inverses()
+            left = self.left_translation(inverse[j])
+            row = [inverse[left[y]] for y in inverse]
+        return row
 
     def right_translation(self, j: int) -> list[int]:
-        """The array ``x -> x*j`` (do not modify): a generator's column, else
-        the tree parent's array read through one column, memoised along the path."""
-        if j == 0 and self._right[0] is None:
-            self._right[0] = list(range(self.order))
-        path = []
-        while self._right[j] is None:
-            path.append(j)
-            j = self._parent[j]
-        right = self._right[j]
-        for f in reversed(path):
-            col = self.columns[self._via[f]]
-            right = [col[x] for x in right]
-            self._right[f] = right
-        return right  # type: ignore[return-value]
+        """The array ``x -> x*j`` (do not modify), memoised for ``j`` alone."""
+        self._right[j] = row = self._row(j)
+        return row
 
     def left_translation(self, j: int) -> list[int]:
         """The array ``x -> j*x``, not memoised: j*f is (j*parent[f]) * via[f]."""
-        left = [j]
-        for f in range(1, self.order):
-            left.append(self.columns[self._via[f]][left[self._parent[f]]])
+        columns, left = self.columns, [j]
+        append = left.append
+        for p, g in zip(islice(self._parent, 1, None), islice(self._via, 1, None)):
+            append(columns[g][left[p]])
         return left
 
     def mul(self, i: int, j: int) -> int:
         return (self._right[j] or self.right_translation(j))[i]
 
     def inv(self, i: int) -> int:
-        return self.right_translation(i).index(0)
+        return self._inverses()[i]
 
     def element_order(self, i: int) -> int:
         return _order(self.right_translation(i))
 
     def involution_indices(self) -> list[int]:
-        """The elements of order 2: f = parent[f]*g has inverse g^-1 * parent[f]^-1."""
-        undo = [self.left_translation(self.inv(col[0])) for col in self.columns]
-        inverse = [0]
-        for f in range(1, self.order):
-            inverse.append(undo[self._via[f]][inverse[self._parent[f]]])
-        return [f for f in range(1, self.order) if inverse[f] == f]
+        """The elements of order 2: those after the identity that are their own inverses."""
+        return [f for f, g in enumerate(self._inverses()) if f == g][1:]
 
     def subgroup_indices(self, gens: Sequence[int]) -> list[int]:
         """Elements of the generated subgroup: the visiting order of its Cayley form."""

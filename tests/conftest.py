@@ -391,6 +391,27 @@ def commuting_pairs_by_products(group, proper):
             if not (proper and x == y) and group.mul(x, y) == group.mul(y, x)]
 
 
+def right_translations_by_tree(group):
+    """Oracle: every right translation ``x -> x*j``, in element order, each
+    built from its breadth-first tree parent's through one generator column:
+    element f is parent[f] * via[f], so x*f is (x*parent[f]) * via[f]."""
+    rows = [list(range(group.order))]
+    for f in range(1, group.order):
+        col = group.columns[group._via[f]]
+        rows.append([col[x] for x in rows[group._parent[f]]])
+    return rows
+
+
+def commuting_pairs_by_right_rows(group, proper):
+    """Oracle: the ordered pairs of commuting involutions, sorted, read off
+    the tree-built right translations: y*x is 1 or an involution."""
+    rows = right_translations_by_tree(group)
+    invs = [j for j in range(1, group.order) if rows[j][j] == 0]
+    one_or_inv = {0, *invs}
+    return [(x, y) for x in invs for y in invs
+            if rows[x][y] in one_or_inv and not (proper and x == y)]
+
+
 def merge_every_pair(parent, pairs, index, aut):
     """Merge every pair with its image under the automorphism ``aut`` in the
     union-find ``parent``, each set rooted at its least index."""

@@ -8,12 +8,15 @@ from ebrmaps import (
     catalog_group,
     catalog_names,
     closure,
+    enumerate_ebr,
     extend_generator_map,
     is_dihedral,
 )
+from ebrmaps import enumeration
 from ebrmaps.perm_group import orbits
-from conftest import (dihedral_by_rotation, involutions_by_scan, orbits_by_union_find,
-                      orbits_by_walk, subgroup_reference)
+from conftest import (commuting_pairs_by_right_rows, dihedral_by_rotation, involutions_by_scan,
+                      orbits_by_union_find, orbits_by_walk, right_translations_by_tree,
+                      subgroup_reference)
 
 
 def square_symmetries():
@@ -308,23 +311,90 @@ def test_membership_reads_one_row_and_lists_no_elements(monkeypatch, name):
 
 
 def test_right_translations_are_products_of_elements():
-    # A generator's translation is its column; every other one is built up
-    # along the tree.  Both must read x -> x*j off the permutations.
+    # A generator's translation is its column; every other one is a left
+    # translation read through the inverses.  Both must read x -> x*j off
+    # the permutations.
     for g in membership_groups():
         elements = g.elements
         for j in range(g.order):
             assert g.right_translation(j) == [g.index(x * elements[j]) for x in elements], j
 
 
-def test_the_identity_row_is_built_when_first_asked_for():
+def oracle_groups():
+    """The catalog, the membership groups, and two groups whose breadth-first
+    trees are deep: the reflections of dih:400 lie up to 200 steps from 1."""
+    from ebrmaps.families import klein
+
+    groups = {name: catalog_group(name) for name in catalog_names()}
+    groups.update((f"membership-{i}", g) for i, g in enumerate(membership_groups()))
+    groups["dih:400"] = catalog_group("dih:400")
+    groups["klein(25,1)"] = klein(25, 1).group
+    return groups
+
+
+ORACLE_GROUPS = oracle_groups()
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_rows_inverses_and_elements_match_the_tree_oracle(name):
+    g = ORACLE_GROUPS[name]
+    rows = right_translations_by_tree(g)
+    assert g.involution_indices() == [j for j in range(1, g.order) if rows[j][j] == 0]
+    for j, row in enumerate(rows):
+        assert g.inv(j) == row.index(0), j
+        if g._index is None:  # a column-built group reads element j as its row
+            assert g.element(j) == Permutation(row), j
+        assert g.right_translation(j) == row, j
+
+
+@pytest.mark.parametrize("proper", [False, True])
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_pair_survey_matches_the_right_row_oracle(name, proper):
+    g = ORACLE_GROUPS[name]
+    assert (enumeration._commuting_involution_pairs(g, proper)
+            == commuting_pairs_by_right_rows(g, proper))
+
+
+def test_a_group_keeps_the_generator_columns_and_the_rows_asked_for():
     g = catalog_group("dihxc2:12")  # a column group: none of its generators is 0
-    assert g._right[0] is None
+    columns = {col[0]: col for col in g.columns}
+
+    def kept():
+        return {j for j, row in enumerate(g._right) if row is not None}
+
+    assert kept() == set(columns) and all(g._right[j] is col for j, col in columns.items())
+    # Elements, membership, left translations and inverses leave no row behind.
+    for j in range(g.order):
+        assert g.element(j) in g and g.index(g.element(j)) == j
+        g.left_translation(j)
+        g.inv(j)
+    assert len(g.elements) == g.order and g.involution_indices()
+    assert kept() == set(columns)
     identity = g.right_translation(0)
     assert identity == list(range(g.order)) and g._right[0] is identity
+    assert g.right_translation(g.order - 1) is g.right_translation(g.order - 1)
+    assert kept() == set(columns) | {0, g.order - 1}
     assert [g.mul(i, 0) for i in range(g.order)] == identity
     assert (g.inv(0), g.element_order(0)) == (0, 1)
     assert Permutation.identity(g.order) in g
     assert g.index(Permutation.identity(g.order)) == 0
+    assert kept() == set(columns) | {0, g.order - 1}
+
+
+def test_the_dihedral_sweep_keeps_no_row_per_element():
+    import tracemalloc
+
+    # The tree ancestors of dih:2000's reflections are all of its rotations:
+    # memoising a row for each of them peaked at 32.5 MiB.
+    g = catalog_group("dih:2000")
+    tracemalloc.start()
+    try:
+        maps = enumerate_ebr(g, require_proper=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 9
+    assert peak < 8 * 2**20
 
 
 @st.composite
