@@ -21,7 +21,7 @@ from .enumeration import (
     classify_report,
     enumerate_ebr,
 )
-from .flag_maps import is_alternate_edge_colourable, load_flagmap
+from .flag_maps import _write_json, is_alternate_edge_colourable, load_flagmap
 from .perm_group import GroupTooLargeError, orbits
 from .presentation import (
     DEFAULT_MAX_COSETS,
@@ -162,13 +162,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_colourable(args) -> int:
-    flagmap = load_flagmap(args.flagmap)
-    colouring = is_alternate_edge_colourable(flagmap)
-    if colouring is None:
-        _emit({"colourable": False})
-    else:
-        witness = [colouring[rep] for rep in sorted(colouring)]
-        _emit({"colourable": True, "witness": witness})
+    colouring = is_alternate_edge_colourable(load_flagmap(args.flagmap))
+    report = {"colourable": colouring is not None}
+    if colouring is not None:
+        report["witness"] = [colouring[rep] for rep in sorted(colouring)]
+    _write_json(report, sys.stdout, 2)  # the witness can run to thousands of entries
     return 0
 
 

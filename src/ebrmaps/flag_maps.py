@@ -173,7 +173,8 @@ def rotation_system_to_flagmap(rotations: Sequence[Sequence[int]],
     side of the dart.
     """
     n_darts = len(edge_pairing)
-    if sorted(d for rot in rotations for d in rot) != list(range(n_darts)):
+    order = [d for rot in rotations for d in rot]
+    if sorted(order) != list(range(n_darts)):
         raise ValueError("rotations must cover each dart exactly once")
     if any(not 0 <= e < n_darts for e in edge_pairing):
         raise ValueError(f"edge_pairing entries must lie in 0..{n_darts - 1}")
@@ -181,15 +182,13 @@ def rotation_system_to_flagmap(rotations: Sequence[Sequence[int]],
         raise ValueError("edge_pairing must be a fixed-point-free involution")
 
     succ, pred = [0] * n_darts, [0] * n_darts  # next and previous dart counterclockwise
-    for rot in rotations:
-        for a, b in zip(rot, list(rot[1:]) + list(rot[:1])):
-            succ[a] = b
-            pred[b] = a
-
-    s0 = [2 * edge_pairing[f // 2] + (1 - f % 2) for f in range(2 * n_darts)]
-    s1 = [(2 * succ[f // 2] + 1) if f % 2 == 0 else 2 * pred[f // 2]
-          for f in range(2 * n_darts)]
-    s2 = [f ^ 1 for f in range(2 * n_darts)]
+    for a, b in zip(order, [d for rot in rotations for d in [*rot[1:], *rot[:1]]]):
+        succ[a] = b
+        pred[b] = a
+    s0, s1, s2 = [0] * 2 * n_darts, [0] * 2 * n_darts, [0] * 2 * n_darts
+    s0[0::2], s0[1::2] = [2 * e + 1 for e in edge_pairing], [2 * e for e in edge_pairing]
+    s1[0::2], s1[1::2] = [2 * b + 1 for b in succ], [2 * a for a in pred]
+    s2[0::2], s2[1::2] = range(1, 2 * n_darts, 2), range(0, 2 * n_darts, 2)
     return FlagMap(s0, s1, s2)
 
 
@@ -230,7 +229,24 @@ def _flag_array(data: dict, key: str) -> list[int]:
 
 
 def save_flagmap(m: FlagMap, path: str, comment: Optional[str] = None) -> None:
-    data = m.to_json_dict() if comment is None else {"comment": comment, **m.to_json_dict()}
+    """Write ``m`` byte for byte as ``json.dump(..., indent=1)`` lays out its
+    ``to_json_dict()`` plus a newline, ``comment`` first if given; entries are written as ints."""
+    head = {} if comment is None else {"comment": comment}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        _write_json(dict(head, flag_count=m.flag_count, s0=m.s0, s1=m.s1, s2=m.s2), fh, 1)
+
+
+def _write_json(obj: dict, fh, indent: int) -> None:
+    """Write a non-empty flat object of scalars and int arrays exactly as ``json.dump(obj, fh,
+    indent=indent)`` lays it out, then a newline; arrays go out in joined runs of 1,024 ints."""
+    pad, sep = " " * indent, ",\n" + " " * 2 * indent
+    for i, (key, value) in enumerate(obj.items()):
+        fh.write(("," if i else "{") + "\n" + pad + json.dumps(key) + ": ")
+        if isinstance(value, (list, tuple)) and value:
+            fh.write("[" + sep[1:])
+            for k in range(0, len(value), 1024):
+                fh.write((sep if k else "") + sep.join(map(int.__repr__, value[k:k + 1024])))
+            fh.write("\n" + pad + "]")
+        else:
+            fh.write(json.dumps(value))
+    fh.write("\n}\n")

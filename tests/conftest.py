@@ -923,6 +923,28 @@ def colouring_by_flag_scan(m):
     return colour
 
 
+def rotation_system_reference(rotations, edge_pairing):
+    """Oracle: ``rotation_system_to_flagmap`` with its checks in order and one
+    comprehension per flag array, reading dart ``f // 2`` and side ``f % 2``."""
+    n_darts = len(edge_pairing)
+    if sorted(d for rot in rotations for d in rot) != list(range(n_darts)):
+        raise ValueError("rotations must cover each dart exactly once")
+    if any(not 0 <= e < n_darts for e in edge_pairing):
+        raise ValueError(f"edge_pairing entries must lie in 0..{n_darts - 1}")
+    if any(e == d or edge_pairing[e] != d for d, e in enumerate(edge_pairing)):
+        raise ValueError("edge_pairing must be a fixed-point-free involution")
+    succ, pred = [0] * n_darts, [0] * n_darts
+    for rot in rotations:
+        for a, b in zip(rot, list(rot[1:]) + list(rot[:1])):
+            succ[a] = b
+            pred[b] = a
+    s0 = [2 * edge_pairing[f // 2] + (1 - f % 2) for f in range(2 * n_darts)]
+    s1 = [(2 * succ[f // 2] + 1) if f % 2 == 0 else 2 * pred[f // 2]
+          for f in range(2 * n_darts)]
+    s2 = [f ^ 1 for f in range(2 * n_darts)]
+    return flag_maps.FlagMap(s0, s1, s2)
+
+
 def flag_involutions(convert, *args):
     """The (s0, s1, s2) image arrays that ``convert`` hands to ``FlagMap``."""
     with mock.patch.object(flag_maps, "FlagMap", lambda *perms: perms):

@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -27,10 +29,11 @@ from ebrmaps import (
     sphere_family,
     torus_rect,
 )
+from ebrmaps.cli import main
 from conftest import (FIXTURE_DIR, all_valid_quadruples, colouring_by_flag_scan,
                       edge_orbits_by_listing, flag_involutions, flagmap_documents, flagmap_error_reference,
                       flagmap_refusal_reference, load_flagmap_reference, orbits_by_walk,
-                      outcome, rotation_systems)
+                      outcome, rotation_system_reference, rotation_systems)
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
@@ -547,3 +550,146 @@ def test_edge_orbits_keep_their_listing(torus_flagmap, sphere_flagmap, cube_flag
     flagmaps += [load_flagmap(path) for path in (TORUS_FIXTURE, SPHERE_FIXTURE)]
     for fm in flagmaps:
         assert fm.edge_orbits() == edge_orbits_by_listing(fm)
+
+
+# -- writing flag maps -----------------------------------------------------------
+
+@pytest.mark.parametrize("path", [TORUS_FIXTURE, SPHERE_FIXTURE], ids=["torus", "sphere"])
+def test_saving_a_fixture_map_with_its_comment_reproduces_the_file(tmp_path, path):
+    with open(path, encoding="utf-8") as fh:
+        comment = json.load(fh)["comment"]
+    saved = tmp_path / "saved.json"
+    save_flagmap(load_flagmap(path), str(saved), comment=comment)
+    with open(path, "rb") as fh:
+        assert saved.read_bytes() == fh.read()
+
+
+COMMENTS = (st.none() | st.text(st.sampled_from('a "\\\n\t/\x7fé€\u2028😀'), max_size=8)
+            | st.text(max_size=8))
+
+
+@settings(max_examples=200)
+@given(rotation_systems(), COMMENTS)
+def test_save_writes_what_json_dump_writes(tmp_path_factory, system, comment):
+    rotations, pairing = system
+    try:
+        m = rotation_system_to_flagmap(rotations, pairing)
+    except ValueError:  # disconnected; one vertex holding every dart is connected
+        m = rotation_system_to_flagmap([sum(rotations, [])], pairing)
+    data = m.to_json_dict() if comment is None else {"comment": comment, **m.to_json_dict()}
+    path = tmp_path_factory.getbasetemp() / "saved.json"
+    save_flagmap(m, str(path), comment=comment)
+    dumped = io.StringIO()
+    json.dump(data, dumped, indent=1)
+    assert path.read_bytes() == (dumped.getvalue() + "\n").encode("utf-8")
+
+
+def test_a_map_with_boolean_entries_saves_a_file_that_loads_back(tmp_path):
+    """The constructor accepts booleans where an array holds 0 and 1; the
+    file holds them as ints, so the loader accepts it."""
+    m = FlagMap((True, False, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    path = tmp_path / "booleans.json"
+    save_flagmap(m, str(path))
+    assert json.loads(path.read_text())["s0"] == [1, 0, 3, 2]
+    loaded = load_flagmap(str(path))
+    assert loaded.s0 == (1, 0, 3, 2) and {type(x) for x in loaded.s0} == {int}
+    assert loaded.to_json_dict() == m.to_json_dict()
+
+
+def test_saving_an_8272_flag_grid_peaks_below_256_kib(tmp_path):
+    """The arrays go out in runs, byte for byte as ``json.dumps`` lays them
+    out, and no string of a whole array is ever built."""
+    m = rotation_system_to_flagmap(*torus_grid(22, 47, False))
+    assert m.flag_count == 8272  # over eight runs per array
+    tracemalloc.start()
+    try:
+        save_flagmap(m, str(tmp_path / "grid.json"), comment="22 x 47 grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    data = {"comment": "22 x 47 grid", **m.to_json_dict()}
+    assert (tmp_path / "grid.json").read_text() == json.dumps(data, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("source", ["torus", "sphere", "grid", "split"])
+def test_colourable_prints_what_json_dumps_prints(tmp_path, capsys, source):
+    if source in ("torus", "sphere"):
+        path = TORUS_FIXTURE if source == "torus" else SPHERE_FIXTURE
+        m = load_flagmap(path)
+    else:
+        m = rotation_system_to_flagmap(*torus_grid(22, 47, source == "split"))
+        path = str(tmp_path / "grid.json")
+        save_flagmap(m, path)
+    colouring = is_alternate_edge_colourable(m)
+    report = {"colourable": colouring is not None}
+    if colouring is not None:
+        report["witness"] = [colouring[e] for e in sorted(colouring)]
+    assert (colouring is None) == (source in ("torus", "split"))
+    assert main(["colourable", "--flagmap", path]) == 0
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+# -- the rotation-system converter against its per-flag reference -----------------
+
+@st.composite
+def faulty_rotation_systems(draw):
+    """Random rotation systems, some rotations given as tuples, with at most
+    one fault: a dart dropped from, repeated in or replaced in a rotation, a
+    pairing entry replaced by any int in -2..n+1, or an extra pairing entry."""
+    rotations, pairing = draw(rotation_systems(max_edges=4))
+    rotations = [list(rot) for rot in rotations]
+    n = len(pairing)
+    rot = draw(st.sampled_from(rotations))
+    fault = draw(st.sampled_from(["none"] * 3 + ["drop", "repeat", "dart", "pairing", "extra"]))
+    if fault == "drop":
+        rot.pop()
+    elif fault == "repeat":
+        rot.append(draw(st.integers(0, n - 1)))
+    elif fault == "dart":
+        rot[draw(st.integers(0, len(rot) - 1))] = draw(st.integers(-2, n + 1))
+    elif fault == "pairing":
+        pairing[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n + 1))
+    elif fault == "extra":
+        pairing.append(draw(st.integers(-1, n + 1)))
+    return [tuple(r) if draw(st.booleans()) else r for r in rotations], pairing
+
+
+def converted(convert, rotations, pairing):
+    """The arrays ``convert`` hands to ``FlagMap``, or the message it raises."""
+    try:
+        return flag_involutions(convert, rotations, pairing)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(faulty_rotation_systems())
+def test_converter_matches_the_per_flag_reference(system):
+    assert converted(rotation_system_to_flagmap, *system) == \
+        converted(rotation_system_reference, *system)
+
+
+@pytest.mark.parametrize("p, q, diagonal", [(1, 1, False), (3, 5, True), (22, 47, False)])
+def test_converter_matches_the_per_flag_reference_on_torus_grids(p, q, diagonal):
+    system = torus_grid(p, q, diagonal)
+    assert converted(rotation_system_to_flagmap, *system) == \
+        converted(rotation_system_reference, *system)
+
+
+def test_faulty_rotation_systems_reach_every_verdict():
+    """The strategy is not vacuous: every message of the converter, valid
+    arrays and the constructor's refusal of a disconnected system occur."""
+    verdicts = set()
+
+    @settings(max_examples=400, database=None)
+    @given(faulty_rotation_systems())
+    def collect(system):
+        result = outcome(rotation_system_reference, *system)
+        verdicts.add(re.sub(r"\d+", "N", result[1]) if result[0] is ValueError else "accepted")
+
+    collect()
+    assert verdicts == {"accepted", "flag system is disconnected",
+                        "rotations must cover each dart exactly once",
+                        "edge_pairing entries must lie in N..N",
+                        "edge_pairing must be a fixed-point-free involution"}
