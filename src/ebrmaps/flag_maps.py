@@ -10,8 +10,9 @@ An alternate-edge-colouring assigns two colours to the edges so that
 consecutive edges around every vertex and every face alternate.  It exists
 exactly when the medial graph, whose vertices are the map's edges with
 adjacency given by corner transitions, is bipartite.  The constructor walks
-that graph breadth-first once; the walk proves connectivity and, as it meets
-every corner transition, decides colourability too.
+that graph breadth-first once, keeping one side byte per flag and sorting
+nothing; the walk proves connectivity and, as it meets every corner
+transition, decides colourability too.
 """
 
 from __future__ import annotations
@@ -63,32 +64,26 @@ class FlagMap:
             raise ValueError("s0*s2 is not an involution")
         if any(map(eq, cross, flags)):
             raise ValueError("s0*s2 has fixed points (semi-edge or boundary)")
-        # <s0, s2> is now a Klein four-group.  A breadth-first walk through s1
-        # sorts each edge's flags when it first reaches the edge, keys them by
-        # the least (``edge``) and puts the edge on the side opposite its
-        # finder's; a transition within one side closes an odd medial cycle.
-        edge = [-1] * n
-        self._side = side = bytearray(n)
-        queue = []
+        # <s0, s2> is now a Klein four-group, so the edge of flag h is h, s0 h,
+        # s2 h and s0s2 h.  A breadth-first walk through s1 first reaches each
+        # edge by some flag h, queues h and gives all four flags the side
+        # opposite the finder's (2 = not reached yet); a transition within one
+        # side closes an odd medial cycle.
+        self._side = side = bytearray(b"\2") * n
+        self._walk = queue = [0] if n else []
         if n:  # the walk starts at the edge of flag 0, on side 0
-            queue.append(sorted((0, along[0], across[0], cross[0])))
-            edge[0] = edge[along[0]] = edge[across[0]] = edge[cross[0]] = 0
+            side[0] = side[along[0]] = side[across[0]] = side[cross[0]] = 0
         clash = False
-        for quad in queue:
-            s = side[quad[0]] ^ 1
-            for f in quad:
-                g = edge[corner[f]]
-                if g < 0:
-                    h = corner[f]
-                    a, b, c, d = reached = sorted((h, along[h], across[h], cross[h]))
-                    edge[a] = edge[b] = edge[c] = edge[d] = a
-                    side[a] = s
-                    queue.append(reached)
-                elif side[g] != s:
+        for h in queue:
+            s = side[h] ^ 1
+            for f in (corner[h], corner[along[h]], corner[across[h]], corner[cross[h]]):
+                if (t := side[f]) == 2:
+                    side[f] = side[along[f]] = side[across[f]] = side[cross[f]] = s
+                    queue.append(f)
+                elif t != s:
                     clash = True
-        if not n or -1 in edge:
+        if not n or 2 in side:
             raise ValueError("flag system is disconnected")
-        self._walk = [quad[0] for quad in queue]
         self._colourable = not clash
         self.flag_count, self.s0, self.s1, self.s2 = n, along, corner, across
 
@@ -126,13 +121,17 @@ def is_alternate_edge_colourable(m: FlagMap) -> Optional[dict[int, int]]:
     every face, or return None when impossible.
 
     The returned dict maps each edge orbit (keyed by its least flag) to 0 or
-    1, in the order the constructor's walk reached them.  Adjacency in the
-    medial graph is realized by corner transitions: the edges of flags ``f``
-    and ``f*s1`` are consecutive around both the common vertex and the common
-    face.  This reads the sides the constructor's walk gave the edges.
+    1, in ascending order of that flag.  Adjacency in the medial graph is
+    realized by corner transitions: the edges of flags ``f`` and ``f*s1`` are
+    consecutive around both the common vertex and the common face.  This reads
+    the sides the constructor's walk gave the edges, and each edge's least flag
+    once from the flag the walk reached it by.
     """
-    side = m._side
-    return {e: side[e] for e in m._walk} if m._colourable else None
+    if not m._colourable:
+        return None
+    walk, along = m._walk, _compose(m._walk, m.s0)
+    least = sorted(map(min, walk, along, _compose(walk, m.s2), _compose(along, m.s2)))
+    return dict(zip(least, _compose(least, m._side)))
 
 
 def ebr_to_flagmap(m) -> FlagMap:
@@ -150,9 +149,10 @@ def ebr_to_flagmap(m) -> FlagMap:
     # and by r2 or rho2 (across).
     along = (group.right_translation(r0), group.right_translation(p0))
     across = (group.right_translation(r2), group.right_translation(p2))
-    s0 = [2 * along[f % 2][f // 2] + f % 2 for f in range(2 * n)]
-    s1 = [f ^ 1 for f in range(2 * n)]
-    s2 = [2 * across[f % 2][f // 2] + f % 2 for f in range(2 * n)]
+    s0, s1, s2 = [0] * 2 * n, [0] * 2 * n, [0] * 2 * n
+    s0[0::2], s0[1::2] = [2 * x for x in along[0]], [2 * x + 1 for x in along[1]]
+    s1[0::2], s1[1::2] = range(1, 2 * n, 2), range(0, 2 * n, 2)
+    s2[0::2], s2[1::2] = [2 * x for x in across[0]], [2 * x + 1 for x in across[1]]
     return FlagMap(s0, s1, s2)
 
 

@@ -31,9 +31,10 @@ from ebrmaps import (
 )
 from ebrmaps.cli import main
 from conftest import (FIXTURE_DIR, all_valid_quadruples, colouring_by_flag_scan,
-                      edge_orbits_by_listing, flag_involutions, flagmap_documents, flagmap_error_reference,
-                      flagmap_refusal_reference, load_flagmap_reference, orbits_by_walk,
-                      outcome, rotation_system_reference, rotation_systems)
+                      ebr_to_flagmap_reference, edge_orbits_by_listing, flag_involutions,
+                      flagmap_documents, flagmap_error_reference, flagmap_refusal_reference,
+                      load_flagmap_reference, orbits_by_walk, outcome, rotation_system_reference,
+                      rotation_systems)
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
@@ -278,7 +279,7 @@ def test_colouring_matches_flag_scan_oracle(torus_flagmap, sphere_flagmap, cube_
         fast = is_alternate_edge_colourable(m)
         slow = colouring_by_flag_scan(m)
         assert fast == slow
-        assert fast is None or list(fast.items()) == list(slow.items())
+        assert fast is None or list(fast.items()) == sorted(slow.items())
     assert any(is_alternate_edge_colourable(m) is None for m in maps)
 
 
@@ -321,7 +322,7 @@ def test_colouring_matches_flag_scan_oracle_on_torus_grids(tmp_path, p, q, diago
     for fm in (m, loaded):
         fast = is_alternate_edge_colourable(fm)
         assert fast == slow
-        assert fast is None or list(fast.items()) == list(slow.items())
+        assert fast is None or list(fast.items()) == sorted(slow.items())
         assert fm.edge_orbits() == orbits_by_walk(fm.flag_count, (fm.s0, fm.s2))
 
 
@@ -397,7 +398,7 @@ def test_flagmap_agrees_with_composed_permutations(perms):
     fast = is_alternate_edge_colourable(m)
     slow = colouring_by_flag_scan(m)
     assert fast == slow
-    assert fast is None or list(fast.items()) == list(slow.items())
+    assert fast is None or list(fast.items()) == sorted(slow.items())
 
 
 def test_flagmap_property_inputs_reach_every_verdict():
@@ -540,6 +541,35 @@ def test_a_valid_file_is_accepted_without_the_scans_that_name_faults(tmp_path, m
     assert calls["min"] > 0 and calls["max"] > 0 and calls["_flag_array"] == 3
 
 
+def test_the_walk_sorts_nothing_and_the_colouring_comes_back_ascending(tmp_path, monkeypatch):
+    """Building the 8,272-flag grid, from its arrays and from its file, calls
+    ``sorted``, ``min`` and ``max`` zero times; the colouring then takes each
+    edge's least flag once and sorts once, and its keys strictly increase."""
+    m = rotation_system_to_flagmap(*torus_grid(22, 47, False))
+    assert m.flag_count == 8272
+    path = tmp_path / "grid.json"
+    save_flagmap(m, str(path))
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name, function in (("sorted", sorted), ("min", min), ("max", max)):
+        monkeypatch.setattr(flag_maps, name, counted(name, function), raising=False)
+    built = [FlagMap(m.s0, m.s1, m.s2), load_flagmap(str(path))]
+    assert calls == Counter()
+    colourings = [is_alternate_edge_colourable(fm) for fm in built]
+    for colouring in colourings:
+        keys = list(colouring)
+        assert len(keys) == 2068 and all(map(int.__lt__, keys, keys[1:]))
+        assert Counter(colouring.values()) == Counter({0: 1034, 1: 1034})
+    assert colourings[0] == colourings[1]
+    assert calls == Counter(sorted=2, min=2 * 2068)
+
+
 def test_edge_orbits_keep_their_listing(torus_flagmap, sphere_flagmap, cube_flagmap):
     """Edges come out of the shared orbit walk as the constructor once listed
     them: from each least flag, then along, across, and along-then-across."""
@@ -655,10 +685,10 @@ def faulty_rotation_systems(draw):
     return [tuple(r) if draw(st.booleans()) else r for r in rotations], pairing
 
 
-def converted(convert, rotations, pairing):
+def converted(convert, *args):
     """The arrays ``convert`` hands to ``FlagMap``, or the message it raises."""
     try:
-        return flag_involutions(convert, rotations, pairing)
+        return flag_involutions(convert, *args)
     except ValueError as exc:
         return str(exc)
 
@@ -675,6 +705,24 @@ def test_converter_matches_the_per_flag_reference_on_torus_grids(p, q, diagonal)
     system = torus_grid(p, q, diagonal)
     assert converted(rotation_system_to_flagmap, *system) == \
         converted(rotation_system_reference, *system)
+
+
+@pytest.mark.parametrize("m", [
+    torus_rect(1, 1), torus_rect(3, 4), torus_rect(30, 30), klein(1, 1), klein(3, 2),
+    klein(40, 2), dihedral_map(4, 1), dihedral_map(12, 3), dihedral_map(10, 4), dihedral_map(200, 1),
+    sphere_family("cycle", 5), sphere_family("dipole", 4), sphere_family("dipole", 4, rpp=True),
+    sphere_family("semistar", 3), construction3(regular_catalog("cube")),
+    construction1(regular_catalog("cube")),
+], ids=lambda m: f"order{m.group.order}-{m.degeneracy_class}")
+def test_ebr_to_flagmap_matches_the_per_flag_reference(m):
+    assert converted(ebr_to_flagmap, m) == converted(ebr_to_flagmap_reference, m)
+
+
+def test_ebr_to_flagmap_matches_the_per_flag_reference_on_every_proper_quadruple():
+    for group, quads in zip(FLAG_GROUPS, FLAG_QUADS):
+        for quad in quads:
+            m = EdgeBiregularMap(group, *quad)
+            assert converted(ebr_to_flagmap, m) == converted(ebr_to_flagmap_reference, m)
 
 
 def test_faulty_rotation_systems_reach_every_verdict():
