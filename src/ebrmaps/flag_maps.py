@@ -149,10 +149,9 @@ def ebr_to_flagmap(m) -> FlagMap:
     # and by r2 or rho2 (across).
     along = (group.right_translation(r0), group.right_translation(p0))
     across = (group.right_translation(r2), group.right_translation(p2))
-    s0, s1, s2 = [0] * 2 * n, [0] * 2 * n, [0] * 2 * n
-    s0[0::2], s0[1::2] = [2 * x for x in along[0]], [2 * x + 1 for x in along[1]]
-    s1[0::2], s1[1::2] = range(1, 2 * n, 2), range(0, 2 * n, 2)
-    s2[0::2], s2[1::2] = [2 * x for x in across[0]], [2 * x + 1 for x in across[1]]
+    s0 = [2 * along[f % 2][f // 2] + f % 2 for f in range(2 * n)]
+    s1 = [f ^ 1 for f in range(2 * n)]
+    s2 = [2 * across[f % 2][f // 2] + f % 2 for f in range(2 * n)]
     return FlagMap(s0, s1, s2)
 
 

@@ -945,23 +945,6 @@ def rotation_system_reference(rotations, edge_pairing):
     return flag_maps.FlagMap(s0, s1, s2)
 
 
-def ebr_to_flagmap_reference(m):
-    """Oracle: ``ebr_to_flagmap`` with its checks in order and one
-    comprehension per flag array, reading corner ``f // 2`` and colour ``f % 2``."""
-    if m.has_boundary:
-        raise ValueError("boundary maps have no closed flag system")
-    if not m.is_proper:
-        raise ValueError("semi-edge maps have no closed flag system")
-    group, n = m.group, m.group.order
-    r0, r2, p0, p2 = m.slot_indices
-    along = (group.right_translation(r0), group.right_translation(p0))
-    across = (group.right_translation(r2), group.right_translation(p2))
-    s0 = [2 * along[f % 2][f // 2] + f % 2 for f in range(2 * n)]
-    s1 = [f ^ 1 for f in range(2 * n)]
-    s2 = [2 * across[f % 2][f // 2] + f % 2 for f in range(2 * n)]
-    return flag_maps.FlagMap(s0, s1, s2)
-
-
 def flag_involutions(convert, *args):
     """The (s0, s1, s2) image arrays that ``convert`` hands to ``FlagMap``."""
     with mock.patch.object(flag_maps, "FlagMap", lambda *perms: perms):
