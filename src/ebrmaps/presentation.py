@@ -15,10 +15,11 @@ Coset enumeration runs over the trivial subgroup, so a completed table is
 the right Cayley graph of the presented group.  The table is kept as
 ``FiniteGroup`` keeps a group, one list per column (about 100 bytes per
 coset over four involution columns), so its generator columns become the
-``FiniteGroup`` directly.  The strategy is definition-driven with immediate
-deductions (Felsch style): always fill the lowest empty slot of the lowest
-live coset, and close relator cycles as soon as their last edge appears.
-Each new entry is queued once, not with its mirror: the cycles through an
+``FiniteGroup`` directly, less the empty slots they grow by.  The strategy
+is definition-driven with immediate deductions (Felsch style): always fill
+the lowest empty slot of the lowest live coset, scan that definition at
+once, and close relator cycles as soon as their last edge appears.  Every
+other new entry is queued once, not with its mirror: the cycles through an
 edge are the same read from either end.  Each distinct rotation of the
 relators and their inverses is stored once, as the column lists of its
 letters after the first: a scan through an entry c·x starts at c·x, and
@@ -40,6 +41,7 @@ from .ebr_core import SLOT_NAMES
 from .perm_group import FiniteGroup
 
 DEFAULT_MAX_COSETS = 10**6
+_EMPTY_BLOCK = (None,) * 1024  # the empty slots a coset-table column grows by
 
 # Parentheses nest at most this deep; the parser recurses once per level.
 MAX_NESTING = 100
@@ -326,30 +328,31 @@ def square_grid_group() -> GroupPresentation:
 
 class _CosetTable:
     # columns[x][c] is c·x, or None while that slot is empty: one list per
-    # column, as FiniteGroup keeps the finished group.  An entry c --x--> d
+    # column, as FiniteGroup keeps the finished group, grown by _EMPTY_BLOCK
+    # when a coset reaches its length; slots past len(parent) are slack.
+    # fill scans each definition as it makes it.  Any other entry c --x--> d
     # is queued as (c, x, skip) alone, though its mirror d --inv_col[x]--> c
-    # is written with it.  The rotations that start with inv_col[x], scanned
+    # is written with it: the rotations that start with inv_col[x], scanned
     # at d, are those that start with x, scanned at c, read backwards, so
-    # queueing the mirror would scan every cycle twice.  ``skip`` is the tail
-    # of the rotation whose cycle through the entry a fill has just closed,
-    # or None.
+    # the mirror's scans would repeat them.  ``skip`` is the tail of the
+    # rotation whose cycle through the entry a fill has just closed, or None.
     #
-    # rotations[x] holds each stored rotation x w as a record (tail, back,
-    # ring, start).  ``tail`` is the column lists of w, so a scan from c
-    # starts at c·x and looks up no column index; the list itself names the
-    # rotation.  ``back`` is the tail of the inverse of x w rotated by one,
-    # another stored rotation: the columns that lead from c back along w.
-    # ``ring`` lists the (first column, tail) of each rotation of one relator
-    # or inverse by shift; x w is ring[start - 1], so ring[(start + i) %
-    # len(ring)] is the rotation that starts with the letter of tail[i].
+    # rotations[x] holds each stored rotation x w as a record (tail, n, back,
+    # ring, start).  ``tail`` is the column lists of w, n of them, so a scan
+    # from c starts at c·x and looks up no column index; the list itself
+    # names the rotation.  ``back`` is the tail of the inverse of x w rotated
+    # by one, another stored rotation: the columns that lead from c back
+    # along w.  ``ring`` lists the (first column, tail) of each rotation of
+    # one relator or inverse by shift; x w is ring[start - 1], so
+    # ring[(start + i) % len(ring)] starts with the letter of tail[i].
     def __init__(self, inv_col: list[int], max_cosets: int):
         self.inv_col = inv_col
         self.max_cosets = max_cosets
-        self.columns: list[list[Optional[int]]] = [[None] for _ in inv_col]
+        self.columns: list[list[Optional[int]]] = [list(_EMPTY_BLOCK) for _ in inv_col]
         self.parent = [0]  # a coset is live exactly when it is its own root
         self.live_count = 1
         self.deductions: list[tuple[int, int, Optional[list]]] = []
-        self.rotations: list[list[tuple[list, list, list, int]]] = [[] for _ in inv_col]
+        self.rotations: list[list[tuple[list, int, list, list, int]]] = [[] for _ in inv_col]
 
     def find(self, c: int) -> int:
         root = c
@@ -358,19 +361,6 @@ class _CosetTable:
         while self.parent[c] != root:
             self.parent[c], c = root, self.parent[c]
         return root
-
-    def define(self, c: int, x: int) -> None:
-        if self.live_count >= self.max_cosets:
-            raise CosetLimitExceeded(
-                f"enumeration exceeded max_cosets={self.max_cosets}")
-        d = len(self.parent)
-        for col in self.columns:
-            col.append(None)
-        self.columns[x][c] = d
-        self.columns[self.inv_col[x]][d] = c
-        self.parent.append(d)
-        self.live_count += 1
-        self.deductions.append((c, x, None))
 
     def coincidence(self, a: int, b: int) -> None:
         """Merge ``a`` and ``b``, and every pair of cosets that forces.  A live
@@ -421,62 +411,72 @@ class _CosetTable:
         closed cycle whose ends differ is a coincidence; a gap of one letter
         is filled, and the new entry is queued with the cycle it closed.
         Once the queue is empty, define the first empty slot of the lowest
-        live coset, until no slot is empty."""
-        columns, parent = self.columns, self.parent
-        deductions, rotations = self.deductions, self.rotations
-        ncols = len(columns)
+        live coset and scan it at once, until no slot is empty."""
+        columns, parent, inv_col = self.columns, self.parent, self.inv_col
+        deductions, rotations, max_cosets = self.deductions, self.rotations, self.max_cosets
+        ncols, room = len(columns), len(columns[0])
         cursor = slot = 0  # live cosets below cursor, and its slots below slot, are full
         while True:
-            while deductions:
+            if deductions:
                 c, x, skip = deductions.pop()
                 if parent[c] != c:
                     c = self.find(c)
                 d = columns[x][c]
                 if d is None:
                     continue
-                for tail, back, ring, start in rotations[x]:
-                    if tail is skip:
-                        continue
-                    f, i = d, 0
-                    for col in tail:
-                        nxt = col[f]
-                        if nxt is None:
-                            break
-                        f = nxt
-                        i += 1
-                    gap = len(tail) - i
-                    b, k = c, 0
-                    for col in back:
-                        if k == gap:
-                            break
-                        prv = col[b]
-                        if prv is None:
-                            break
-                        b = prv
-                        k += 1
-                    if k == gap:
-                        if f != b:
-                            self.coincidence(f, b)
-                            if parent[c] != c:
-                                break
-                            d = columns[x][c]
-                    elif k == gap - 1:
-                        # Both slots are empty: the scans stopped at them.
-                        tail[i][f] = b
-                        back[k][b] = f
-                        y, closed = ring[(start + i) % len(ring)]
-                        deductions.append((f, y, closed))
-            # Define the first empty slot of the lowest live coset, if any.
-            while cursor < len(parent):
-                if parent[cursor] == cursor:
-                    while slot < ncols and columns[slot][cursor] is not None:
-                        slot += 1
-                    if slot < ncols:
-                        break
-                cursor, slot = cursor + 1, 0
             else:
-                return
-            self.define(cursor, slot)
+                while cursor < len(parent):
+                    if parent[cursor] == cursor:
+                        while slot < ncols and columns[slot][cursor] is not None:
+                            slot += 1
+                        if slot < ncols:
+                            break
+                    cursor, slot = cursor + 1, 0
+                else:
+                    return
+                if self.live_count >= max_cosets:
+                    raise CosetLimitExceeded(f"enumeration exceeded max_cosets={max_cosets}")
+                c, x, skip, d = cursor, slot, None, len(parent)
+                if d == room:
+                    for col in columns:
+                        col.extend(_EMPTY_BLOCK)
+                    room += len(_EMPTY_BLOCK)
+                columns[x][c] = d
+                columns[inv_col[x]][d] = c
+                parent.append(d)
+                self.live_count += 1
+            for tail, n, back, ring, start in rotations[x]:
+                if tail is skip:
+                    continue
+                f, i = d, 0
+                for col in tail:
+                    nxt = col[f]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                gap = n - i
+                b, k = c, 0
+                for col in back:
+                    if k == gap:
+                        break
+                    prv = col[b]
+                    if prv is None:
+                        break
+                    b = prv
+                    k += 1
+                if k == gap:
+                    if f != b:
+                        self.coincidence(f, b)
+                        if parent[c] != c:
+                            break
+                        d = columns[x][c]
+                elif k == gap - 1:
+                    # Both slots are empty: the scans stopped at them.
+                    tail[i][f] = b
+                    back[k][b] = f
+                    y, closed = ring[(start + i) % len(ring)]
+                    deductions.append((f, y, closed))
 
 
 def coset_enumerate(pres: GroupPresentation,
@@ -552,7 +552,7 @@ def coset_enumerate(pres: GroupPresentation,
             inv_ring, u = where[inv]
             for s, (x, tail) in enumerate(ring):
                 back = inv_ring[(u + len(cols) - 1 - s) % len(ring)][1]
-                ct.rotations[x].append((tail, back, ring, s + 1))
+                ct.rotations[x].append((tail, len(tail), back, ring, s + 1))
     del where
 
     ct.fill()

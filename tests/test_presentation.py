@@ -435,25 +435,43 @@ def test_empty_relator_is_trivial():
 def _check_against_reference(pres, max_cosets):
     import ebrmaps.presentation as presentation
 
-    definitions, define = [], presentation._CosetTable.define
+    # A definition c --x--> d writes the entry and its mirror, then appends
+    # the new coset d to the union-find parents: row d then holds the mirror
+    # alone, columns[y][d] == c, and the definition is (c, inv_col[y]).
+    definitions, tables = [], []
+
+    class Parents(list):
+        def append(self, d):
+            table = tables[-1]
+            (c, y), = [(col[d], y) for y, col in enumerate(table.columns) if col[d] is not None]
+            definitions.append((c, table.inv_col[y]))
+            super().append(d)
+
+    class RecordingTable(presentation._CosetTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.parent = Parents(self.parent)
+            tables.append(self)
+
     # The columns coset_enumerate hands to FiniteGroup, in live-coset numbering.
     finite_group, handed = presentation.FiniteGroup, []
-
-    def recording(table, c, x):
-        definitions.append((c, x))
-        define(table, c, x)
 
     def capturing(names, columns):
         handed.extend(list(col) for col in columns)
         return finite_group(names, columns)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(presentation._CosetTable, "define", recording)
+        patch.setattr(presentation, "_CosetTable", RecordingTable)
         patch.setattr(presentation, "FiniteGroup", capturing)
         try:
             group = coset_enumerate(pres, max_cosets=max_cosets)
         except CosetLimitExceeded:
             group = None
+    if group is None:
+        # The refused definition: the first empty slot of the lowest live coset.
+        table, = tables
+        definitions.append(next((c, x) for c, root in enumerate(table.parent) if root == c
+                                for x, col in enumerate(table.columns) if col[c] is None))
     outcome = CosetLimitExceeded if group is None else handed
     assert (definitions, outcome) == felsch_reference(pres, max_cosets)
     for word in pres.relators if group else ():
@@ -488,6 +506,21 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_felsch_loop_defines_as_the_reference(name):
     _check_against_reference(ORACLE_CASES[name], max_cosets=1500)
+
+
+# The table's columns grow by blocks of 1,024 slots.  Two infinite groups are
+# refused at 1,023, 1,024 and 1,025 cosets, either side of the first block's
+# end, and at 2,049, just past the second; two finite groups of order 1,200
+# end with columns read past the first block.
+@pytest.mark.parametrize("pres, max_cosets", [
+    *[pytest.param(pres, limit, id=f"{name}-{limit}")
+      for name, pres in (("square_grid", square_grid_group()), ("triangle(3,7)", triangle_group(3, 7)))
+      for limit in (1023, 1024, 1025, 2049)],
+    pytest.param(dihedral_presentation(600), 1500, id="dihedral(600)"),
+    pytest.param(triangle_group(2, 300), 1500, id="triangle(2,300)"),
+])
+def test_felsch_loop_defines_as_the_reference_across_column_blocks(pres, max_cosets):
+    _check_against_reference(pres, max_cosets)
 
 
 _words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(bool)),
