@@ -37,6 +37,7 @@ from .families import (
     catalog_group,
     catalog_names,
     dihedral_map,
+    dihedral_rows,
     klein,
     regular_catalog,
     sphere_family,

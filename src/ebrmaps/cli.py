@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -51,8 +52,8 @@ def _parse_params(text: Optional[str]) -> dict[str, int | bool]:
                 raise ValueError("parameter 'rpp' must be true or false")
             params[key] = value == "true"
         else:
-            try:
-                params[key] = int(value)
+            try:  # -?[0-9]+ alone: int() would also read "+3", "1_0" and "٣"
+                params[key] = int(value if re.fullmatch("-?[0-9]+", value) else "")
             except ValueError:
                 raise ValueError(f"parameter {key!r} must be an integer") from None
     return params

@@ -97,7 +97,7 @@ class EdgeBiregularMap:
                 raise InvalidMapError(f"slot {name} is not an involution")
         self._check_commuting(0, 1)
         self._check_commuting(2, 3)
-        # Slots holding every generator generate the group; others need a closure.
+        # Slots holding every generator generate the group; others walk their subgroup.
         if (any(col[0] not in present for col in group.columns)
                 and group.subgroup_order(present) != group.order):
             raise InvalidMapError("present slots do not generate the group")

@@ -39,7 +39,8 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .ebr_core import EdgeBiregularMap, _type_and_chi
-from .perm_group import FiniteGroup, cayley_form, is_dihedral
+from .families import dihedral_rows
+from .perm_group import FiniteGroup, _find, cayley_form, is_dihedral
 
 DEFAULT_CANDIDATE_BUDGET = 10**7
 
@@ -59,14 +60,6 @@ def _commuting_involution_pairs(group: FiniteGroup, proper: bool) -> list[tuple[
         partners = inv_set.intersection(one_or_inv(group.left_translation(x)))
         pairs.extend((x, y) for y in sorted(partners) if not (proper and x == y))
     return pairs
-
-
-def _find(parent: list[int], i: int) -> int:
-    """The root of ``i``, the least index of its set; halves the path walked."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
 
 
 def _merge_images(parent: list[int], pairs: list[tuple[int, int]],
@@ -224,34 +217,13 @@ class ClassReport:
 
 def dihedral_table_row(order: int, k: int, l: int, V: int, F: int, chi: int,
                        fully_regular: bool) -> Optional[int]:
-    """Match class data over a dihedral group of the given order against the
-    classification of dihedral maps with chi < 0 (up to duality):
-
-    row 1: (2m, 2m), chi 2-m, V = F = 1, regular;
-    row 2: (m, m), chi 4-m, V = F = 2, regular, m/2 odd;
-    row 3: (2m, 4), chi (2-m)/2, V = 1, F = m/2, not regular;
-    row 4: (m, 4), chi (4-m)/2, V = 2, F = m/2, not regular, m/2 odd.
-    """
+    """The first row of ``families.dihedral_rows(order // 2)`` that class data
+    over a dihedral group of the given order matches, as it is or dual (k
+    with l and V with F swapped); None for an odd order or no match."""
     if order % 2 != 0:
         return None
-    m = order // 2
-    if m < 4 or m % 2 != 0:
-        return None
-    half_odd = (m // 2) % 2 == 1
-    rows = [
-        (1, (2 * m, 2 * m), 2 - m, (1, 1), True, True),
-        (2, (m, m), 4 - m, (2, 2), True, half_odd),
-        (3, (2 * m, 4), (2 - m) // 2, (1, m // 2), False, True),
-        (4, (m, 4), (4 - m) // 2, (2, m // 2), False, half_odd),
-    ]
-    for row, (tk, tl), tchi, (tv, tf), treg, allowed in rows:
-        if not allowed:
-            continue
-        matches = ((k, l) == (tk, tl) and (V, F) == (tv, tf)) or \
-                  ((k, l) == (tl, tk) and (V, F) == (tf, tv))
-        if matches and chi == tchi and fully_regular == treg:
-            return row
-    return None
+    data = ((k, l, chi, V, F, fully_regular), (l, k, chi, F, V, fully_regular))
+    return next((row for row, entry in dihedral_rows(order // 2).items() if entry in data), None)
 
 
 def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:

@@ -150,20 +150,28 @@ _REFLECT_0, _REFLECT_1 = (_FLIP_X, (0, 0)), (_FLIP_X, (1, 0))
 _SWAP_LAYERS = (_IDENTITY, (0, 1))
 
 
-def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
-    """The four families with a dihedral colour-preserving group of order 2m
-    on surfaces of negative Euler characteristic (m even, m >= 4):
-
-    row 1: type (2m, 2m), chi 2-m, one vertex and one face, fully regular;
-    row 2: type (m, m), chi 4-m, two of each, fully regular (m/2 odd);
-    row 3: type (2m, 4), chi (2-m)/2, not fully regular;
-    row 4: type (m, 4), chi (4-m)/2, not fully regular (m/2 odd).
-    """
+def dihedral_rows(m: int) -> dict[int, tuple[int, int, int, int, int, bool]]:
+    """The paper's classification of maps with a dihedral colour-preserving
+    group of order 2m on surfaces of negative Euler characteristic, as
+    ``{row: (k, l, chi, V, F, fully_regular)}`` for the rows m admits: none
+    unless m is even and at least 4, and rows 2 and 4 only when m/2 is odd."""
     if m < 4 or m % 2 != 0:
+        return {}
+    rows = {1: (2 * m, 2 * m, 2 - m, 1, 1, True),
+            2: (m, m, 4 - m, 2, 2, True),
+            3: (2 * m, 4, (2 - m) // 2, 1, m // 2, False),
+            4: (m, 4, (4 - m) // 2, 2, m // 2, False)}
+    return rows if (m // 2) % 2 == 1 else {1: rows[1], 3: rows[3]}
+
+
+def dihedral_map(m: int, row: int) -> EdgeBiregularMap:
+    """The map of ``dihedral_rows(m)[row]``, over the dihedral group of order 2m."""
+    rows = dihedral_rows(m)
+    if not rows:
         raise ValueError("m must be even and at least 4")
     if row not in (1, 2, 3, 4):
         raise ValueError("row must be 1..4")
-    if row in (2, 4) and (m // 2) % 2 == 0:
+    if row not in rows:
         raise ValueError(f"row {row} requires m/2 odd")
     # Rows 1 and 3 act on Z/m, with z the half turn x -> x + m/2; rows 2 and
     # 4 on Z/(m/2) x Z/2, with z the layer swap.  z is central: r z = z r.

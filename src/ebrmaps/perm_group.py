@@ -78,11 +78,12 @@ class Permutation:
 
     def order(self) -> int:
         n = 1
-        for cyc in self.cycles(include_fixed=False):
+        for cyc in self.cycles():
             n = lcm(n, len(cyc))
         return n
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The cycles of length two or more, each from its least point."""
         seen = [False] * len(self.images)
         out = []
         for start in range(len(self.images)):
@@ -95,7 +96,7 @@ class Permutation:
                 seen[j] = True
                 cyc.append(j)
                 j = self.images[j]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -246,7 +247,12 @@ class FiniteGroup:
         return self._inverses()[i]
 
     def element_order(self, i: int) -> int:
-        return _order(self.right_translation(i))
+        """The least k >= 1 with i^k the identity: the steps 0 -> i -> i^2 ... back to 0."""
+        translation = self.right_translation(i)
+        x, order = translation[0], 1
+        while x:
+            x, order = translation[x], order + 1
+        return order
 
     def involution_indices(self) -> list[int]:
         """The elements of order 2: those after the identity that are their own inverses."""
@@ -370,25 +376,36 @@ def extend_generator_map(group: FiniteGroup, src: Sequence[int],
     return images
 
 
-def _order(translation: list[int]) -> int:
-    """The order of the element a translation array moves 0 to."""
-    x, order = translation[0], 1
-    while x:
-        x, order = translation[x], order + 1
-    return order
+def _find(parent: list[int], i: int) -> int:
+    """The root of ``i`` in a union-find forest, the least index of its set;
+    halves the path walked."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def is_dihedral(group: FiniteGroup) -> bool:
-    """Whether the group is dihedral of its order 2h.  The involutions of D_h
-    are h reflections and, for even h, a half turn; involutions y and z
-    generate a dihedral group of order 2 * order(y z), and of any two
-    involutions of D_h one is a reflection, which generates with another."""
+    """Whether the group is dihedral of its order 2h: whether it has h + [h even]
+    involutions and an element w of order h (then every element outside <w>
+    is an involution, and inverts w).  The count alone settles h <= 2.  In D_h
+    every non-involution lies in the rotations, which have one cyclic subgroup
+    of each order, so a second cyclic subgroup of an order met rules it out."""
     n = group.order
     if n % 2 != 0:
         return n == 1
     half = n // 2
-    invs = group.involution_indices()
-    if len(invs) != half + 1 - half % 2:
+    if len(group.involution_indices()) != half + 1 - half % 2:
         return False
-    lefts = [group.left_translation(y) for y in invs[:2]]
-    return any(_order(group.left_translation(left[z])) == half for left in lefts for z in invs)
+    if half <= 2:
+        return True
+    seen, orders = set(), set()
+    for w, w_inv in enumerate(group._inverses()):
+        if w == w_inv or w in seen:  # the identity is its own inverse
+            continue
+        cyclic = group.subgroup_indices([w])
+        if len(cyclic) == half or len(cyclic) in orders:
+            return len(cyclic) == half
+        orders.add(len(cyclic))
+        seen.update(cyclic)
+    return False

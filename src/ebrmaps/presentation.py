@@ -25,9 +25,9 @@ relators and their inverses is stored once, as the column lists of its
 letters after the first: a scan through an entry c·x starts at c·x, and
 reads back from c along the lists of another stored rotation.  An entry that
 a scan fills is queued with the cycle the fill closed, which its own scans
-skip.  Coincidences are processed through a union-find with path
-compression.  The relators' lengths are held to the rotation budget,
-``MAX_ROTATION_LETTERS``, before any of them is expanded.
+skip.  Coincidences are processed through a union-find rooted at the least
+coset, with path halving.  The relators' lengths are held to the rotation
+budget, ``MAX_ROTATION_LETTERS``, before any of them is expanded.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ebr_core import SLOT_NAMES
-from .perm_group import FiniteGroup
+from .perm_group import FiniteGroup, _find
 
 DEFAULT_MAX_COSETS = 10**6
 _EMPTY_BLOCK = (None,) * 1024  # the empty slots a coset-table column grows by
@@ -354,14 +354,6 @@ class _CosetTable:
         self.deductions: list[tuple[int, int, Optional[list]]] = []
         self.rotations: list[list[tuple[list, int, list, list, int]]] = [[] for _ in inv_col]
 
-    def find(self, c: int) -> int:
-        root = c
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[c] != root:
-            self.parent[c], c = root, self.parent[c]
-        return root
-
     def coincidence(self, a: int, b: int) -> None:
         """Merge ``a`` and ``b``, and every pair of cosets that forces.  A live
         coset ends with every entry it had, so the fill cursor needs no reset:
@@ -373,7 +365,7 @@ class _CosetTable:
         queue: list[int] = []
 
         def merge(u: int, v: int) -> None:
-            u, v = self.find(u), self.find(v)
+            u, v = _find(parent, u), _find(parent, v)
             if u == v:
                 return
             if u > v:
@@ -394,7 +386,7 @@ class _CosetTable:
                 # Detach the mirror entry, then reinstall under representatives.
                 mirror = columns[inv_col[x]]
                 mirror[d] = None
-                u, v = self.find(dead), self.find(d)
+                u, v = _find(parent, dead), _find(parent, d)
                 if col[u] is not None:
                     merge(v, col[u])
                 elif mirror[v] is not None:
@@ -420,7 +412,7 @@ class _CosetTable:
             if deductions:
                 c, x, skip = deductions.pop()
                 if parent[c] != c:
-                    c = self.find(c)
+                    c = _find(parent, c)
                 d = columns[x][c]
                 if d is None:
                     continue

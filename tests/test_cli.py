@@ -142,6 +142,12 @@ def test_analyze_reports_missing_parameters(capsys):
     ("dipole", "m=2,rpp=1", "parameter 'rpp' must be true or false"),
     ("cycle", "m=2,m=3", "parameter 'm' is given twice"),
     ("dipole", "m=2,rpp=true,rpp=false", "parameter 'rpp' is given twice"),
+    # Integers follow the presentation grammar, -?[0-9]+ in ASCII, as built-in
+    # names do; a negative one reaches the constructor.
+    ("cycle", "m=1_0", "parameter 'm' must be an integer"),
+    ("cycle", "m=+3", "parameter 'm' must be an integer"),
+    ("cycle", "m=\u0663", "parameter 'm' must be an integer"),
+    ("cycle", "m=-3", "m must be positive"),
 ])
 def test_family_parameters_are_typed_by_name(capsys, family, params, message):
     code, out, err = run(capsys, "analyze", "--family", family, "--params", params)

@@ -7,6 +7,8 @@ from ebrmaps import (
     are_isomorphic,
     coset_enumerate,
     dihedral_map,
+    dihedral_rows,
+    dihedral_table_row,
     is_dihedral,
     klein,
     regular_catalog,
@@ -193,6 +195,26 @@ def test_dihedral_parameter_validation():
         dihedral_map(8, 2)  # m/2 even
     with pytest.raises(ValueError):
         dihedral_map(4, 5)
+
+
+def test_dihedral_map_and_report_read_one_table():
+    """dihedral_map admits exactly the rows of dihedral_rows and builds their
+    data, and the report's matcher finds each row as it is and dual."""
+    for m in range(4, 101, 2):
+        rows = dihedral_rows(m)
+        for row in (1, 2, 3, 4):
+            if row not in rows:
+                with pytest.raises(ValueError):
+                    dihedral_map(m, row)
+                continue
+            inv = dihedral_map(m, row).invariants()
+            k, l, chi, V, F, fully_regular = rows[row]
+            assert (inv.k, inv.l, inv.chi, inv.V, inv.F, inv.fully_regular) == rows[row]
+            assert dihedral_table_row(2 * m, k, l, V, F, chi, fully_regular) == row
+            assert dihedral_table_row(2 * m, l, k, F, V, chi, fully_regular) == row
+            # (2m + 1) // 2 is m, but an odd order matches no row.
+            assert dihedral_table_row(2 * m + 1, k, l, V, F, chi, fully_regular) is None
+    assert dihedral_rows(2) == dihedral_rows(5) == {}
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])

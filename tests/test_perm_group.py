@@ -248,6 +248,26 @@ def test_is_dihedral_agrees_with_the_rotation_oracle():
     assert [(g.order, is_dihedral(g)) for g in groups[-7:-5]] == [(18, False), (36, False)]
 
 
+def test_is_dihedral_walks_few_rows_on_a_generalised_dihedral_group(monkeypatch):
+    """Dih(C31 x C31) passes the involution count; two cyclic subgroups of
+    order 31 rule it out, where an involution-pair loop makes 1,924 calls."""
+    from ebrmaps import coset_enumerate, parse_presentation
+    g = coset_enumerate(parse_presentation(
+        "< a, b, c | a^2, b^31, c^31, b c b^-1 c^-1, (a b)^2, (a c)^2 >"))
+    assert len(g.involution_indices()) == g.order // 2 == 961  # builds the inverse array
+    calls = []
+
+    def counted(method):
+        def call(self, j):
+            calls.append(j)
+            return method(self, j)
+        return call
+    for name in ("left_translation", "right_translation"):
+        monkeypatch.setattr(FiniteGroup, name, counted(getattr(FiniteGroup, name)))
+    assert not is_dihedral(g)
+    assert len(calls) <= 4
+
+
 def membership_groups():
     """Catalog groups written as affine quotients, coset-enumerated groups
     (regular on their points), and a closure-built group of order 6 on 6
