@@ -30,7 +30,8 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
+        # sorted would take 1.0 for 1, so each image must be an int (a bool is one)
+        if not all(isinstance(i, int) for i in imgs) or sorted(imgs) != list(range(len(imgs))):
             raise ValueError("images do not form a bijection of 0..degree-1")
         object.__setattr__(self, "images", imgs)
 
@@ -183,10 +184,9 @@ class FiniteGroup:
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
-        """Every element as a permutation, in element order."""
-        if self._elements is None:
-            self._elements = tuple(map(self.element, range(self.order)))
-        return self._elements
+        """Every element as a permutation, in element order: a fresh tuple,
+        unless ``closure`` passed the permutations it was closed under."""
+        return self._elements or tuple(map(self.element, range(self.order)))
 
     def element(self, i: int) -> Permutation:
         if self._elements is not None:

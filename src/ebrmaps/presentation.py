@@ -20,14 +20,13 @@ is definition-driven with immediate deductions (Felsch style): always fill
 the lowest empty slot of the lowest live coset, scan that definition at
 once, and close relator cycles as soon as their last edge appears.  Every
 other new entry is queued once, not with its mirror: the cycles through an
-edge are the same read from either end.  Each distinct rotation of the
-relators and their inverses is stored once, as the column lists of its
-letters after the first: a scan through an entry c·x starts at c·x, and
-reads back from c along the lists of another stored rotation.  An entry that
-a scan fills is queued with the cycle the fill closed, which its own scans
-skip.  Coincidences are processed through a union-find rooted at the least
-coset, with path halving.  The relators' lengths are held to the rotation
-budget, ``MAX_ROTATION_LETTERS``, before any of them is expanded.
+edge are the same read from either end.  Each distinct rotation x w of the
+relators and their inverses is stored once, as the column lists of w: a scan
+through an entry c·x reads w forward from c·x, and reads back from c along
+the lists of x^-1 w^-1, another stored rotation.  Coincidences are processed
+through a union-find rooted at the least coset, with path halving.  The
+relators' lengths are held to the rotation budget, ``MAX_ROTATION_LETTERS``,
+before any of them is expanded.
 """
 
 from __future__ import annotations
@@ -222,25 +221,22 @@ class _Parser:
                 self.take()
                 if text not in index:
                     raise self.error(f"unknown generator name {text!r}", offset)
-                gens.add(index[text])
-                exp = self.power(offset, length, 1, len(gens) > 1)
-                terms.append((index[text], exp))
-                length += abs(exp)
+                factor: Word = ((index[text], 1),)
             elif self.is_punct("("):
                 if depth >= MAX_NESTING:
                     raise self.error(f"parentheses nested deeper than {MAX_NESTING}", offset)
                 self.take()
-                inner = self.word(index, depth + 1)
+                factor = self.word(index, depth + 1)
                 self.expect(")")
-                base = _length(inner)
-                gens.update(idx for idx, _ in inner)
-                exp = self.power(offset, length, base, len(gens) > 1)
-                terms.extend(_power(inner, exp))
-                length += base * abs(exp)
             elif not terms:
                 raise self.expected("word")
             else:
                 return tuple(terms)
+            base = _length(factor)
+            gens.update(idx for idx, _ in factor)
+            exp = self.power(offset, length, base, len(gens) > 1)
+            terms.extend(_power(factor, exp))
+            length += base * abs(exp)
 
 
 def _length(word: Sequence[tuple[int, int]]) -> int:
@@ -331,28 +327,25 @@ class _CosetTable:
     # column, as FiniteGroup keeps the finished group, grown by _EMPTY_BLOCK
     # when a coset reaches its length; slots past len(parent) are slack.
     # fill scans each definition as it makes it.  Any other entry c --x--> d
-    # is queued as (c, x, skip) alone, though its mirror d --inv_col[x]--> c
-    # is written with it: the rotations that start with inv_col[x], scanned
-    # at d, are those that start with x, scanned at c, read backwards, so
-    # the mirror's scans would repeat them.  ``skip`` is the tail of the
-    # rotation whose cycle through the entry a fill has just closed, or None.
+    # is queued as (c, x) alone, though its mirror d --inv_col[x]--> c is
+    # written with it: the rotations that start with inv_col[x], scanned at
+    # d, are those that start with x, scanned at c, read backwards, so the
+    # mirror's scans would repeat them.
     #
     # rotations[x] holds each stored rotation x w as a record (tail, n, back,
-    # ring, start).  ``tail`` is the column lists of w, n of them, so a scan
-    # from c starts at c·x and looks up no column index; the list itself
-    # names the rotation.  ``back`` is the tail of the inverse of x w rotated
-    # by one, another stored rotation: the columns that lead from c back
-    # along w.  ``ring`` lists the (first column, tail) of each rotation of
-    # one relator or inverse by shift; x w is ring[start - 1], so
-    # ring[(start + i) % len(ring)] starts with the letter of tail[i].
+    # letters).  ``tail`` is the column lists of w, n of them, so a scan from
+    # c starts at c·x and looks up no column index.  ``back`` is the tail of
+    # x^-1 w^-1, another stored rotation: the columns that lead from c back
+    # along w.  ``letters`` is the column indices of x w, so letters[i + 1]
+    # names the column of tail[i].
     def __init__(self, inv_col: list[int], max_cosets: int):
         self.inv_col = inv_col
         self.max_cosets = max_cosets
         self.columns: list[list[Optional[int]]] = [list(_EMPTY_BLOCK) for _ in inv_col]
         self.parent = [0]  # a coset is live exactly when it is its own root
         self.live_count = 1
-        self.deductions: list[tuple[int, int, Optional[list]]] = []
-        self.rotations: list[list[tuple[list, int, list, list, int]]] = [[] for _ in inv_col]
+        self.deductions: list[tuple[int, int]] = []
+        self.rotations: list[list[tuple[list, int, list, tuple]]] = [[] for _ in inv_col]
 
     def coincidence(self, a: int, b: int) -> None:
         """Merge ``a`` and ``b``, and every pair of cosets that forces.  A live
@@ -394,14 +387,14 @@ class _CosetTable:
                 else:
                     col[u] = v
                     mirror[v] = u
-                    self.deductions.append((u, x, None))
+                    self.deductions.append((u, x))
 
     def fill(self) -> None:
         """Complete the table.  Scan every relator cycle through each queued
-        entry c --x--> d at its live end c, but the one a fill has just
-        closed: forward from d to the first gap, then backward from c.  A
-        closed cycle whose ends differ is a coincidence; a gap of one letter
-        is filled, and the new entry is queued with the cycle it closed.
+        entry c --x--> d at its live end c: forward from d to the first gap,
+        then backward from c.  A closed cycle whose ends differ is a
+        coincidence; a gap of one letter is filled, and the new entry is
+        queued (its scan of the cycle the fill closed finds it closed).
         Once the queue is empty, define the first empty slot of the lowest
         live coset and scan it at once, until no slot is empty."""
         columns, parent, inv_col = self.columns, self.parent, self.inv_col
@@ -410,7 +403,7 @@ class _CosetTable:
         cursor = slot = 0  # live cosets below cursor, and its slots below slot, are full
         while True:
             if deductions:
-                c, x, skip = deductions.pop()
+                c, x = deductions.pop()
                 if parent[c] != c:
                     c = _find(parent, c)
                 d = columns[x][c]
@@ -428,7 +421,7 @@ class _CosetTable:
                     return
                 if self.live_count >= max_cosets:
                     raise CosetLimitExceeded(f"enumeration exceeded max_cosets={max_cosets}")
-                c, x, skip, d = cursor, slot, None, len(parent)
+                c, x, d = cursor, slot, len(parent)
                 if d == room:
                     for col in columns:
                         col.extend(_EMPTY_BLOCK)
@@ -437,9 +430,7 @@ class _CosetTable:
                 columns[inv_col[x]][d] = c
                 parent.append(d)
                 self.live_count += 1
-            for tail, n, back, ring, start in rotations[x]:
-                if tail is skip:
-                    continue
+            for tail, n, back, letters in rotations[x]:
                 f, i = d, 0
                 for col in tail:
                     nxt = col[f]
@@ -467,8 +458,7 @@ class _CosetTable:
                     # Both slots are empty: the scans stopped at them.
                     tail[i][f] = b
                     back[k][b] = f
-                    y, closed = ring[(start + i) % len(ring)]
-                    deductions.append((f, y, closed))
+                    deductions.append((f, letters[i + 1]))
 
 
 def coset_enumerate(pres: GroupPresentation,
@@ -512,10 +502,10 @@ def coset_enumerate(pres: GroupPresentation,
 
     ct = _CosetTable(inv_col, max_cosets)
 
-    # Each distinct rotation of the relators and their inverses is held once,
-    # as a record of _CosetTable.rotations in the ring of its word.
-    where: dict[tuple[int, ...], tuple[list, int]] = {}  # rotation -> ring, shift
-    letters = 0
+    # Each distinct rotation of the relators and their inverses is held once:
+    # where maps it to its tail lists.
+    where: dict[tuple[int, ...], list] = {}
+    held = 0  # letters stored
     for word in pres.relators:
         expanded: list[int] = []
         for idx, exp in word:
@@ -524,27 +514,22 @@ def coset_enumerate(pres: GroupPresentation,
         del expanded
         if not cols or len(cols) == 2 and cols[0] == cols[1]:
             continue  # holds everywhere, or is built into an involution's column
-        inverse = tuple(inv_col[x] for x in reversed(cols))
-        rings = []
-        for base, inv in ((cols, inverse), (inverse, cols)):
+        new = []
+        for base in (cols, tuple(inv_col[x] for x in reversed(cols))):
             if base in where:
                 continue  # all its rotations are stored already
-            ring: list[tuple[int, list]] = []
             for shift in range(_cyclic_period(base)):
                 rot = base[shift:] + base[:shift] if shift else base
-                letters += len(rot)
-                if letters > MAX_ROTATION_LETTERS:
+                held += len(rot)
+                if held > MAX_ROTATION_LETTERS:
                     raise ValueError(too_many)
-                where[rot] = ring, shift
-                ring.append((rot[0], [ct.columns[y] for y in rot[1:]]))
-            rings.append((ring, inv))
-        # The inverse of rotation s of an n-letter word, rotated by one, is
-        # rotation n - 1 - s of the inverse word.
-        for ring, inv in rings:
-            inv_ring, u = where[inv]
-            for s, (x, tail) in enumerate(ring):
-                back = inv_ring[(u + len(cols) - 1 - s) % len(ring)][1]
-                ct.rotations[x].append((tail, len(tail), back, ring, s + 1))
+                where[rot] = [ct.columns[y] for y in rot[1:]]
+                new.append(rot)
+        # x w reads back along w by the tail of x^-1 w^-1, a rotation of the
+        # inverse of x w, which is stored with it.
+        for rot in new:
+            back = where[tuple(inv_col[rot[-j]] for j in range(len(rot)))]
+            ct.rotations[rot[0]].append((where[rot], len(rot) - 1, back, rot))
     del where
 
     ct.fill()

@@ -347,6 +347,24 @@ def test_coset_enumeration_budgets_the_rotation_letters(monkeypatch):
     monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", 15 * 15 - 1)
     with pytest.raises(ValueError, match="more than 224 letters"):
         coset_enumerate(pres)
+    # Every word of 3 to 6 letters over a, b and their inverses, as the one
+    # relator: each generator has two columns, and the word may be a proper
+    # power or not, and its inverse a rotation of it or not.  The store holds
+    # each distinct rotation of the word and of its inverse once.
+    from itertools import product
+
+    letters = [(0, 1), (1, 1), (0, -1), (1, -1)]
+    for n in range(3, 7):
+        for word in product(letters, repeat=n):
+            inverse = tuple((idx, -exp) for idx, exp in reversed(word))
+            rotations = {w[s:] + w[:s] for w in (word, inverse) for s in range(n)}
+            pres = GroupPresentation(("a", "b"), (word,))
+            monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", len(rotations) * n)
+            with pytest.raises(CosetLimitExceeded):
+                coset_enumerate(pres, max_cosets=1)
+            monkeypatch.setattr(presentation, "MAX_ROTATION_LETTERS", len(rotations) * n - 1)
+            with pytest.raises(ValueError, match="relator rotations take more than"):
+                coset_enumerate(pres, max_cosets=1)
 
 
 def test_coset_enumeration_rejects_an_over_budget_relator():
