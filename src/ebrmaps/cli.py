@@ -23,7 +23,7 @@ from .enumeration import (
     enumerate_ebr,
 )
 from .flag_maps import _write_json, is_alternate_edge_colourable, load_flagmap
-from .perm_group import GroupTooLargeError, orbits
+from .perm_group import FiniteGroup, GroupTooLargeError, orbits
 from .presentation import (
     DEFAULT_MAX_COSETS,
     CosetLimitExceeded,
@@ -88,22 +88,22 @@ def _build_family(name: str, params: dict) -> EdgeBiregularMap:
     return build(*(params[key] for key in allowed if key in params))
 
 
-def _presentation_text(source: str) -> str:
-    if source.lstrip().startswith("<"):
-        return source
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _presented_group(source: str, max_cosets: int) -> FiniteGroup:
+    """The group ``source`` presents: text that starts with '<', or a file."""
+    if not source.lstrip().startswith("<"):
+        with open(source, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    return coset_enumerate(parse_presentation(source), max_cosets=max_cosets)
 
 
 def _build_from_presentation(source: str, slots: Optional[str],
                              max_cosets: int) -> EdgeBiregularMap:
-    pres = parse_presentation(_presentation_text(source))
-    group = coset_enumerate(pres, max_cosets=max_cosets)
+    group = _presented_group(source, max_cosets)
     if slots is None:
-        if len(pres.generator_names) != 4:
+        if len(group.generator_names) != 4:
             raise ValueError("--slots is required unless the presentation has "
                              "exactly four generators")
-        names = list(pres.generator_names)
+        names = list(group.generator_names)
     else:
         names = [s.strip() for s in slots.split(",")]
         if len(names) != 4:
@@ -143,8 +143,7 @@ def _cmd_enumerate(args) -> int:
     source = args.group
     # A name in the catalog grammar is never read as a file.
     if not source.startswith(families.CATALOG_PREFIXES) and os.path.exists(source):
-        pres = parse_presentation(_presentation_text(source))
-        group = coset_enumerate(pres, max_cosets=args.max_cosets)
+        group = _presented_group(source, args.max_cosets)
     else:
         group = families.catalog_group(source)
     maps = enumerate_ebr(group, require_proper=args.proper,

@@ -30,10 +30,10 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
-        # sorted would take 1.0 for 1, so each image must be an int (a bool is one)
+        # sorted would take 1.0 for 1, so each image must be an int; a bool is stored as int
         if not all(isinstance(i, int) for i in imgs) or sorted(imgs) != list(range(len(imgs))):
             raise ValueError("images do not form a bijection of 0..degree-1")
-        object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "images", tuple(map(int, imgs)))
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":

@@ -46,14 +46,15 @@ _EMPTY_BLOCK = (None,) * 1024  # the empty slots a coset-table column grows by
 MAX_NESTING = 100
 
 # Coset enumeration stores each distinct rotation of every relator and of
-# its inverse, so this many letters at most; the parser holds each relator
-# to it before expansion, so a short input cannot ask for an unbounded word.
-# A relator over two or more generators has at least two rotations of its
-# full length, so a power in one is held to half the budget.
-# A dihedral relator (a b)^m stores 4m letters, so the budget admits every
-# dihedral group that DEFAULT_MAX_COSETS admits.  A relator that is not a
-# proper power stores up to twice its length squared, so it is held to
-# 1,000-1,400 letters, where enumeration already takes minutes.
+# its inverse, so this many letters at most.  One rule, ``_charge``, holds a
+# presentation to it before any relator is expanded, in the parser token by
+# token and in ``coset_enumerate``: each relator as given is charged its
+# letters, twice if it spans two or more generators (it has two rotations of
+# full length), and nothing if it squares a generator (an involution column,
+# no rotation).  A dihedral relator (a b)^m is charged and stores 4m letters,
+# so the budget admits every dihedral group DEFAULT_MAX_COSETS admits.  A
+# relator that is no proper power stores up to twice its length squared,
+# which the store's count refuses at 1,000-1,400 letters.
 MAX_ROTATION_LETTERS = 2 * DEFAULT_MAX_COSETS
 
 Word = tuple[tuple[int, int], ...]
@@ -124,6 +125,7 @@ class _Parser:
                 self.tokens.append((match.lastgroup, match.group(), match.start()))
         self.tokens.append(("end", "", len(text)))
         self.pos = 0
+        self.spent = 0  # the charge of the relators read
 
     def error(self, message: str, offset: int) -> PresentationSyntaxError:
         """The error at ``offset``, placed by 1-based line and column."""
@@ -154,31 +156,32 @@ class _Parser:
 
     def parse(self) -> GroupPresentation:
         self.expect("<")
-        names = [self.ident()]
-        while self.is_punct(","):
-            self.take()
-            names.append(self.ident())
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise self.error(f"duplicate generator name {name!r}", self.tokens[0][2])
-            seen.add(name)
+        index: dict[str, int] = {}
+        while not index or self.is_punct(","):
+            if index:
+                self.take()
+            _, name, offset = self.ident()
+            if name in index:
+                raise self.error(f"duplicate generator name {name!r}", offset)
+            index[name] = len(index)
         self.expect("|")
-        index = {name: i for i, name in enumerate(names)}
-        relators = [self.word(index)]
-        while self.is_punct(","):
-            self.take()
-            relators.append(self.word(index))
+        relators: list[Word] = []
+        while not relators or self.is_punct(","):
+            if relators:
+                self.take()
+            word, charge = self.word(index)
+            relators.append(word)
+            self.spent += charge
         self.expect(">")
         kind, text, offset = self.peek()
         if kind != "end":
             raise self.error(f"trailing input {text!r}", offset)
-        return GroupPresentation(tuple(names), tuple(relators))
+        return GroupPresentation(tuple(index), tuple(relators))
 
-    def ident(self) -> str:
+    def ident(self) -> tuple[str, str, int]:
         if self.peek()[0] != "ident":
             raise self.expected("identifier")
-        return self.take()[1]
+        return self.take()
 
     def exponent(self) -> int:
         if self.peek()[0] != "int":
@@ -192,29 +195,13 @@ class _Parser:
             raise self.error("zero exponent", offset)
         return value
 
-    def power(self, offset: int, length: int, base: int, mixed: bool = False) -> int:
-        """The exponent after the token at ``offset`` (1 if none), once a word
-        of ``length`` letters followed by ``base`` letters to that power stays
-        within budget, twice over if the relator is ``mixed`` (over two or
-        more generators, which ``coset_enumerate`` stores at least two
-        rotations of); the error points at the exponent, or else at ``offset``."""
-        exp = 1
-        if self.is_punct("^"):
-            self.take()
-            offset = self.peek()[2]
-            exp = self.exponent()
-        letters = length + base * abs(exp)
-        if letters > MAX_ROTATION_LETTERS:
-            raise self.error(f"relator longer than {MAX_ROTATION_LETTERS} letters", offset)
-        if mixed and 2 * letters > MAX_ROTATION_LETTERS:
-            raise self.error(
-                f"relator longer than {MAX_ROTATION_LETTERS} letters in its rotations", offset)
-        return exp
-
-    def word(self, index: dict[str, int], depth: int = 0) -> Word:
+    def word(self, index: dict[str, int], depth: int = 0) -> tuple[Word, int]:
+        """The word read next and its charge.  Before each factor is expanded,
+        the word so far and the relators read are held to the budget; the
+        error points at the factor's exponent, or else at the factor."""
         terms: list[tuple[int, int]] = []
-        length = 0  # letters once expanded
-        gens: set[int] = set()  # the generators read so far
+        letters = exponent_sum = charge = 0  # of the word so far, once expanded
+        gens: set[int] = set()
         while True:
             kind, text, offset = self.peek()
             if kind == "ident":
@@ -226,22 +213,40 @@ class _Parser:
                 if depth >= MAX_NESTING:
                     raise self.error(f"parentheses nested deeper than {MAX_NESTING}", offset)
                 self.take()
-                factor = self.word(index, depth + 1)
+                factor = self.word(index, depth + 1)[0]
                 self.expect(")")
             elif not terms:
                 raise self.expected("word")
             else:
-                return tuple(terms)
-            base = _length(factor)
-            gens.update(idx for idx, _ in factor)
-            exp = self.power(offset, length, base, len(gens) > 1)
+                return tuple(terms), charge
+            exp = 1
+            if self.is_punct("^"):
+                self.take()
+                offset = self.peek()[2]
+                exp = self.exponent()
+            for idx, e in factor:
+                gens.add(idx)
+                letters += abs(e * exp)
+                exponent_sum += e * exp
+            charge = _charge(letters, len(gens), exponent_sum)
+            if self.spent + charge > MAX_ROTATION_LETTERS:
+                raise self.error(
+                    f"relator longer than {MAX_ROTATION_LETTERS} letters in its rotations", offset)
             terms.extend(_power(factor, exp))
-            length += base * abs(exp)
 
 
 def _length(word: Sequence[tuple[int, int]]) -> int:
     """The number of letters ``word`` expands to."""
     return sum(abs(exp) for _, exp in word)
+
+
+def _charge(letters: int, generators: int, exponent_sum: int) -> int:
+    """The letters a relator is charged against ``MAX_ROTATION_LETTERS``, by
+    its letters, the generators it spans and its exponent sum; a square of a
+    generator is the one word of two letters, one generator and sum 2 or -2."""
+    if generators > 1:
+        return 2 * letters
+    return 0 if letters == abs(exponent_sum) == 2 else letters
 
 
 def _invert(word: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -478,21 +483,14 @@ def coset_enumerate(pres: GroupPresentation,
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
 
-    # Refuse before expanding any relator.  Each is one of its rotations, and
-    # one over two or more generators has at least two rotations of its full
-    # length, as its cyclic period exceeds 1.  Relators are counted as given,
-    # so one repeated up to rotation or inversion counts again.
+    # Refuse before expanding any relator; one charged nothing squares a generator.
     too_many = f"relator rotations take more than {MAX_ROTATION_LETTERS} letters"
-    mixed = 0  # twice the letters of the relators over two or more generators
-    for word in pres.relators:
-        if any(idx != word[0][0] for idx, _ in word):
-            mixed += 2 * _length(word)
-        elif _length(word) > MAX_ROTATION_LETTERS:
-            raise ValueError(too_many)
-    if mixed > MAX_ROTATION_LETTERS:
+    charges = [_charge(_length(word), len({idx for idx, _ in word}), sum(e for _, e in word))
+               for word in pres.relators]
+    if sum(charges) > MAX_ROTATION_LETTERS:
         raise ValueError(too_many)
-    involutory = {word[0][0] for word in pres.relators
-                  if _length(word) == 2 and len({(idx, exp > 0) for idx, exp in word}) == 1}
+    involutory = {word[0][0] for word, charge in zip(pres.relators, charges)
+                  if word and not charge}
 
     col_of: list[int] = []  # each generator's column; inv_col gives its inverse's
     inv_col: list[int] = []

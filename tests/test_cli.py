@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ebrmaps.families as families
-from ebrmaps import (PresentationSyntaxError, catalog_names, construction3, construction4,
-                     dihedral_map, dihedral_presentation, klein, parse_presentation,
+from ebrmaps import (PresentationSyntaxError, catalog_names, construction1, construction3,
+                     construction4, dihedral_map, dihedral_presentation, klein, parse_presentation,
                      regular_catalog, sphere_family, torus_rect, torus_rhombic)
-from ebrmaps.cli import build_parser, main, underlying_dot
+from ebrmaps.cli import build_parser, corners_dot, main, underlying_dot
 from conftest import FIXTURE_DIR, flagmap_documents, underlying_dot_reference
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
@@ -148,6 +148,8 @@ def test_analyze_reports_missing_parameters(capsys):
     ("cycle", "m=+3", "parameter 'm' must be an integer"),
     ("cycle", "m=\u0663", "parameter 'm' must be an integer"),
     ("cycle", "m=-3", "m must be positive"),
+    ("torus-rect", "a=0,c=3", "torus_rect parameters must be positive"),
+    ("torus-rhombic", "b=2,c=-1", "torus_rhombic parameters must be positive"),
 ])
 def test_family_parameters_are_typed_by_name(capsys, family, params, message):
     code, out, err = run(capsys, "analyze", "--family", family, "--params", params)
@@ -390,6 +392,15 @@ def test_export_corners_dot(capsys, tmp_path):
         assert f"[color={colour}]" in text
     # 16 corners, 4 generator matchings of 8 edges each
     assert text.count(" -- ") == 32
+
+
+def test_corners_dot_of_a_boundary_map_has_no_edge_of_the_absent_slot():
+    m = construction1(regular_catalog("tetrahedron"))
+    assert m.slot_indices[3] is None
+    text = corners_dot(m)
+    # 24 corners, and a matching of 12 edges for each present slot
+    counts = [text.count(f"[color={colour}]") for colour in ("red", "green", "blue", "yellow")]
+    assert counts == [12, 12, 12, 0] and text.count(" -- ") == 36
 
 
 def test_export_underlying_dot(capsys, tmp_path):

@@ -173,6 +173,9 @@ def test_construction4_rejects_non_digonal_faces():
 def test_underlying_regular_rejects_generic_maps():
     with pytest.raises(ValueError, match="construction shape"):
         underlying_regular(torus_rect(4, 3))
+    # Fully regular, but its four slots are distinct and none is absent.
+    with pytest.raises(ValueError, match="construction shape"):
+        underlying_regular(torus_rect(2, 2))
     with pytest.raises(ValueError, match="construction shape"):
         underlying_regular(sphere_family("semistar", 3))
 

@@ -315,6 +315,8 @@ def test_boundary_maps_have_no_invariants():
     assert report["boundary_type"] == "a"
     assert report["absent_slots"] == ["rho2"]
     assert report["l"] == 6 and report["k"] is None
+    with pytest.raises(InvalidMapError, match="not a boundary map"):
+        torus_rect(2, 2).boundary_report()
 
 
 def test_orientability_matches_even_subgroup_oracle():

@@ -77,6 +77,14 @@ def test_permutation_refuses_images_that_are_not_ints(images):
         Permutation(images)
 
 
+def test_permutation_stores_boolean_images_as_plain_ints():
+    p = Permutation([True, False])
+    assert p.images == (1, 0) and all(type(i) is int for i in p.images)
+    assert repr(p) == "Permutation((0 1))"
+    with pytest.raises(ValueError, match="images do not form a bijection of 0..degree-1"):
+        Permutation([1.0, 0.0])
+
+
 def test_products_and_inverses_equal_the_validated_constructor():
     # Products and inverses skip the bijection check; the constructor keeps it.
     elements = catalog_group("dihxc2:24").elements

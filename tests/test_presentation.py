@@ -42,6 +42,17 @@ def test_parse_syntax_error_reports_position():
     assert err.value.column >= 19
 
 
+@pytest.mark.parametrize("text, message, column", [
+    ("< a, b | a^2 > x", "trailing input 'x'", 16),
+    ("< a, b | a^b >", "expected integer exponent, found 'b'", 12),
+    ("< a, b, a | a^2 >", "duplicate generator name 'a'", 9),
+])
+def test_parse_error_points_at_its_token(text, message, column):
+    with pytest.raises(PresentationSyntaxError, match=message) as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
 def test_parse_unknown_generator():
     with pytest.raises(PresentationSyntaxError, match="unknown generator"):
         parse_presentation("< a | b^2 >")
@@ -148,6 +159,11 @@ def test_type_presentation_euclidean_and_hyperbolic_are_infinite():
 def test_enumerate_rejects_empty_generators():
     with pytest.raises(ValueError):
         coset_enumerate(GroupPresentation((), ()))
+
+
+def test_enumerate_refuses_a_coset_limit_below_one():
+    with pytest.raises(ValueError, match="max_cosets must be at least 1"):
+        coset_enumerate(dihedral_presentation(3), max_cosets=0)
 
 
 def test_trivializing_relator():
@@ -274,8 +290,14 @@ def test_relator_length_error_points_at_the_token_over_budget(monkeypatch, text,
     with pytest.raises(PresentationSyntaxError, match="longer than 100 letters") as info:
         parse_presentation(text)
     assert (info.value.line, info.value.column) == (1, column)
-    pres = parse_presentation("< a, b | a^2, b^2, (a b)^25, a^100 >")
-    assert [sum(abs(exp) for _, exp in word) for word in pres.relators[2:]] == [50, 100]
+    # Each relator fits alone; the budget is the presentation's, so together
+    # they are refused at the exponent that takes it past 100.
+    alone = [parse_presentation(f"< a, b | a^2, b^2, {w} >").relators[2]
+             for w in ("(a b)^25", "a^100")]
+    assert [sum(abs(exp) for _, exp in word) for word in alone] == [50, 100]
+    with pytest.raises(PresentationSyntaxError, match="longer than 100 letters") as info:
+        parse_presentation("< a, b | a^2, b^2, (a b)^25, a^100 >")
+    assert (info.value.line, info.value.column) == (1, 32)
 
 
 @pytest.mark.parametrize("text, column", [
@@ -323,6 +345,24 @@ def test_a_mixed_power_over_budget_is_refused_before_it_is_expanded(text, column
         tracemalloc.stop()
     assert (info.value.line, info.value.column) == (1, column)
     assert peak < 2**20
+
+
+def test_the_budget_is_the_presentations_not_each_relators():
+    import tracemalloc
+
+    # Each copy is charged twice its 200,000 letters, so five fill the budget
+    # and the sixth is refused at its first letter, before it is expanded;
+    # the squares are involution columns and are charged nothing.
+    text = "< a, b | a^2, b^2, " + ", ".join(["(a b)^100000"] * 64) + " >"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PresentationSyntaxError, match="in its rotations") as info:
+            parse_presentation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.line, info.value.column) == (1, 91)
+    assert peak < 16 * 2**20
 
 
 def test_a_power_of_one_term_is_one_term():
@@ -404,6 +444,21 @@ def test_an_over_budget_relator_is_refused_before_it_is_expanded():
     # 1,200,000 letters over two generators: at least two rotations of that
     # length, 2,400,000 letters in all, above the budget.
     pres = GroupPresentation(("a", "b"), (((0, 600_000), (1, 600_000)),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than"):
+            coset_enumerate(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_power_of_one_generator_over_budget_is_refused_before_it_is_expanded():
+    import tracemalloc
+
+    # A relator built in the library, not parsed: 10^12 letters of one generator.
+    pres = GroupPresentation(("a",), (((0, 10**12),),))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="more than"):
