@@ -10,15 +10,16 @@ of a rectangle, so the torus and Klein-bottle maps are quotients
 (Z²/L) ⋊ C2² and the square-grid catalog map is (Z²/gZ²) ⋊ D4.  The
 dihedral and sphere families, the hosohedra, the dihedra and the dihedral
 catalog groups are quotients of Z ⋊ C2, some times C2.  Only the five
-platonic solids are built by coset enumeration of triangle-group quotients.  The tests check the columns against coset
-enumeration of the defining relators and against closure of explicit
-permutations.
+platonic solids are built by coset enumeration of triangle-group quotients.
+The tests check the columns against coset enumeration of the defining
+relators and against closure of explicit permutations.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .constructions import RegularMap
 from .ebr_core import SLOT_NAMES, EdgeBiregularMap
@@ -58,12 +59,16 @@ def affine_quotient(names: Sequence[str], generators: Sequence[Affine],
     p, q, r = lattice
     size = p * r
 
-    def moved(mat: tuple[int, ...], vec: tuple[int, int]) -> list[int]:
-        """Each translation's number after the affine map (mat, vec)."""
+    def moved(mat: tuple[int, ...], vec: tuple[int, int]) -> Callable[[list[int]], tuple]:
+        """The reader of a block of ``size`` entries, one per translation, at
+        each translation's number after the affine map (mat, vec): a tuple
+        made in C, with no int made per entry.  A block of one entry is read
+        as itself, since ``itemgetter`` of one index returns no tuple."""
         a, b, c, d = mat
         s, t = vec
-        return [((y2 := c * x + d * y + t) % r) * p + (a * x + b * y + s - y2 // r * q) % p
-                for y in range(r) for x in range(p)]
+        images = [((y2 := c * x + d * y + t) % r) * p + (a * x + b * y + s - y2 // r * q) % p
+                  for y in range(r) for x in range(p)]
+        return itemgetter(*images) if size > 1 else tuple
 
     linear = [_IDENTITY]
     for m in linear:  # grows while it is walked
@@ -80,6 +85,7 @@ def affine_quotient(names: Sequence[str], generators: Sequence[Affine],
                                  f"max_order={DEFAULT_MAX_ORDER}")
 
     through_central = None if central is None else moved(*central)
+    points = list(range(len(kept) * size))  # the one int of each element
     columns = []
     for mat, vec in generators:
         shift = moved(mat, vec)  # h*g = (mat M, mat v + vec) for h = (M, v)
@@ -88,11 +94,12 @@ def affine_quotient(names: Sequence[str], generators: Sequence[Affine],
             image = _matmul(mat, m)
             if image in kept:
                 base = kept.index(image) * size
-                column += [base + x for x in shift]
+                column += shift(points[base:base + size])
             else:  # h*g*z is kept instead of h*g
                 base = kept.index(_matmul(central[0], image)) * size
-                column += [base + through_central[x] for x in shift]
+                column += shift(through_central(points[base:base + size]))
         columns.append(column)
+    del points, shift, through_central  # the columns alone hold the ints while they are numbered
     return FiniteGroup(names, columns)
 
 

@@ -130,7 +130,8 @@ class FiniteGroup:
     other is one left translation read through the inverse array, memoised
     only for the ``j`` asked.  Permutations are derived on request only:
     element ``i`` reads as its right translation ``x -> x*i``, unless
-    ``closure`` passed the ``elements`` it was closed under.
+    ``closure`` passed the ``elements`` it was closed under.  The columns and
+    the breadth-first tree share one int object per element.
     """
 
     def __init__(self, generator_names: Sequence[str], columns: Sequence[Sequence[int]],
@@ -142,7 +143,8 @@ class FiniteGroup:
         found, number = [0], [0] + [-1] * (n - 1)
         self._parent, self._via = [0], [0]
         numbered = list(enumerate(columns))  # one list, not an enumerate per element
-        for e, x in enumerate(found):
+        for x in found:
+            e = number[x]
             for g, col in numbered:
                 y = col[x]
                 if number[y] < 0:

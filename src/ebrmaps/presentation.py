@@ -13,20 +13,20 @@ tokens, and any other character is a syntax error::
 
 Coset enumeration runs over the trivial subgroup, so a completed table is
 the right Cayley graph of the presented group.  The table is kept as
-``FiniteGroup`` keeps a group, one list per column (about 100 bytes per
-coset over four involution columns), so its generator columns become the
-``FiniteGroup`` directly, less the empty slots they grow by.  The strategy
-is definition-driven with immediate deductions (Felsch style): always fill
-the lowest empty slot of the lowest live coset, scan that definition at
-once, and close relator cycles as soon as their last edge appears.  Every
-other new entry is queued once, not with its mirror: the cycles through an
-edge are the same read from either end.  Each distinct rotation x w of the
-relators and their inverses is stored once, as the column lists of w: a scan
-through an entry c·x reads w forward from c·x, and reads back from c along
-the lists of x^-1 w^-1, another stored rotation.  Coincidences are processed
-through a union-find rooted at the least coset, with path halving.  The
-relators' lengths are held to the rotation budget, ``MAX_ROTATION_LETTERS``,
-before any of them is expanded.
+``FiniteGroup`` keeps a group, one list per column whose entries share one
+int per coset (about 70 bytes per coset over four involution columns), so
+its generator columns become the ``FiniteGroup`` directly, less the empty
+slots they grow by.  The strategy is definition-driven with immediate
+deductions (Felsch style): always fill the lowest empty slot of the lowest
+live coset, scan that definition at once, and close relator cycles as soon
+as their last edge appears.  Every other new entry is queued once, not with
+its mirror: the cycles through an edge are the same read from either end.
+Each distinct rotation x w of the relators and their inverses is stored
+once, as the column lists of w: a scan through an entry c·x reads w forward
+from c·x, and reads back from c along the lists of x^-1 w^-1, another
+stored rotation.  Coincidences are processed through a union-find rooted at
+the least coset, with path halving.  The relators' lengths are held to the
+rotation budget, ``MAX_ROTATION_LETTERS``, before any of them is expanded.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ebr_core import SLOT_NAMES
 from .perm_group import FiniteGroup, _find
@@ -195,13 +195,18 @@ class _Parser:
             raise self.error("zero exponent", offset)
         return value
 
-    def word(self, index: dict[str, int], depth: int = 0) -> tuple[Word, int]:
+    def word(self, index: dict[str, int], depth: int = 0, letters: int = 0,
+             exponent_sum: int = 0, gens: Iterable[int] = ()) -> tuple[Word, int]:
         """The word read next and its charge.  Before each factor is expanded,
-        the word so far and the relators read are held to the budget; the
-        error points at the factor's exponent, or else at the factor."""
+        the relator so far and the relators read are held to the budget; the
+        error points at the factor's exponent, or else at the factor.  Inside
+        parentheses the relator so far starts with the enclosing levels'
+        prefix, their pending exponents taken as 1, whose ``letters``,
+        ``exponent_sum`` and ``gens`` are passed in: so the open levels
+        together never hold more than one budget of expanded terms."""
         terms: list[tuple[int, int]] = []
-        letters = exponent_sum = charge = 0  # of the word so far, once expanded
-        gens: set[int] = set()
+        charge = 0  # of the relator so far, once expanded
+        gens = set(gens)  # a copy: the enclosing level's goes on from its prefix
         while True:
             kind, text, offset = self.peek()
             if kind == "ident":
@@ -213,7 +218,7 @@ class _Parser:
                 if depth >= MAX_NESTING:
                     raise self.error(f"parentheses nested deeper than {MAX_NESTING}", offset)
                 self.take()
-                factor = self.word(index, depth + 1)[0]
+                factor = self.word(index, depth + 1, letters, exponent_sum, gens)[0]
                 self.expect(")")
             elif not terms:
                 raise self.expected("word")
@@ -426,7 +431,8 @@ class _CosetTable:
                     return
                 if self.live_count >= max_cosets:
                     raise CosetLimitExceeded(f"enumeration exceeded max_cosets={max_cosets}")
-                c, x, d = cursor, slot, len(parent)
+                # The new coset's int is the one object its entries share.
+                c, x, d = parent[cursor], slot, len(parent)
                 if d == room:
                     for col in columns:
                         col.extend(_EMPTY_BLOCK)

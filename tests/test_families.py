@@ -450,3 +450,24 @@ def test_constructors_refuse_orders_above_the_order_budget(monkeypatch):
     # An order at the budget itself goes on to build the group.
     with pytest.raises(AssertionError, match="group construction called"):
         torus_rect(500, 500)
+
+
+@pytest.mark.parametrize("build", [lambda: torus_rect(160, 160), lambda: klein(25600, 1),
+                                   lambda: dihedral_map(51200, 1)],
+                         ids=["torus_rect(160, 160)", "klein(25600, 1)", "dihedral_map(51200, 1)"])
+def test_a_family_of_order_102400_holds_one_int_per_element(build):
+    import tracemalloc
+
+    # Every column entry refers to the one int the affine writer, then the
+    # breadth-first numbering, made for its element: building one of these
+    # peaked at 29-33 MiB and kept 10-11.4 MiB when each entry was a sum of
+    # its own.
+    tracemalloc.start()
+    try:
+        m = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.group.order == 102_400
+    assert peak < 24 * 2**20
+    assert kept < 9.5 * 2**20

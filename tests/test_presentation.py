@@ -279,7 +279,7 @@ def test_relator_length_is_budgeted_before_expansion(text, column):
 @pytest.mark.parametrize("text, column", [
     ("< a, b | a^99 a a >", 17),
     ("< a, b | a^99 b a >", 15),
-    ("< a, b | a^99 (a b) >", 15),
+    ("< a, b | a^99 (a b) >", 18),
     ("< a, b | (a (a b)^50)^2 >", 19),
     ("< a, b | (a (a b)^24)^2 >", 23),
 ])
@@ -302,7 +302,7 @@ def test_relator_length_error_points_at_the_token_over_budget(monkeypatch, text,
 
 @pytest.mark.parametrize("text, column", [
     ("< a, b | (a b)^26 >", 16),
-    ("< a, b | a^49 (a b) >", 15),
+    ("< a, b | a^49 (a b) >", 18),
     ("< a, b | b (a)^50 >", 16),
     ("< a, b | ((a b)^13)^2 >", 21),
     ("< a, b | (a)^50 b >", 17),
@@ -345,6 +345,26 @@ def test_a_mixed_power_over_budget_is_refused_before_it_is_expanded(text, column
         tracemalloc.stop()
     assert (info.value.line, info.value.column) == (1, column)
     assert peak < 2**20
+
+
+def test_nested_parentheses_hold_one_budget_of_terms_together():
+    import tracemalloc
+
+    # Each level expands (a b)^499999, within the budget alone; an inner
+    # level is charged with the prefix of the levels that enclose it, so
+    # the second expansion is refused at its exponent, however deep.
+    peaks = []
+    for depth in (1, 3, 6):
+        text = "< a, b | " + "(a b)^499999 (" * depth + "(a b)^499999" + ")" * depth + " >"
+        tracemalloc.start()
+        try:
+            with pytest.raises(PresentationSyntaxError, match="in its rotations") as info:
+                parse_presentation(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (info.value.line, info.value.column) == (1, 30)
+    assert max(peaks) < peaks[0] + 4 * 2**20
 
 
 def test_the_budget_is_the_presentations_not_each_relators():
@@ -473,7 +493,8 @@ def test_coset_table_memory_per_coset():
     import tracemalloc
 
     # One list per column: the square grid's four involution columns, the
-    # union-find parents and one int per coset, about 100 bytes a coset.
+    # union-find parents and one int per coset, which the entries share:
+    # about 70 bytes a coset.
     tracemalloc.start()
     try:
         with pytest.raises(CosetLimitExceeded):
@@ -481,7 +502,7 @@ def test_coset_table_memory_per_coset():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_cyclic_period_counts_the_distinct_rotations():
