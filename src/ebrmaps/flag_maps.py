@@ -10,9 +10,9 @@ An alternate-edge-colouring assigns two colours to the edges so that
 consecutive edges around every vertex and every face alternate.  It exists
 exactly when the medial graph, whose vertices are the map's edges with
 adjacency given by corner transitions, is bipartite.  The constructor walks
-that graph breadth-first once, keeping one side byte per flag and sorting
-nothing; the walk proves connectivity and, as it meets every corner
-transition, decides colourability too.
+that graph breadth-first once and keeps only one side byte per flag; the walk
+proves connectivity and decides colourability, and the witness is read off
+the side bytes in flag order, at each edge's least flag.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ __all__ = [
 
 
 class FlagMap:
-    """A connected map on a closed surface, given by flag involutions as image tuples;
-    the involution test proves their range, which is scanned only to name a fault."""
+    """A connected map on a closed surface: flag involutions as image tuples, whose
+    involution test proves their range (scanned only to name a fault), and a side per flag."""
 
     def __init__(self, s0: Sequence[int], s1: Sequence[int], s2: Sequence[int]):
         along, corner, across = tuple(s0), tuple(s1), tuple(s2)
@@ -70,7 +70,7 @@ class FlagMap:
         # opposite the finder's (2 = not reached yet); a transition within one
         # side closes an odd medial cycle.
         self._side = side = bytearray(b"\2") * n
-        self._walk = queue = [0] if n else []
+        queue = [0] if n else []
         if n:  # the walk starts at the edge of flag 0, on side 0
             side[0] = side[along[0]] = side[across[0]] = side[cross[0]] = 0
         clash = False
@@ -124,14 +124,14 @@ def is_alternate_edge_colourable(m: FlagMap) -> Optional[dict[int, int]]:
     1, in ascending order of that flag.  Adjacency in the medial graph is
     realized by corner transitions: the edges of flags ``f`` and ``f*s1`` are
     consecutive around both the common vertex and the common face.  This reads
-    the sides the constructor's walk gave the edges, and each edge's least flag
-    once from the flag the walk reached it by.
+    the walk's sides in flag order at each edge's least flag ``f``: ``f <= s0 f``
+    and ``f <= s2 f`` (either may fix ``f``), and ``f < s2 s0 f``, never ``f``.
     """
     if not m._colourable:
         return None
-    walk, along = m._walk, _compose(m._walk, m.s0)
-    least = sorted(map(min, walk, along, _compose(walk, m.s2), _compose(along, m.s2)))
-    return dict(zip(least, _compose(least, m._side)))
+    along, across, side = m.s0, m.s2, m._side
+    return {f: side[f] for f in range(m.flag_count)
+            if f <= along[f] and f <= across[f] and f < across[along[f]]}
 
 
 def ebr_to_flagmap(m) -> FlagMap:

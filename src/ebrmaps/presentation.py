@@ -416,9 +416,7 @@ class _CosetTable:
                 c, x = deductions.pop()
                 if parent[c] != c:
                     c = _find(parent, c)
-                d = columns[x][c]
-                if d is None:
-                    continue
+                d = columns[x][c]  # a live root keeps every entry of its class
             else:
                 while cursor < len(parent):
                     if parent[cursor] == cursor:
@@ -545,6 +543,7 @@ def coset_enumerate(pres: GroupPresentation,
     for i, c in enumerate(live):
         renumber[c] = i
     columns = [[renumber[ct.columns[x][c]] for c in live] for x in col_of]
+    del ct, live, renumber  # FiniteGroup numbers the columns without the table
     return FiniteGroup(pres.generator_names, columns)
 
 

@@ -923,6 +923,30 @@ def colouring_by_flag_scan(m):
     return colour
 
 
+def colouring_by_sorted_walk(m):
+    """Oracle: the colouring read through a kept walk list.  Walk the edges
+    breadth-first through s1 from the edge of flag 0, keeping the flag that
+    first reaches each edge and giving the edge the side opposite its
+    finder's; a transition within one side means no colouring.  Then each
+    edge's least flag is the ``min`` of its walk flag h and the gathers
+    ``s0 h``, ``s2 h`` and ``s2 s0 h``, and the least flags are sorted."""
+    s0, s1, s2 = m.s0, m.s1, m.s2
+    side = [None] * m.flag_count
+    side[0] = side[s0[0]] = side[s2[0]] = side[s2[s0[0]]] = 0
+    walk = [0]
+    for h in walk:
+        s = 1 - side[h]
+        for f in (s1[h], s1[s0[h]], s1[s2[h]], s1[s2[s0[h]]]):
+            if side[f] is None:
+                side[f] = side[s0[f]] = side[s2[f]] = side[s2[s0[f]]] = s
+                walk.append(f)
+            elif side[f] != s:
+                return None
+    along = [s0[h] for h in walk]
+    least = sorted(map(min, walk, along, [s2[h] for h in walk], [s2[g] for g in along]))
+    return dict(zip(least, [side[f] for f in least]))
+
+
 def rotation_system_reference(rotations, edge_pairing):
     """Oracle: ``rotation_system_to_flagmap`` with its checks in order and one
     comprehension per flag array, reading dart ``f // 2`` and side ``f % 2``."""

@@ -1,6 +1,7 @@
 import pytest
 
 from ebrmaps import (
+    EdgeBiregularMap,
     RegularMap,
     catalog_group,
     construction1,
@@ -178,6 +179,12 @@ def test_underlying_regular_rejects_generic_maps():
         underlying_regular(torus_rect(2, 2))
     with pytest.raises(ValueError, match="construction shape"):
         underlying_regular(sphere_family("semistar", 3))
+    # Two absent slots, and an absent r0.
+    group = catalog_group("c2^2")
+    t0, t1 = group.generator("t0"), group.generator("t1")
+    for slots in ((t0, t1, None, None), (None, t1, t0, t1)):
+        with pytest.raises(ValueError, match="construction shape"):
+            underlying_regular(EdgeBiregularMap(group, *slots))
 
 
 def test_loop_edge_coincidence_forces_torus_or_klein():

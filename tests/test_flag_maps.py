@@ -31,12 +31,22 @@ from ebrmaps import (
 )
 from ebrmaps.cli import main
 from conftest import (FIXTURE_DIR, all_valid_quadruples, colouring_by_flag_scan,
+                      colouring_by_sorted_walk,
                       edge_orbits_by_listing, flag_involutions, flagmap_documents, flagmap_error_reference,
                       flagmap_refusal_reference, load_flagmap_reference, orbits_by_walk,
                       outcome, rotation_system_reference, rotation_systems)
 
 TORUS_FIXTURE = os.path.join(FIXTURE_DIR, "torus_not_colourable.json")
 SPHERE_FIXTURE = os.path.join(FIXTURE_DIR, "sphere_two_squares.json")
+
+
+def witness_of(m):
+    """``is_alternate_edge_colourable(m)``, after checking that it equals the
+    sorted-walk reference with the same keys in the same order."""
+    colouring, reference = is_alternate_edge_colourable(m), colouring_by_sorted_walk(m)
+    assert colouring == reference
+    assert colouring is None or list(colouring) == list(reference)
+    return colouring
 
 
 # -- fixture provenance --------------------------------------------------------
@@ -136,7 +146,7 @@ def test_ebr_flag_system_round_trip(m):
     assert fm.chi() == inv.chi
     assert len(fm.vertex_orbits()) == inv.V
     assert len(fm.face_orbits()) == inv.F
-    colouring = is_alternate_edge_colourable(fm)
+    colouring = witness_of(fm)
     assert colouring is not None
     sizes = {}
     for rep, colour in colouring.items():
@@ -273,13 +283,16 @@ def test_colouring_matches_flag_scan_oracle(torus_flagmap, sphere_flagmap, cube_
             ebr_to_flagmap(torus_rect(3, 2)), ebr_to_flagmap(klein(3, 1)),
             ebr_to_flagmap(dihedral_map(6, 2)),
             regular_to_flagmap(regular_catalog("cube")),
-            regular_to_flagmap(regular_catalog("torus44:2:2-rect"))]
+            regular_to_flagmap(regular_catalog("torus44:2:2-rect")),
+            FlagMap((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2)),  # s0 fixes every flag
+            FlagMap((1, 0, 3, 2), (2, 3, 0, 1), (0, 1, 2, 3))]  # s2 fixes every flag
     for m in maps:
-        fast = is_alternate_edge_colourable(m)
+        fast = witness_of(m)
         slow = colouring_by_flag_scan(m)
         assert fast == slow
         assert fast is None or list(fast.items()) == sorted(slow.items())
     assert any(is_alternate_edge_colourable(m) is None for m in maps)
+    assert [is_alternate_edge_colourable(m) for m in maps[-2:]] == [{0: 0, 2: 1}] * 2
 
 
 def torus_grid(p, q, diagonal):
@@ -319,10 +332,20 @@ def test_colouring_matches_flag_scan_oracle_on_torus_grids(tmp_path, p, q, diago
     slow = colouring_by_flag_scan(m)
     assert (slow is None) == diagonal
     for fm in (m, loaded):
-        fast = is_alternate_edge_colourable(fm)
+        fast = witness_of(fm)
         assert fast == slow
         assert fast is None or list(fast.items()) == sorted(slow.items())
         assert fm.edge_orbits() == orbits_by_walk(fm.flag_count, (fm.s0, fm.s2))
+
+
+@pytest.mark.parametrize("p, q", [(16, 16), (10, 40), (24, 24), (14, 56), (32, 32)])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["grid", "split"])
+def test_colouring_matches_the_sorted_walk_on_benchmark_grids(p, q, diagonal):
+    """Grids of the benchmark's sizes, 2,048 to 8,192 flags (4 more with the
+    diagonal): the witness equals the sorted-walk reference, key order too."""
+    colouring = witness_of(rotation_system_to_flagmap(*torus_grid(p, q, diagonal)))
+    assert (colouring is None) == diagonal
+    assert diagonal or Counter(colouring.values()) == Counter({0: p * q, 1: p * q})
 
 
 # -- the constructor's one-pass checks against composed permutations -----------
@@ -394,7 +417,7 @@ def test_flagmap_agrees_with_composed_permutations(perms):
     assert m.edge_orbits() == orbits_by_walk(n, (m.s0, m.s2))
     assert m.vertex_orbits() == orbits_by_walk(n, (m.s1, m.s2))
     assert m.face_orbits() == orbits_by_walk(n, (m.s0, m.s1))
-    fast = is_alternate_edge_colourable(m)
+    fast = witness_of(m)
     slow = colouring_by_flag_scan(m)
     assert fast == slow
     assert fast is None or list(fast.items()) == sorted(slow.items())
@@ -541,9 +564,10 @@ def test_a_valid_file_is_accepted_without_the_scans_that_name_faults(tmp_path, m
 
 
 def test_the_walk_sorts_nothing_and_the_colouring_comes_back_ascending(tmp_path, monkeypatch):
-    """Building the 8,272-flag grid, from its arrays and from its file, calls
-    ``sorted``, ``min`` and ``max`` zero times; the colouring's keys then
-    strictly increase, with 1,034 edges of each colour."""
+    """Building the 8,272-flag grid, from its arrays and from its file, and
+    colouring it call ``sorted``, ``min`` and ``max`` zero times, and the built
+    map keeps no walk list; the colouring's keys strictly increase, with 1,034
+    edges of each colour."""
     m = rotation_system_to_flagmap(*torus_grid(22, 47, False))
     assert m.flag_count == 8272
     path = tmp_path / "grid.json"
@@ -559,8 +583,9 @@ def test_the_walk_sorts_nothing_and_the_colouring_comes_back_ascending(tmp_path,
     for name, function in (("sorted", sorted), ("min", min), ("max", max)):
         monkeypatch.setattr(flag_maps, name, counted(name, function), raising=False)
     built = [FlagMap(m.s0, m.s1, m.s2), load_flagmap(str(path))]
-    assert calls == Counter()
     colourings = [is_alternate_edge_colourable(fm) for fm in built]
+    assert calls == Counter()
+    assert not any(hasattr(fm, "_walk") for fm in built)
     for colouring in colourings:
         keys = list(colouring)
         assert len(keys) == 2068 and all(map(int.__lt__, keys, keys[1:]))

@@ -57,6 +57,17 @@ def test_closure_is_idempotent():
 def test_closure_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         closure([Permutation((1, 0)), Permutation((0, 1, 2))])
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        Permutation((1, 0)) * Permutation((0, 1, 2))
+
+
+def test_closure_and_columns_refuse_what_is_no_group():
+    with pytest.raises(ValueError, match="^closure needs at least one generator$"):
+        closure([])
+    with pytest.raises(ValueError, match="^one name per generator required$"):
+        closure([Permutation((1, 0))], names=["a", "b"])
+    with pytest.raises(ValueError, match="^the generators do not reach every element$"):
+        FiniteGroup(("a",), [[0, 0]])
 
 
 def test_closure_respects_element_bound():
@@ -222,6 +233,9 @@ def test_is_dihedral():
                        Permutation.from_cycles(6, [(2, 3)]),
                        Permutation.from_cycles(6, [(4, 5)])])
     assert not is_dihedral(c2cubed)
+    from ebrmaps import coset_enumerate, parse_presentation
+    assert is_dihedral(coset_enumerate(parse_presentation("< a | a >")))        # trivial
+    assert not is_dihedral(coset_enumerate(parse_presentation("< a | a^3 >")))  # C3
 
 
 def dihedral_oracle_groups():

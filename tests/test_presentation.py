@@ -102,6 +102,11 @@ def test_dihedral_presentations_enumerate_to_2m(m):
     assert coset_enumerate(dihedral_presentation(m), max_cosets=2000).order == 2 * m
 
 
+def test_dihedral_presentation_needs_a_positive_m():
+    with pytest.raises(ValueError, match="^m must be positive$"):
+        dihedral_presentation(0)
+
+
 def test_triangle_group_parameter_validation():
     with pytest.raises(ValueError):
         triangle_group(1, 4)
@@ -503,6 +508,26 @@ def test_coset_table_memory_per_coset():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_the_table_is_freed_before_the_group_numbers_its_columns():
+    import tracemalloc
+
+    # The torus-rect map a = c = 100: the group of order 40,000 keeps 3.4 MiB.
+    # With the finished coset table alive while FiniteGroup numbered the
+    # columns, the call peaked at 10.9 MiB; without it, at 8.2 MiB.
+    pres = parse_presentation(
+        "< r0, r2, rho0, rho2 | r0^2, r2^2, rho0^2, rho2^2, (r0 r2)^2, (rho0 rho2)^2,"
+        " (r2 rho2)^2, (r0 rho0)^2, (r0 rho2)^100, (r2 rho0)^100 >")
+    tracemalloc.start()
+    try:
+        group = coset_enumerate(pres)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 40_000
+    assert kept < 4 * 2**20
+    assert peak < 9.5 * 2**20
 
 
 def test_cyclic_period_counts_the_distinct_rotations():
