@@ -245,11 +245,6 @@ class EdgeBiregularMap:
         return tuple(Permutation(self.group.right_translation(s))
                      for s in self.slot_indices)
 
-    def left_action(self) -> tuple[Permutation, Permutation, Permutation, Permutation]:
-        """Left-regular actions of the four slot elements on the corners."""
-        self._require_closed()
-        return tuple(Permutation(self.group.left_translation(s)) for s in self.slot_indices)
-
 
 def _dihedral_order(group: FiniteGroup, a: int, b: int) -> int:
     """``|<a, b>|`` for involutions ``a`` and ``b``: the dihedral group of order

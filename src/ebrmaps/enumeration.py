@@ -1,7 +1,9 @@
 """Exhaustive enumeration of edge-biregular structures over a finite group.
 
 Candidates are ordered pairs of commuting involutions for (r0, r2) and
-(rho0, rho2) joined into quadruples.  Two generating quadruples describe
+(rho0, rho2) joined into quadruples, surveyed once per conjugacy class of
+involutions through the conjugation arrays that also seed the first-pair
+orbits below.  Two generating quadruples describe
 isomorphic maps exactly when they have the same Cayley form
 (``perm_group.cayley_form``), so the sweep keys candidates by their form and
 keeps the first quadruple of each key in lexicographic order; that is the
@@ -49,17 +51,33 @@ class CandidateBudgetExceeded(RuntimeError):
     """The candidate quadruple count exceeded the configured budget."""
 
 
-def _commuting_involution_pairs(group: FiniteGroup, proper: bool) -> list[tuple[int, int]]:
+def _conjugations(group: FiniteGroup) -> list[list[int]]:
+    """Conjugation by each generator g, the array x -> g^-1 x g; a generator's
+    right translation is its column."""
+    return [[col[x] for x in group.left_translation(group.inv(col[0]))] for col in group.columns]
+
+
+def _commuting_involution_pairs(group: FiniteGroup, proper: bool,
+                                conjugations: list[list[int]]) -> list[tuple[int, int]]:
     """The ordered pairs of commuting involutions, sorted.  Involutions x and
     y commute exactly when x*y is 1 or an involution z, that is when y = x*z,
-    so each x reads its left translation at 1 and the involutions, and keeps none."""
+    so the least involution of each conjugacy class reads its left translation
+    at 1 and the involutions; ``conjugations`` carry its sorted partners through
+    the class breadth-first, as those of g^-1 x g are the images of x's."""
     invs = group.involution_indices()
     inv_set, one_or_inv = set(invs), itemgetter(0, *invs)
-    pairs = []
-    for x in invs:
-        partners = inv_set.intersection(one_or_inv(group.left_translation(x)))
-        pairs.extend((x, y) for y in sorted(partners) if not (proper and x == y))
-    return pairs
+    partners: list[Optional[list[int]]] = [None] * group.order
+    for u in invs:
+        if partners[u] is None:
+            partners[u] = sorted(inv_set.intersection(one_or_inv(group.left_translation(u))))
+            queue = [u]
+            for x in queue:  # grows while it is walked
+                for conjugation in conjugations:
+                    y = conjugation[x]
+                    if partners[y] is None:
+                        partners[y] = sorted(map(conjugation.__getitem__, partners[x]))
+                        queue.append(y)
+    return [(x, y) for x in invs for y in partners[x] if not (proper and x == y)]
 
 
 def _merge_images(parent: list[int], pairs: list[tuple[int, int]],
@@ -81,13 +99,12 @@ def _merge_images(parent: list[int], pairs: list[tuple[int, int]],
                 parent[a] = b
 
 
-def _seeded_firsts(group: FiniteGroup, pairs: list[tuple[int, int]],
-                   index: dict[tuple[int, int], int]) -> list[int]:
+def _seeded_firsts(pairs: list[tuple[int, int]], index: dict[tuple[int, int], int],
+                   conjugations: list[list[int]]) -> list[int]:
     """The first-pair union-find merged under conjugation by each generator:
     its roots are the pairs least under conjugation by the group."""
     parent = list(range(len(pairs)))
-    for col in group.columns:  # a generator's right translation is its column
-        conjugation = [col[x] for x in group.left_translation(group.inv(col[0]))]
+    for conjugation in conjugations:
         _merge_images(parent, pairs, index, conjugation, range(len(pairs)))
     return parent
 
@@ -120,9 +137,10 @@ def enumerate_ebr(group: FiniteGroup, require_proper: bool = False,
     """
     if max_candidates < 0:
         raise ValueError(f"the candidate budget must be non-negative, not {max_candidates}")
-    pairs = _commuting_involution_pairs(group, require_proper)
+    conjugations = _conjugations(group)
+    pairs = _commuting_involution_pairs(group, require_proper, conjugations)
     index = {pair: i for i, pair in enumerate(pairs)}
-    firsts = _seeded_firsts(group, pairs, index)
+    firsts = _seeded_firsts(pairs, index, conjugations)
     roots = [i for i, root in enumerate(firsts) if root == i]  # one per conjugacy class
     maps = []
     keyed: dict[tuple, tuple[int, list[int]]] = {}  # form -> first pair, visiting order
@@ -200,19 +218,9 @@ class MapClass:
 @dataclass(frozen=True)
 class ClassReport:
     classes: tuple[MapClass, ...]
-    group_is_dihedral: bool = False
 
     def to_json(self) -> list[dict]:
         return [c.to_json_dict() for c in self.classes]
-
-    @property
-    def discrepancies(self) -> list[MapClass]:
-        """Classes of negative Euler characteristic over a dihedral group
-        that match no classification row.  (Over non-dihedral groups the
-        table does not apply, so nothing is flagged.)"""
-        if not self.group_is_dihedral:
-            return []
-        return [c for c in self.classes if c.table_row is None and c.chi < 0]
 
 
 def dihedral_table_row(order: int, k: int, l: int, V: int, F: int, chi: int,
@@ -272,14 +280,11 @@ def classify_report(maps: Sequence[EdgeBiregularMap]) -> ClassReport:
     dihedral = is_dihedral(group)
     classes = []
     for cls in members:
-        rep = cls[0]
-        inv = rep.invariants()
-        row = None
-        if dihedral and inv.chi < 0:
-            row = dihedral_table_row(inv.order, inv.k, inv.l, inv.V, inv.F,
-                                     inv.chi, inv.fully_regular)
+        inv = cls[0].invariants()
+        row = (dihedral_table_row(inv.order, inv.k, inv.l, inv.V, inv.F, inv.chi,
+                                  inv.fully_regular) if dihedral and inv.chi < 0 else None)
         classes.append(MapClass(
             class_size=len(cls), map_type=(inv.k, inv.l), chi=inv.chi,
             V=inv.V, F=inv.F, orientable=inv.orientable,
             fully_regular=inv.fully_regular, table_row=row))
-    return ClassReport(tuple(classes), group_is_dihedral=dihedral)
+    return ClassReport(tuple(classes))

@@ -3,8 +3,9 @@
 A map is encoded by three involutions on its flag set: ``s0`` moves a flag
 along its edge (other vertex, same edge and face), ``s1`` within its corner
 (other edge, same vertex and face), ``s2`` across its edge (other face).
-``s0*s2`` must be a fixed-point-free involution (closed surface, no
-semi-edges) and the three together must act transitively (connected map).
+``s0*s2`` must be a fixed-point-free involution, neither ``s0`` (semi-edge) nor
+``s2`` (boundary) may fix a flag, so every edge has four flags, and the three
+together must act transitively (connected map).
 
 An alternate-edge-colouring assigns two colours to the edges so that
 consecutive edges around every vertex and every face alternate.  It exists
@@ -64,11 +65,11 @@ class FlagMap:
             raise ValueError("s0*s2 is not an involution")
         if any(map(eq, cross, flags)):
             raise ValueError("s0*s2 has fixed points (semi-edge or boundary)")
-        # <s0, s2> is now a Klein four-group, so the edge of flag h is h, s0 h,
-        # s2 h and s0s2 h.  A breadth-first walk through s1 first reaches each
-        # edge by some flag h, queues h and gives all four flags the side
-        # opposite the finder's (2 = not reached yet); a transition within one
-        # side closes an odd medial cycle.
+        # s0*s2 is now a fixed-point-free involution, so the edge of flag h is
+        # h, s0 h, s2 h and s0s2 h: four flags, or two if s0 or s2 fixes h.  A
+        # breadth-first walk through s1 first reaches each edge by some flag h,
+        # queues h and gives all its flags the side opposite the finder's (2 =
+        # not reached yet); a transition within one side closes an odd medial cycle.
         self._side = side = bytearray(b"\2") * n
         queue = [0] if n else []
         if n:  # the walk starts at the edge of flag 0, on side 0
@@ -84,6 +85,10 @@ class FlagMap:
                     clash = True
         if not n or 2 in side:
             raise ValueError("flag system is disconnected")
+        if 4 * len(queue) != n:  # the queue holds one flag per edge
+            if any(map(eq, along, flags)):
+                raise ValueError("s0 has fixed points (semi-edge)")
+            raise ValueError("s2 has fixed points (boundary)")
         self._colourable = not clash
         self.flag_count, self.s0, self.s1, self.s2 = n, along, corner, across
 
@@ -98,13 +103,6 @@ class FlagMap:
 
     def chi(self) -> int:
         return len(self.vertex_orbits()) - len(self.edge_orbits()) + len(self.face_orbits())
-
-    def vertex_valencies(self) -> list[int]:
-        """Valency per vertex: half the flag count of each vertex orbit."""
-        return [len(orbit) // 2 for orbit in self.vertex_orbits()]
-
-    def face_lengths(self) -> list[int]:
-        return [len(orbit) // 2 for orbit in self.face_orbits()]
 
     def to_json_dict(self) -> dict:
         return dict(flag_count=self.flag_count, s0=list(self.s0),
@@ -124,14 +122,14 @@ def is_alternate_edge_colourable(m: FlagMap) -> Optional[dict[int, int]]:
     1, in ascending order of that flag.  Adjacency in the medial graph is
     realized by corner transitions: the edges of flags ``f`` and ``f*s1`` are
     consecutive around both the common vertex and the common face.  This reads
-    the walk's sides in flag order at each edge's least flag ``f``: ``f <= s0 f``
-    and ``f <= s2 f`` (either may fix ``f``), and ``f < s2 s0 f``, never ``f``.
+    the walk's sides in flag order at each edge's least flag ``f``: ``f < s0 f``,
+    ``f < s2 f`` and ``f < s2 s0 f``, as none of the three fixes ``f``.
     """
     if not m._colourable:
         return None
     along, across, side = m.s0, m.s2, m._side
     return {f: side[f] for f in range(m.flag_count)
-            if f <= along[f] and f <= across[f] and f < across[along[f]]}
+            if f < along[f] and f < across[f] and f < across[along[f]]}
 
 
 def ebr_to_flagmap(m) -> FlagMap:

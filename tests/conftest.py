@@ -14,8 +14,9 @@ from hypothesis import settings, strategies as st
 
 import ebrmaps.flag_maps as flag_maps
 from ebrmaps import (CosetLimitExceeded, EdgeBiregularMap, GroupPresentation, Permutation,
-                     closure, ebr_type_presentation, extend_generator_map,
-                     rotation_system_to_flagmap, triangle_group)
+                     closure, coset_enumerate, dihedral_presentation, ebr_type_presentation,
+                     extend_generator_map, klein, rotation_system_to_flagmap, torus_rect,
+                     triangle_group)
 from ebrmaps.enumeration import ClassReport, MapClass, dihedral_table_row
 from ebrmaps.perm_group import cayley_form, is_dihedral
 
@@ -319,7 +320,7 @@ def classify_report_by_all_images(maps):
         classes.append(MapClass(
             class_size=len(cls), map_type=(inv.k, inv.l), chi=inv.chi, V=inv.V, F=inv.F,
             orientable=inv.orientable, fully_regular=inv.fully_regular, table_row=row))
-    return ClassReport(tuple(classes), group_is_dihedral=dihedral)
+    return ClassReport(tuple(classes))
 
 
 def all_valid_quadruples(group, require_proper=False, require_distinct=False):
@@ -381,6 +382,23 @@ def _least_under_conjugation(group, pairs):
                         seen.add(image)
                         orbit.append(image)
     return kept
+
+
+# Groups beyond the catalog that the pair survey is checked on, each built on
+# request: involution classes of many sizes, and a deep breadth-first tree.
+SURVEY_GROUPS = {
+    "torus_rect(8,8)": lambda: torus_rect(8, 8).group,
+    "klein(64,2)": lambda: klein(64, 2).group,
+    "klein(64,1)": lambda: klein(64, 1).group,
+    "dihedral_presentation(100)": lambda: coset_enumerate(dihedral_presentation(100)),
+}
+
+
+def conjugations_by_products(group):
+    """Oracle: conjugation by each generator g, the array x -> g^-1 x g, two
+    products per element."""
+    return [[group.mul(group.mul(group.inv(col[0]), x), col[0]) for x in range(group.order)]
+            for col in group.columns]
 
 
 def commuting_pairs_by_products(group, proper):
@@ -821,8 +839,8 @@ def underlying_dot_reference(m):
 def flagmap_error_reference(s0, s1, s2):
     """The message ``FlagMap(s0, s1, s2)`` must raise on the image arrays of
     three bijections, or None when it must accept: composed permutations for
-    the involution and fixed-point checks and one orbit walk of <s0, s1, s2>
-    for connectivity."""
+    the involution and fixed-point checks of s0*s2, one orbit walk of <s0, s1,
+    s2> for connectivity, then a scan of s0 and of s2 for fixed points."""
     n = len(s0)
     if len(s1) != n or len(s2) != n:
         return "flag permutations must share one degree"
@@ -838,6 +856,10 @@ def flagmap_error_reference(s0, s1, s2):
         return "s0*s2 has fixed points (semi-edge or boundary)"
     if len(orbits_by_walk(n, arrays)) != 1:
         return "flag system is disconnected"
+    if any(s0(i) == i for i in range(n)):
+        return "s0 has fixed points (semi-edge)"
+    if any(s2(i) == i for i in range(n)):
+        return "s2 has fixed points (boundary)"
     return None
 
 

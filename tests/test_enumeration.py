@@ -25,11 +25,12 @@ from ebrmaps import (
 )
 from ebrmaps.ebr_core import _type_and_chi
 from ebrmaps.perm_group import cayley_form
-from conftest import (_automorphisms, _least_under_conjugation, all_valid_quadruples,
-                      aut_orbit_representatives, classify_report_by_all_images,
-                      commuting_pairs_by_products,
-                      dihedral_by_closure, merge_every_pair, pair_generation_memo,
-                      pairwise_class_sizes, pairwise_representatives, subgroup_reference)
+from conftest import (SURVEY_GROUPS, _automorphisms, _least_under_conjugation,
+                      all_valid_quadruples, aut_orbit_representatives,
+                      classify_report_by_all_images, commuting_pairs_by_products,
+                      conjugations_by_products, dihedral_by_closure, merge_every_pair,
+                      pair_generation_memo, pairwise_class_sizes, pairwise_representatives,
+                      subgroup_reference)
 
 
 def test_klein_four_has_no_proper_distinct_structure():
@@ -43,7 +44,7 @@ def test_dihedral8_negative_chi_classes():
     report = classify_report(maps)
     rows = sorted(c.table_row for c in report.classes)
     assert rows == [1, 3]
-    assert report.discrepancies == []
+    assert all(c.table_row is not None for c in report.classes if c.chi < 0)
     by_row = {c.table_row: c for c in report.classes}
     assert by_row[1].chi == -2 and (by_row[1].V, by_row[1].F) == (1, 1)
     assert by_row[1].fully_regular
@@ -92,6 +93,11 @@ SWEEP_GROUPS["torus_rect(6,6)"] = lambda: torus_rect(6, 6).group
 SWEEP_CASES.append(("torus_rect(6,6)", "proper"))
 
 
+def survey(group, proper):
+    """The sweep's pair list, surveyed through the sweep's conjugation table."""
+    return enumeration._commuting_involution_pairs(group, proper, enumeration._conjugations(group))
+
+
 @pytest.mark.parametrize("name, flags", SWEEP_CASES)
 def test_sweep_matches_aut_orbit_reference(name, flags):
     group = SWEEP_GROUPS[name]()
@@ -120,7 +126,7 @@ def test_sweep_keys_one_form_on_a_first_pair_an_automorphism_reaches(
     maps = enumerate_ebr(group, **FLAG_SETS[flags])
     assert sum(map(len, formed.values())) == forms
     auts = _automorphisms(group, maps[0].slot_indices)
-    pairs = enumeration._commuting_involution_pairs(group, flags == "proper")
+    pairs = survey(group, flags == "proper")
     generates = pair_generation_memo(group)
     for r in pairs:
         partners = [p for p in pairs if generates(r, p)]
@@ -145,16 +151,17 @@ def test_sweep_keys_one_form_on_a_first_pair_an_automorphism_reaches(
                                          if case[0] != "torus_rect(6,6)"])
 def test_first_pair_roots_after_seeding_are_least_under_conjugation(name, flags):
     group = SWEEP_GROUPS[name]()
+    conjugations = conjugations_by_products(group)
     pairs = enumeration._commuting_involution_pairs(
-        group, FLAG_SETS[flags].get("require_proper", False))
+        group, FLAG_SETS[flags].get("require_proper", False), conjugations)
     index = {pair: i for i, pair in enumerate(pairs)}
-    parent = enumeration._seeded_firsts(group, pairs, index)
+    parent = enumeration._seeded_firsts(pairs, index, conjugations)
     roots = [pair for i, pair in enumerate(pairs) if parent[i] == i]
     assert roots == _least_under_conjugation(group, pairs)
 
 
 SPAN_GROUPS = {**SWEEP_GROUPS, "torus_rhombic(2,3)": lambda: torus_rhombic(2, 3).group,
-               "klein(3,2)": lambda: klein(3, 2).group}
+               "klein(3,2)": lambda: klein(3, 2).group, **SURVEY_GROUPS}
 
 
 @pytest.mark.parametrize("name", SPAN_GROUPS)
@@ -171,8 +178,46 @@ def test_a_commuting_involution_pair_spans_one_x_y_and_xy(name):
 @pytest.mark.parametrize("name", SPAN_GROUPS)
 def test_commuting_pairs_match_the_product_reference(name, proper):
     group = SPAN_GROUPS[name]()
-    assert (enumeration._commuting_involution_pairs(group, proper)
+    conjugations = conjugations_by_products(group)
+    assert enumeration._conjugations(group) == conjugations
+    assert (enumeration._commuting_involution_pairs(group, proper, conjugations)
             == commuting_pairs_by_products(group, proper))
+
+
+@pytest.mark.parametrize("name, classes, involutions", [
+    ("dih:48", 3, 25), ("dihxc2:12", 7, 15), ("torus_rect(8,8)", 15, 99)])
+def test_the_survey_reads_one_left_translation_per_involution_class(monkeypatch, name,
+                                                                    classes, involutions):
+    """The conjugation table reads one left translation per generator, and
+    the survey one more for the least involution of each conjugacy class, the
+    classes walked here as orbits of the oracle's conjugation arrays."""
+    group = SPAN_GROUPS[name]()
+    conjugations = conjugations_by_products(group)  # builds the inverse array too
+    invs = group.involution_indices()
+    unseen, leaders = set(invs), []
+    for u in invs:
+        if u in unseen:
+            leaders.append(u)
+            orbit = [u]
+            unseen.discard(u)
+            for x in orbit:  # grows while it is walked
+                for conjugation in conjugations:
+                    if conjugation[x] in unseen:
+                        unseen.discard(conjugation[x])
+                        orbit.append(conjugation[x])
+    assert (len(leaders), len(invs)) == (classes, involutions)
+    calls = []
+    left_translation = FiniteGroup.left_translation
+
+    def counted(self, j):
+        calls.append(j)
+        return left_translation(self, j)
+
+    monkeypatch.setattr(FiniteGroup, "left_translation", counted)
+    pairs = survey(group, False)
+    assert calls[len(group.columns):] == leaders
+    assert len(calls) == len(group.columns) + classes
+    assert pairs == commuting_pairs_by_products(group, False)
 
 
 def _merged_automorphisms(monkeypatch, group, **flags):
@@ -197,7 +242,7 @@ def test_a_merge_from_start_keeps_every_root_from_start_on(monkeypatch, name, pr
     exactly when merging every pair would, through all the automorphisms the
     sweep merges, one after another."""
     group = catalog_group(name)
-    pairs = enumeration._commuting_involution_pairs(group, proper)
+    pairs = survey(group, proper)
     index = {pair: i for i, pair in enumerate(pairs)}
     auts = _merged_automorphisms(monkeypatch, group, require_proper=proper)
     assert auts
@@ -237,8 +282,7 @@ def test_sweep_forms_the_quads_it_forms_with_whole_merges(monkeypatch, name, fla
 
 
 def _swept_pairs(group, flags):
-    return enumeration._commuting_involution_pairs(
-        group, FLAG_SETS[flags].get("require_proper", False))
+    return survey(group, FLAG_SETS[flags].get("require_proper", False))
 
 
 @pytest.mark.parametrize("name, flags", [case for case in SWEEP_CASES
@@ -428,7 +472,7 @@ def test_candidate_budget_counts_the_quadruples_joined(monkeypatch):
         patch.setattr(enumeration, "cayley_form", counted)
         maps = enumerate_ebr(g, max_candidates=joined)
     assert [m.slot_indices for m in maps] == [m.slot_indices for m in enumerate_ebr(g)]
-    pairs = enumeration._commuting_involution_pairs(g, False)
+    pairs = survey(g, False)
     # Each form was joined first; the bound counted before the sweep was 12,201.
     assert len(forms) < joined < len(_least_under_conjugation(g, pairs)) * len(pairs) == 12201
     with pytest.raises(CandidateBudgetExceeded,
@@ -469,13 +513,12 @@ def test_non_dihedral_groups_are_not_flagged():
     report = classify_report(maps)
     assert len(report.classes) > 0
     assert all(c.table_row is None for c in report.classes)
-    assert not report.group_is_dihedral
-    assert report.discrepancies == []
 
 
 def test_dihedral_report_records_group_kind():
-    report = classify_report([dihedral_map(4, 1)])
-    assert report.group_is_dihedral
+    m = dihedral_map(4, 1)
+    assert is_dihedral(m.group)
+    assert [c.table_row for c in classify_report([m]).classes] == [1]
 
 
 def test_report_handles_semi_edge_maps():
@@ -572,8 +615,7 @@ def test_report_matches_the_reference_that_walks_every_image(name, flags):
     group = ORACLE_GROUPS[name]()
     maps = enumerate_ebr(group, **FLAG_SETS[flags])
     report, reference = classify_report(maps), classify_report_by_all_images(maps)
-    assert (json.dumps([report.group_is_dihedral, report.to_json()])
-            == json.dumps([reference.group_is_dihedral, reference.to_json()]))
+    assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
     for m in maps:
         r0, r2, p0, p2 = m.slot_indices
         inv = m.invariants()

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import re
@@ -73,8 +74,8 @@ def test_fixture_files_carry_comments():
 def test_torus_fixture_is_even_but_not_colourable(torus_flagmap):
     m = torus_flagmap
     assert m.chi() == 0
-    assert all(v % 2 == 0 for v in m.vertex_valencies())
-    assert all(f % 2 == 0 for f in m.face_lengths())
+    assert all(len(orbit) // 2 % 2 == 0 for orbit in m.vertex_orbits())
+    assert all(len(orbit) // 2 % 2 == 0 for orbit in m.face_orbits())
     assert is_alternate_edge_colourable(m) is None
 
 
@@ -106,7 +107,7 @@ def test_four_cycle_on_sphere_is_colourable():
 
 
 def test_odd_valency_is_never_colourable(cube_flagmap):
-    assert min(cube_flagmap.vertex_valencies()) == 3
+    assert min(len(orbit) // 2 for orbit in cube_flagmap.vertex_orbits()) == 3
     assert is_alternate_edge_colourable(cube_flagmap) is None
     tetra = regular_to_flagmap(regular_catalog("tetrahedron"))
     assert is_alternate_edge_colourable(tetra) is None
@@ -116,7 +117,7 @@ def test_cube_rotation_system_flag_count_and_chi(cube_flagmap):
     m = cube_flagmap
     assert m.flag_count == 48
     assert m.chi() == 2
-    assert sorted(set(m.face_lengths())) == [4]
+    assert {len(orbit) // 2 for orbit in m.face_orbits()} == {4}
     assert closure([Permutation(m.s0), Permutation(m.s1), Permutation(m.s2)]).order == 48
 
 
@@ -191,6 +192,23 @@ def test_flagmap_validation():
         FlagMap(Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)]).images,
                 tuple(range(8)),
                 Permutation.from_cycles(8, [(0, 3), (1, 2), (4, 7), (5, 6)]).images)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_every_involution_triple_on_few_flags_meets_the_reference(n):
+    """On 2 and 4 flags, every triple of involutions is refused or accepted
+    as the composed-permutation reference says; 4 + 72 triples are refused
+    for a fixed point of s0 or s2, 56 with one of s0 and 56 with one of s2."""
+    involutions = [p for p in itertools.permutations(range(n))
+                   if all(p[p[f]] == f for f in range(n))]
+    verdicts = Counter()
+    for perms in itertools.product(involutions, repeat=3):
+        expected = flagmap_error_reference(*perms)
+        assert outcome(FlagMap, *perms) == (
+            perms if expected is None else (ValueError, expected)), perms
+        verdicts[expected] += 1
+    fixed = verdicts["s0 has fixed points (semi-edge)"] + verdicts["s2 has fixed points (boundary)"]
+    assert (n, verdicts[None], fixed) in {(2, 0, 4), (4, 60, 72)}
 
 
 @pytest.mark.parametrize("entry", [-1, 4, -4, 2 ** 70])
@@ -283,16 +301,18 @@ def test_colouring_matches_flag_scan_oracle(torus_flagmap, sphere_flagmap, cube_
             ebr_to_flagmap(torus_rect(3, 2)), ebr_to_flagmap(klein(3, 1)),
             ebr_to_flagmap(dihedral_map(6, 2)),
             regular_to_flagmap(regular_catalog("cube")),
-            regular_to_flagmap(regular_catalog("torus44:2:2-rect")),
-            FlagMap((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2)),  # s0 fixes every flag
-            FlagMap((1, 0, 3, 2), (2, 3, 0, 1), (0, 1, 2, 3))]  # s2 fixes every flag
+            regular_to_flagmap(regular_catalog("torus44:2:2-rect"))]
     for m in maps:
         fast = witness_of(m)
         slow = colouring_by_flag_scan(m)
         assert fast == slow
         assert fast is None or list(fast.items()) == sorted(slow.items())
     assert any(is_alternate_edge_colourable(m) is None for m in maps)
-    assert [is_alternate_edge_colourable(m) for m in maps[-2:]] == [{0: 0, 2: 1}] * 2
+    # Semi-edges and boundary edges have no colouring to check: these are refused.
+    with pytest.raises(ValueError, match=r"^s0 has fixed points \(semi-edge\)$"):
+        FlagMap((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2))  # s0 fixes every flag
+    with pytest.raises(ValueError, match=r"^s2 has fixed points \(boundary\)$"):
+        FlagMap((1, 0, 3, 2), (2, 3, 0, 1), (0, 1, 2, 3))  # s2 fixes every flag
 
 
 def torus_grid(p, q, diagonal):
@@ -441,7 +461,8 @@ def test_flagmap_property_inputs_reach_every_verdict():
                         "s0 is not an involution", "s1 is not an involution",
                         "s2 is not an involution", "s0*s2 is not an involution",
                         "s0*s2 has fixed points (semi-edge or boundary)",
-                        "flag system is disconnected"}
+                        "flag system is disconnected", "s0 has fixed points (semi-edge)",
+                        "s2 has fixed points (boundary)"}
 
 
 # -- the loader and the constructor against their range-first references -------

@@ -14,9 +14,9 @@ from ebrmaps import (
 )
 from ebrmaps import enumeration
 from ebrmaps.perm_group import orbits
-from conftest import (commuting_pairs_by_right_rows, dihedral_by_rotation, involutions_by_scan,
-                      orbits_by_union_find, orbits_by_walk, right_translations_by_tree,
-                      subgroup_reference)
+from conftest import (SURVEY_GROUPS, commuting_pairs_by_right_rows, dihedral_by_rotation,
+                      involutions_by_scan, orbits_by_union_find, orbits_by_walk,
+                      right_translations_by_tree, subgroup_reference)
 
 
 def square_symmetries():
@@ -31,6 +31,8 @@ def test_identity_closure_is_trivial():
     g = closure([Permutation.identity(4)])
     assert g.order == 1
     assert g.elements[0].is_identity()
+    assert repr(g.elements[0]) == "Permutation(identity, degree=4)"
+    assert repr(g) == "FiniteGroup(order=1, degree=4, generators=[g0])"
 
 
 def test_commuting_involutions_give_klein_four():
@@ -397,10 +399,10 @@ def test_rows_inverses_and_elements_match_the_tree_oracle(name):
 
 
 @pytest.mark.parametrize("proper", [False, True])
-@pytest.mark.parametrize("name", ORACLE_GROUPS)
+@pytest.mark.parametrize("name", [*ORACLE_GROUPS, *SURVEY_GROUPS])
 def test_pair_survey_matches_the_right_row_oracle(name, proper):
-    g = ORACLE_GROUPS[name]
-    assert (enumeration._commuting_involution_pairs(g, proper)
+    g = ORACLE_GROUPS[name] if name in ORACLE_GROUPS else SURVEY_GROUPS[name]()
+    assert (enumeration._commuting_involution_pairs(g, proper, enumeration._conjugations(g))
             == commuting_pairs_by_right_rows(g, proper))
 
 
